@@ -99,13 +99,35 @@ class ResponseCache:
             self._load()
 
     def _load(self) -> None:
-        with self.path.open("r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                self._entries[obj["key"]] = obj["text"]
+        """Read every record; repair the tail that an interrupted ``put`` leaves.
+
+        Only the final line can lack its newline. If it does not parse, it is
+        a torn record: it is skipped and cut from the file. If it parses, the
+        newline is added. Either way the next ``put`` starts a fresh line. A
+        line that does not parse anywhere else means corruption and raises.
+        """
+        whole = 0  # bytes of the file that hold complete lines
+        ends_line = True
+        torn = False
+        with self.path.open("rb") as fh:
+            for raw in fh:
+                if raw.strip():
+                    try:
+                        obj = json.loads(raw)
+                    except ValueError:
+                        if raw.endswith(b"\n"):
+                            raise
+                        torn = True
+                        break
+                    self._entries[obj["key"]] = obj["text"]
+                whole += len(raw)
+                ends_line = raw.endswith(b"\n")
+        if torn or not ends_line:
+            with self.path.open("r+b") as fh:
+                fh.truncate(whole)
+                if not ends_line:
+                    fh.seek(whole)
+                    fh.write(b"\n")
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -2,9 +2,14 @@
 
 Rendering is a pure function of (instance, strategy, assets): identical inputs
 yield byte-identical prompts, which the golden-file tests rely on.
+
+Only (task, bucket, k, exemplar seed, label base) decides a prompt's exemplars
+and only (task, style) its pseudo-code, so each cell's exemplar and pseudo-code
+sections are rendered once per process and reused by every prompt in the cell.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -145,7 +150,6 @@ class PromptBundle:
     task: Task
     instance_id: str
     label_base: int
-    encoding: str = "edge_list"
 
 
 # --- surface text --------------------------------------------------------------
@@ -307,6 +311,27 @@ def build_exemplars(
 
 # --- rendering ------------------------------------------------------------------
 
+# The memoized helpers below return immutable strings, so every prompt can share
+# them; typed=True keeps e.g. label_base True and 1 apart, as the text differs.
+# They call pseudocode_for / build_exemplars through the module globals, so a
+# wrapper installed on those names still sees each cache miss.
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _pseudocode_section(task: Task, style: PseudocodeStyle) -> str:
+    code = pseudocode_for(task, style).rstrip("\n")
+    return f"You can follow this pseudo-code to solve the problem:\n{code}"
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _exemplar_sections(
+    task: Task, bucket: SizeBucket, k: int, exemplar_seed: int, label_base: int
+) -> tuple[str, ...]:
+    return tuple(
+        f"Example:\n{question}\nAnswer: {answer}"
+        for question, answer in build_exemplars(task, bucket, k, exemplar_seed, label_base)
+    )
+
 
 def render_prompt(
     inst: TaskInstance,
@@ -325,11 +350,9 @@ def render_prompt(
     sections = [description]
     if strategy.uses_pseudocode:
         assert strategy.style is not None
-        code = pseudocode_for(inst.task, strategy.style).rstrip("\n")
-        sections.append(f"You can follow this pseudo-code to solve the problem:\n{code}")
+        sections.append(_pseudocode_section(inst.task, strategy.style))
     if strategy.uses_exemplars:
-        for question, answer in build_exemplars(inst.task, inst.bucket, strategy.k, exemplar_seed, base):
-            sections.append(f"Example:\n{question}\nAnswer: {answer}")
+        sections.extend(_exemplar_sections(inst.task, inst.bucket, strategy.k, exemplar_seed, base))
     sections.append(
         f"{encode_edge_list(inst.graph, base)}\n"
         f"{question_for(inst.task, inst.query, base)}\n"

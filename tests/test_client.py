@@ -95,6 +95,42 @@ def test_cache_concurrent_writers(tmp_path):
         json.loads(line)  # every line intact
 
 
+def _record(key, text):
+    return json.dumps({"key": key, "text": text}) + "\n"
+
+
+def test_cache_resumes_after_torn_trailing_line(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    whole = _record("k1", "one") + _record("k2", "two")
+    path.write_text(whole + _record("k3", "three")[:-9], encoding="utf-8")
+    resumed = ResponseCache(path)
+    assert len(resumed) == 2 and "k3" not in resumed
+    assert path.read_text(encoding="utf-8") == whole  # the torn record is cut
+    resumed.put("k3", "three")
+    reopened = ResponseCache(path)
+    assert [reopened.get(k) for k in ("k1", "k2", "k3")] == ["one", "two", "three"]
+
+
+def test_cache_completes_unterminated_final_record(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(_record("k1", "one") + _record("k2", "two")[:-1], encoding="utf-8")
+    resumed = ResponseCache(path)
+    assert resumed.get("k2") == "two"
+    resumed.put("k3", "three")
+    assert len(ResponseCache(path)) == 3
+
+
+@pytest.mark.parametrize("corrupt_at", [0, 1])
+def test_cache_rejects_corrupt_line_before_the_end(tmp_path, corrupt_at):
+    lines = [_record("k1", "one"), _record("k2", "two")]
+    lines[corrupt_at] = lines[corrupt_at][:-9] + "\n"
+    path = tmp_path / "cache.jsonl"
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(ValueError):
+        ResponseCache(path)
+    assert path.read_text(encoding="utf-8") == "".join(lines)  # left untouched
+
+
 # --- mock backends -----------------------------------------------------------------
 
 

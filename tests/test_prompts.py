@@ -4,8 +4,10 @@ import pytest
 
 from conftest import GOLDEN
 from graphbench import (
+    ALL_BUCKETS,
     ALL_TASKS,
     BAG_SENTENCE,
+    DEFAULT_EXEMPLAR_SEED,
     PseudocodeStyle,
     SMALL,
     Strategy,
@@ -22,7 +24,9 @@ from graphbench import (
     render_prompt,
     standard_strategies,
 )
+from graphbench import prompts
 from graphbench.oracles import Answer
+from graphbench.tasks import default_label_base
 
 
 def first_instance(task, seed=0):
@@ -179,6 +183,83 @@ def test_exemplar_seed_changes_examples_only():
 def test_build_exemplars_rejects_bad_k():
     with pytest.raises(ValueError):
         build_exemplars(Task.EDGE_COUNT, SMALL, 0)
+
+
+# --- per-cell memoization of exemplar and pseudo-code sections ---------------------
+
+
+def reference_prompt(inst, strategy, exemplar_seed, label_base):
+    """render_prompt rebuilt from direct build_exemplars / pseudocode_for calls."""
+    base = default_label_base(inst.task) if label_base is None else label_base
+    sections = [prompts.task_description(inst.task)]
+    if strategy.uses_pseudocode:
+        code = pseudocode_for(inst.task, strategy.style).rstrip("\n")
+        sections.append(f"You can follow this pseudo-code to solve the problem:\n{code}")
+    if strategy.uses_exemplars:
+        for question, answer in build_exemplars(inst.task, inst.bucket, strategy.k, exemplar_seed, base):
+            sections.append(f"Example:\n{question}\nAnswer: {answer}")
+    sections.append(
+        f"{encode_edge_list(inst.graph, base)}\n"
+        f"{prompts.question_for(inst.task, inst.query, base)}\n"
+        f"{prompts.answer_format_line(inst.task)}"
+    )
+    return "\n\n".join(sections)
+
+
+def test_render_prompt_matches_unmemoized_reference():
+    # Interleaving every key field in one process makes a memo key that drops
+    # or conflates a field serve a stale section to a later prompt.
+    strategies = [Strategy.k_shot(1), Strategy.k_shot(3)] + [
+        strategy
+        for style in (PseudocodeStyle.PLAIN, PseudocodeStyle.PYTHON)
+        for strategy in (Strategy.pseudo(style), Strategy.pseudo_k_shot(style, 1),
+                         Strategy.pseudo_k_shot(style, 3))
+    ]
+    for task in (Task.EDGE_COUNT, Task.NEIGHBORS, Task.TOPOLOGICAL_SORT):
+        for bucket in ALL_BUCKETS:
+            inst = build_instances(task, bucket, master_seed=0, graph_count=1)[0]
+            for strategy in strategies:
+                for exemplar_seed in (1, 2):
+                    for label_base in (None, 0, 1):
+                        got = render_prompt(inst, strategy, exemplar_seed, label_base)
+                        want = reference_prompt(inst, strategy, exemplar_seed, label_base)
+                        assert got.text == want, (task, bucket, strategy, exemplar_seed, label_base)
+
+
+def test_mutating_build_exemplars_result_leaves_prompts_unchanged():
+    inst = first_instance(Task.EDGE_COUNT)
+    strategy = Strategy.pseudo_k_shot(PseudocodeStyle.PLAIN, 2)
+    before = render_prompt(inst, strategy).text
+    args = (Task.EDGE_COUNT, SMALL, 2, DEFAULT_EXEMPLAR_SEED, 0)
+    exemplars = build_exemplars(*args)
+    pristine = list(exemplars)
+    exemplars[0] = ("tampered question", "tampered answer")
+    exemplars.append(("extra question", "extra answer"))
+    assert build_exemplars(*args) == pristine
+    assert build_exemplars(*args) is not build_exemplars(*args)
+    assert render_prompt(inst, strategy).text == before
+
+
+def test_cell_sections_are_built_once_per_process(monkeypatch):
+    calls = {"build_exemplars": 0, "pseudocode_for": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # Patching the module globals is what a tracer does; the memo must still
+    # route each miss through them.
+    for name in calls:
+        monkeypatch.setattr(prompts, name, counting(name, getattr(prompts, name)))
+    prompts._exemplar_sections.cache_clear()
+    prompts._pseudocode_section.cache_clear()
+    cell = build_instances(Task.NEIGHBORS, SMALL, master_seed=3, graph_count=4)
+    strategy = Strategy.pseudo_k_shot(PseudocodeStyle.MULTI, 2)
+    texts = [render_prompt(inst, strategy).text for inst in cell]
+    assert len(cell) == 20 and len(set(texts)) > 1
+    assert calls == {"build_exemplars": 1, "pseudocode_for": 1}
 
 
 # --- encoding and label bases ------------------------------------------------------
