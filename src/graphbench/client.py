@@ -106,7 +106,7 @@ class ResponseCache:
         newline is added. Either way the next ``put`` starts a fresh line. A
         line that does not parse anywhere else means corruption and raises.
         """
-        whole = 0  # bytes of the file that hold complete lines
+        whole = 0  # length of the file's prefix whose lines all parsed
         ends_line = True
         torn = False
         with self.path.open("rb") as fh:

@@ -311,10 +311,11 @@ def build_exemplars(
 
 # --- rendering ------------------------------------------------------------------
 
-# The memoized helpers below return immutable strings, so every prompt can share
-# them; typed=True keeps e.g. label_base True and 1 apart, as the text differs.
-# They call pseudocode_for / build_exemplars through the module globals, so a
-# wrapper installed on those names still sees each cache miss.
+# The helpers below hold each cell's sections for the life of the process. They
+# return immutable strings, so every prompt can share them; typed=True keeps
+# label_base True and 1 apart, which render differently. A cache miss calls
+# pseudocode_for / build_exemplars through the module globals, so a wrapper
+# installed on those names sees it.
 
 
 @functools.lru_cache(maxsize=None, typed=True)
