@@ -10,18 +10,41 @@ import hashlib
 
 import pytest
 
-from graphbench import PseudocodeStyle, Strategy, assemble_dataset, render_prompt
+from graphbench import (
+    PseudocodeStyle,
+    Strategy,
+    assemble_dataset,
+    load_dataset,
+    render_prompt,
+    save_dataset,
+    standard_strategies,
+)
 
 SEED0_CONTENT_DIGEST = "db99ee3cea99b9d71dd5738de9ce23a0aa0cb94081f0f7157c16d1c5f926eb41"
 SEED0_PROMPTS_SHA256 = {
     "0-shot": "1281fda9d2863a4aa5dec2e6fd3e9606bf6e5de5ced1d8afae39f6e326e79656",
+    "1-shot": "737b70e52ece7c5816a84ca378a3c01630323ed50511f9e80a31b33e25cf96bf",
+    "BaG": "6aab88b771128457945d5a3fe151f172e0c6b6de8d6c7f42ceac4a22bfd00485",
+    "0-CoT": "992a4c428a031e74e479c5f7ad79dca89c99ed3240dbb6f29869a3cd9aefa0d2",
+    "Pseudo": "c0923497961b27a9137557e7aa26b8f7dc64230215ebe059b15d8b8c82a7f7bc",
+    "Pseudo+1-shot": "5a4ceef9f991de51af2a4f18fecee1d2c4a3015836122efdaa38c67aceecfbae",
     "Pseudo+5-shot": "2bdaa58239075ff3e162f03bf6e55a946865fc8f9cde369c65fd1cb021a4cf7f",
 }
+PSEUDO_5_SHOT = Strategy.pseudo_k_shot(PseudocodeStyle.PLAIN, 5)
 
 
 @pytest.fixture(scope="module")
 def seed0():
     return assemble_dataset(0)
+
+
+@pytest.fixture(scope="module")
+def seed0_loaded(seed0, tmp_path_factory):
+    """The seed-0 instances after a save/load round trip through JSONL."""
+    _, instances = seed0
+    path = tmp_path_factory.mktemp("pinned") / "dataset.jsonl"
+    save_dataset(instances, path)
+    return load_dataset(path)
 
 
 def prompts_sha256(texts) -> str:
@@ -41,10 +64,19 @@ def test_seed0_content_digest(seed0):
 
 @pytest.mark.parametrize(
     "strategy",
-    [Strategy.zero_shot(), Strategy.pseudo_k_shot(PseudocodeStyle.PLAIN, 5)],
+    [*standard_strategies(PseudocodeStyle.PLAIN), PSEUDO_5_SHOT],
     ids=lambda s: s.display_name,
 )
 def test_seed0_prompts_sha256(seed0, strategy):
     _, instances = seed0
     digest = prompts_sha256(render_prompt(inst, strategy).text for inst in instances)
+    assert digest == SEED0_PROMPTS_SHA256[strategy.display_name]
+
+
+@pytest.mark.parametrize(
+    "strategy", [Strategy.zero_shot(), PSEUDO_5_SHOT], ids=lambda s: s.display_name
+)
+def test_seed0_loaded_prompts_sha256(seed0_loaded, strategy):
+    assert len(seed0_loaded) == 6600
+    digest = prompts_sha256(render_prompt(inst, strategy).text for inst in seed0_loaded)
     assert digest == SEED0_PROMPTS_SHA256[strategy.display_name]
