@@ -201,7 +201,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     bundles = [render_prompt(inst, strategy, args.exemplar_seed, args.label_base)
                for inst in instances]
-    outcomes = run_prompts(bundles, backend, cfg, cache, parallel=args.parallel)
+    try:
+        outcomes = run_prompts(bundles, backend, cfg, cache, parallel=args.parallel)
+    finally:
+        if cache is not None:
+            cache.close()
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -16,7 +16,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence, TextIO
 
 import requests
 
@@ -88,13 +88,15 @@ class ResponseCache:
 
     Safe for concurrent use within one process; writes are serialized by a
     lock and flushed per record so an interrupted run loses at most the
-    record being written.
+    record being written. The first ``put`` opens one append handle, which
+    stays open until ``close``.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._lock = threading.Lock()
         self._entries: dict[str, str] = {}
+        self._fh: Optional[TextIO] = None
         if self.path.exists():
             self._load()
 
@@ -143,10 +145,18 @@ class ResponseCache:
             if key in self._entries:
                 return
             self._entries[key] = text
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(json.dumps({"key": key, "text": text}) + "\n")
-                fh.flush()
+            if self._fh is None:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                self._fh = self.path.open("a", encoding="utf-8")
+            self._fh.write(json.dumps({"key": key, "text": text}) + "\n")
+            self._fh.flush()
+
+    def close(self) -> None:
+        """Close the append handle, if open; a later ``put`` reopens it."""
+        with self._lock:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
 
 
 class Backend:

@@ -6,6 +6,7 @@ path adds 3 x 100 x 5 = 1,500; 6,600 in total.
 """
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import random
@@ -70,13 +71,25 @@ class TaskInstance:
         }
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "TaskInstance":
+    def from_json_obj(cls, obj: dict, graphs: dict | None = None) -> "TaskInstance":
+        """Inverse of ``to_json_obj``.
+
+        ``graphs`` memoizes graphs by their stored form, so instances whose
+        stored graphs are equal share one ``Graph``; pass one dict per load.
+        """
         bucket = obj["bucket"]
+        stored = obj["graph"]
+        if graphs is None:
+            graphs = {}
+        key = (stored["n"], stored["directed"], tuple(map(tuple, stored["edges"])))
+        graph = graphs.get(key)
+        if graph is None:
+            graph = graphs[key] = Graph.from_edges(stored["n"], stored["edges"], stored["directed"])
         return cls(
             id=obj["id"],
             task=Task(obj["task"]),
             bucket=SizeBucket(bucket["name"], bucket["n_min"], bucket["n_max"]),
-            graph=Graph.from_edges(obj["graph"]["n"], obj["graph"]["edges"], obj["graph"]["directed"]),
+            graph=graph,
             query=tuple(obj["query"]),
             gold=answer_from_json(obj["gold"]),
             seed=obj["seed"],
@@ -161,7 +174,7 @@ def _graph_for_instance(task: Task, bucket: SizeBucket, instance_seed: int) -> G
     same-component pairs exist; bipartite-check draws its construction from
     {ER, random bipartite} by fair coin.
     """
-    cfg = GeneratorConfig(bucket=bucket, task=task)
+    cfg = GeneratorConfig(bucket=bucket)
     if task is Task.TOPOLOGICAL_SORT:
         return gen_er_dag(cfg, derive_seed(instance_seed, "graph", 0))
     if task is Task.BIPARTITE_CHECK:
@@ -307,9 +320,17 @@ def load_dataset(path: str | Path, strict: bool = True, verify: bool = True) -> 
     strict: corrupt lines raise DatasetFormatError with their line number;
     with strict=False, loading stops there and the prior lines are returned.
     verify: re-check every gold answer against the oracles (self-checking).
+
+    Instances whose stored graphs are equal share one immutable ``Graph``, as
+    they do straight after ``build_instances``. The cyclic garbage collector
+    is paused only while the lines are parsed (the parse allocates many
+    objects but makes no reference cycles, so a collection there reclaims
+    nothing), and its prior state is restored before gold verification runs,
+    also when a line is corrupt.
     """
     path = Path(path)
     instances: list[TaskInstance] = []
+    graphs: dict = {}
     with path.open("r", encoding="utf-8") as f:
         header_line = f.readline()
         try:
@@ -321,15 +342,21 @@ def load_dataset(path: str | Path, strict: bool = True, verify: bool = True) -> 
                 f"schema version mismatch: file has {header.get('schema_version')!r}, "
                 f"expected {SCHEMA_VERSION}"
             )
-        for lineno, line in enumerate(f, start=2):
-            if not line.strip():
-                continue
-            try:
-                instances.append(TaskInstance.from_json_obj(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                if strict:
-                    raise DatasetFormatError(f"line {lineno}: corrupt instance: {exc}") from exc
-                break
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for lineno, line in enumerate(f, start=2):
+                if not line.strip():
+                    continue
+                try:
+                    instances.append(TaskInstance.from_json_obj(json.loads(line), graphs))
+                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                    if strict:
+                        raise DatasetFormatError(f"line {lineno}: corrupt instance: {exc}") from exc
+                    break
+        finally:
+            if gc_was_enabled:
+                gc.enable()
     if verify:
         verify_gold_answers(instances)
     return instances

@@ -97,7 +97,6 @@ class GeneratorConfig:
 
     bucket: SizeBucket
     master_seed: int = 0
-    task: Task | None = None
     p_range: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self) -> None:

@@ -149,26 +149,6 @@ def connected_components(g: Graph) -> int:
     return uf.count
 
 
-def connected_components_bfs(g: Graph) -> int:
-    """Component count by BFS flood fill; redundant twin of the union-find one."""
-    adj = adjacency(Graph(g.n, g.edges, directed=False) if g.directed else g)
-    seen = [False] * g.n
-    count = 0
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        count += 1
-        queue = deque([start])
-        seen[start] = True
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    queue.append(y)
-    return count
-
-
 def has_cycle(g: Graph) -> bool:
     """True iff the undirected graph contains a cycle (union-find early exit)."""
     uf = _UnionFind(g.n)

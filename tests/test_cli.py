@@ -133,6 +133,37 @@ def test_run_resume_via_cache(dataset, tmp_path):
         (tmp_path / "r2" / "records.jsonl").read_bytes()
 
 
+@pytest.mark.parametrize("fail", [False, True])
+def test_run_closes_the_cache(dataset, tmp_path, monkeypatch, fail):
+    import graphbench.cli as cli
+
+    caches = []
+
+    class TrackedCache(cli.ResponseCache):
+        def __init__(self, path):
+            super().__init__(path)
+            self.closed = False
+            caches.append(self)
+
+        def close(self):
+            super().close()
+            self.closed = True
+
+    def failing_run_prompts(*args, **kwargs):
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(cli, "ResponseCache", TrackedCache)
+    if fail:
+        monkeypatch.setattr(cli, "run_prompts", failing_run_prompts)
+        with pytest.raises(RuntimeError):
+            run_cli("run", "--dataset", dataset, "--backend", "mock:oracle",
+                    "--cache", tmp_path / "cache.jsonl", "--out", tmp_path / "r")
+    else:
+        assert run_cli("run", "--dataset", dataset, "--backend", "mock:oracle",
+                       "--cache", tmp_path / "cache.jsonl", "--out", tmp_path / "r") == 0
+    assert len(caches) == 1 and caches[0].closed
+
+
 def test_run_replay_reproduces_records(dataset, tmp_path):
     cache = tmp_path / "cache.jsonl"
     run_cli("run", "--dataset", dataset, "--backend", "mock:oracle",

@@ -95,6 +95,32 @@ def test_cache_concurrent_writers(tmp_path):
         json.loads(line)  # every line intact
 
 
+def test_cache_opens_one_handle_and_flushes_each_record(tmp_path, monkeypatch):
+    path = tmp_path / "cache.jsonl"
+    opened = []
+    real_open = type(path).open
+
+    def counting_open(self, *args, **kwargs):
+        opened.append(args[0] if args else kwargs.get("mode", "r"))
+        return real_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(type(path), "open", counting_open)
+    cache = ResponseCache(path)
+    for i in range(5):
+        cache.put(f"k{i}", f"text {i}")
+        # A second reader opened mid-run sees every record flushed so far.
+        assert len(ResponseCache(path)) == i + 1
+    assert opened.count("a") == 1
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["key"] for line in lines] == [f"k{i}" for i in range(5)]
+    cache.close()
+    cache.close()  # idempotent
+    cache.put("k5", "text 5")  # a put after close reopens the file
+    cache.close()
+    assert opened.count("a") == 2
+    assert len(ResponseCache(path)) == 6
+
+
 def _record(key, text):
     return json.dumps({"key": key, "text": text}) + "\n"
 

@@ -191,6 +191,71 @@ def test_load_rejects_wrong_schema(tmp_path):
         load_dataset(path)
 
 
+@pytest.fixture
+def small_saved(tmp_path):
+    _, instances = assemble_dataset(0, graphs_per_cell=3)
+    path = tmp_path / "data.jsonl"
+    save_dataset(instances, path)
+    return instances, path
+
+
+def test_load_shares_one_graph_per_stored_graph(small_saved):
+    instances, path = small_saved
+    loaded = load_dataset(path)
+    assert loaded == instances
+    for a in loaded:
+        for b in loaded:
+            assert (a.graph is b.graph) == (a.graph == b.graph)
+    # Node-level and pair tasks store each graph once per query.
+    assert len({id(i.graph) for i in loaded}) < len(loaded)
+
+
+def test_json_round_trip_shares_graphs_through_memo():
+    a, b = small_cell(Task.NEIGHBORS, 1)[:2]
+    graphs = {}
+    first = TaskInstance.from_json_obj(a.to_json_obj(), graphs)
+    second = TaskInstance.from_json_obj(b.to_json_obj(), graphs)
+    assert first.graph is second.graph and len(graphs) == 1
+    assert TaskInstance.from_json_obj(a.to_json_obj()).graph is not first.graph
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_load_restores_gc_state(small_saved, monkeypatch, enabled, corrupt):
+    import gc
+
+    import graphbench.dataset as ds
+
+    _, path = small_saved
+    if corrupt:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[5] = lines[5][:20]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    parse_states, verify_states = [], []
+    parse = TaskInstance.from_json_obj
+
+    def spying_parse(cls, obj, graphs=None):
+        parse_states.append(gc.isenabled())
+        return parse(obj, graphs)
+
+    monkeypatch.setattr(TaskInstance, "from_json_obj", classmethod(spying_parse))
+    monkeypatch.setattr(ds, "verify_gold_answers",
+                        lambda instances: verify_states.append(gc.isenabled()))
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if corrupt:
+            with pytest.raises(DatasetFormatError, match="line 6"):
+                load_dataset(path)
+        else:
+            load_dataset(path)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert parse_states and not any(parse_states)
+    assert verify_states == ([] if corrupt else [enabled])
+
+
 def test_verify_catches_tampered_gold(tmp_path):
     _, instances = assemble_dataset(0, tasks=[Task.EDGE_COUNT], buckets=[SMALL],
                                     graphs_per_cell=2)

@@ -42,7 +42,6 @@ from graphbench import (
     validate_spanning_tree,
     validate_topo_order,
 )
-from graphbench.oracles import connected_components_bfs
 
 TINY = SizeBucket("T", 2, 8)
 
@@ -150,11 +149,9 @@ def test_topo_detects_cycle():
 # --- brute-force twins ----------------------------------------------------------------
 
 
-def test_components_match_closure_and_bfs_twin():
+def test_components_match_closure():
     for g in random_graphs(300, "components"):
-        expected = bf_components(g)
-        assert connected_components(g) == expected
-        assert connected_components_bfs(g) == expected
+        assert connected_components(g) == bf_components(g)
 
 
 def test_distances_match_floyd_warshall():
