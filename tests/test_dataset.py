@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -25,6 +26,7 @@ from graphbench import (
     topo_order,
     verify_gold_answers,
 )
+import graphbench.dataset as ds
 from graphbench.dataset import TaskInstance, _graph_for_instance
 from graphbench.graphs import derive_instance_seed
 from graphbench.oracles import Answer
@@ -210,22 +212,9 @@ def test_load_shares_one_graph_per_stored_graph(small_saved):
     assert len({id(i.graph) for i in loaded}) < len(loaded)
 
 
-def test_json_round_trip_shares_graphs_through_memo():
-    a, b = small_cell(Task.NEIGHBORS, 1)[:2]
-    graphs = {}
-    first = TaskInstance.from_json_obj(a.to_json_obj(), graphs)
-    second = TaskInstance.from_json_obj(b.to_json_obj(), graphs)
-    assert first.graph is second.graph and len(graphs) == 1
-    assert TaskInstance.from_json_obj(a.to_json_obj()).graph is not first.graph
-
-
 @pytest.mark.parametrize("enabled", [True, False])
 @pytest.mark.parametrize("corrupt", [False, True])
 def test_load_restores_gc_state(small_saved, monkeypatch, enabled, corrupt):
-    import gc
-
-    import graphbench.dataset as ds
-
     _, path = small_saved
     if corrupt:
         lines = path.read_text(encoding="utf-8").splitlines()
