@@ -95,3 +95,79 @@ def test_sentinel_bracketed_list_always_wins(nodes):
     text = "Some reasoning first.\nAnswer: [" + ", ".join(map(str, nodes)) + "]"
     assert extract_answer(Task.NEIGHBORS, text).value == frozenset(nodes)
     assert extract_answer(Task.TOPOLOGICAL_SORT, text).value == tuple(nodes)
+
+
+# --- region precedence: one case per rule, so a change to any rule fails here ----------
+
+_PAIR_LIST_80 = ", ".join(f"({i}, {i + 1})" for i in range(80))
+
+PRECEDENCE = [
+    # (id, task, text, expected value)
+    ("int-first-in-tail", Task.NODE_COUNT,
+     "Counted 9 lines.\nAnswer: 7 nodes, not 8.", 7),
+    ("int-last-in-window", Task.NODE_COUNT,
+     "First guess 5, then 6, finally 7 nodes.", 7),
+    ("int-straddling-window-start-is-cut", Task.NODE_COUNT,
+     "123456" + "." * 509, 456),
+    ("node-set-first-valid-bracket-in-tail", Task.NEIGHBORS,
+     "Scratch [9].\nAnswer: [a, b] then [1, 2], later [3]", {1, 2}),
+    ("node-set-last-valid-bracket-outside-tail", Task.NEIGHBORS,
+     "Maybe [1, 2]. No: [3, 4]. Not [x].", {3, 4}),
+    ("node-set-empty-bracket-outside-tail", Task.NEIGHBORS,
+     "Maybe [1, 2]. Actually it has none: [].", set()),
+    ("edge-set-empty-bracket-in-tail", Task.MST,
+     "Edges seen: (0, 1), (1, 2).\nAnswer: []", set()),
+    ("edge-set-empty-bracket-skipped-outside-tail", Task.MST,
+     "The tree is [(0, 1), (1, 2)]; the leftover set is [].", {(0, 1), (1, 2)}),
+    ("edge-set-bracket-before-bare-run-in-tail", Task.MST,
+     "Answer: (5, 6) or [(0, 1)]", {(0, 1)}),
+    ("edge-set-first-bare-run-in-tail", Task.MST,
+     "Answer: (0, 1), (1, 2). Not (5, 6).", {(0, 1), (1, 2)}),
+    ("edge-set-last-bare-run-outside-tail", Task.MST,
+     "First try (0, 1), (1, 2). Corrected: (0, 2), (2, 3).", {(0, 2), (2, 3)}),
+    ("edge-set-run-straddling-window-start-is-cut", Task.MST,
+     _PAIR_LIST_80, {(i, i + 1) for i in range(29, 80)}),
+    ("node-seq-comma-chain-in-tail", Task.TOPOLOGICAL_SORT,
+     "Sorting by in-degree.\nAnswer: 2, 0, 1", (2, 0, 1)),
+    ("node-seq-comma-chain-ignored-outside-tail", Task.TOPOLOGICAL_SORT,
+     "Try [0, 1, 2]. Then the order 2, 0, 1 fails.", (0, 1, 2)),
+    ("node-seq-earliest-candidate-in-tail", Task.TOPOLOGICAL_SORT,
+     "Answer: 0 -> 1 -> 2, check [2, 1, 0]", (0, 1, 2)),
+    ("node-seq-latest-candidate-outside-tail", Task.TOPOLOGICAL_SORT,
+     "First 0 -> 1 -> 2, then [2, 1, 0]", (2, 1, 0)),
+    ("last-sentinel-wins", Task.NODE_COUNT,
+     "Answer: 3. Wait, recount.\nAnswer: 4", 4),
+    ("last-sentinel-wins-bool", Task.CYCLE_CHECK,
+     "Answer: yes. On reflection the graph is acyclic.\nAnswer: no", False),
+    # The window opens inside "does not contain a cycle", leaving "contain a cycle".
+    ("bool-verdict-straddling-window-start-is-cut", Task.CYCLE_CHECK,
+     "Checked every vertex; it does n" + "ot contain a cycle" + "." * (512 - 18), True),
+    ("bool-falls-back-to-window", Task.BIPARTITE_CHECK,
+     "Two-colouring works, so it is bipartite.\nAnswer: see above", True),
+]
+
+
+@pytest.mark.parametrize(
+    "task,text,expected", [row[1:] for row in PRECEDENCE], ids=[row[0] for row in PRECEDENCE]
+)
+def test_region_precedence(task, text, expected):
+    answer = extract_answer(task, text)
+    assert answer.kind is TASK_ANSWER_KINDS[task]
+    assert answer.value == expected_value(answer.kind.value, expected)
+
+
+@pytest.mark.parametrize(
+    "task,text,message",
+    [
+        (Task.NODE_COUNT, " \n", "empty response"),
+        (Task.NODE_COUNT, "no digits here", "no integer found"),
+        (Task.CYCLE_CHECK, "cannot tell", "no yes/no verdict found"),
+        (Task.NEIGHBORS, "Answer: [a, b]", "no bracketed node list found"),
+        (Task.MST, "Answer: [x]", "no edge list found"),
+        (Task.TOPOLOGICAL_SORT, "Order: 2, 0, 1", "no node ordering found"),
+    ],
+)
+def test_failure_messages(task, text, message):
+    with pytest.raises(ExtractionFailed) as info:
+        extract_answer(task, text)
+    assert str(info.value) == message
