@@ -1,5 +1,6 @@
 import json
 import threading
+from contextlib import closing
 
 import pytest
 import requests
@@ -69,6 +70,7 @@ def test_cache_put_get_persists(tmp_path):
     assert len(cache) == 0
     cache.put("k1", "hello")
     cache.put("k1", "ignored duplicate")
+    cache.close()
     assert cache.get("k1") == "hello"
     assert "k1" in cache
     reopened = ResponseCache(path)
@@ -89,6 +91,7 @@ def test_cache_concurrent_writers(tmp_path):
         t.start()
     for t in threads:
         t.join()
+    cache.close()
     reopened = ResponseCache(path)
     assert len(reopened) == 200
     for line in path.read_text(encoding="utf-8").splitlines():
@@ -133,6 +136,7 @@ def test_cache_resumes_after_torn_trailing_line(tmp_path):
     assert len(resumed) == 2 and "k3" not in resumed
     assert path.read_text(encoding="utf-8") == whole  # the torn record is cut
     resumed.put("k3", "three")
+    resumed.close()
     reopened = ResponseCache(path)
     assert [reopened.get(k) for k in ("k1", "k2", "k3")] == ["one", "two", "three"]
 
@@ -143,6 +147,7 @@ def test_cache_completes_unterminated_final_record(tmp_path):
     resumed = ResponseCache(path)
     assert resumed.get("k2") == "two"
     resumed.put("k3", "three")
+    resumed.close()
     assert len(ResponseCache(path)) == 3
 
 
@@ -333,6 +338,7 @@ def test_complete_uses_cache(tmp_path, bundles):
     backend = CountingBackend()
     first = complete(bundles[0], backend, ModelConfig(), cache)
     second = complete(bundles[0], backend, ModelConfig(), cache)
+    cache.close()
     assert backend.calls == 1
     assert not first.cached and second.cached
     assert first.text == second.text
@@ -356,6 +362,7 @@ def test_replay_serves_recorded_responses(tmp_path, bundles):
     cache = ResponseCache(cache_path)
     cfg = ModelConfig()
     cache.put(cache_key(bundles[0], cfg), "recorded text")
+    cache.close()
     replay = ReplayBackend(cache_path)
     assert replay.complete_text(bundles[0], cfg) == "recorded text"
     with pytest.raises(CacheMissError):
@@ -399,7 +406,8 @@ def test_make_backend_dispatch(tmp_path, instances):
     assert isinstance(make_backend("mock:adversary", instances), MockAdversaryBackend)
     assert isinstance(make_backend("http"), HttpChatBackend)
     cache_path = tmp_path / "c.jsonl"
-    ResponseCache(cache_path).put("k", "v")
+    with closing(ResponseCache(cache_path)) as cache:
+        cache.put("k", "v")
     assert isinstance(make_backend("replay", cache_path=str(cache_path)), ReplayBackend)
     with pytest.raises(ClientError):
         make_backend("replay")
