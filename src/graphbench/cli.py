@@ -287,7 +287,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     records: list[EvalRecord] = []
     for path in args.records:
         records.extend(load_records(path))
-    report = aggregate_report(records, metadata={"sources": list(args.records)})
+    report = aggregate_report(records)
     text = emit_report(report, fmt=args.format, flag_best=not args.no_flag_best)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)

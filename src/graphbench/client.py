@@ -345,14 +345,12 @@ class ReplayBackend(Backend):
             raise CacheMissError(f"replay cache not found: {path}")
         self._cache = ResponseCache(path)
 
-    def complete_for_key(self, key: str) -> str:
+    def complete_text(self, bundle: PromptBundle, cfg: ModelConfig) -> str:
+        key = cache_key(bundle, cfg)
         text = self._cache.get(key)
         if text is None:
             raise CacheMissError(f"no recorded response for key {key[:12]}...")
         return text
-
-    def complete_text(self, bundle: PromptBundle, cfg: ModelConfig) -> str:
-        return self.complete_for_key(cache_key(bundle, cfg))
 
 
 def make_backend(

@@ -7,7 +7,7 @@ import re
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 from .dataset import TaskInstance
 from .graphs import ALL_BUCKETS
@@ -26,6 +26,7 @@ class ExtractionFailed(ValueError):
     """No well-formed answer of the expected kind could be located."""
 
 
+_T = TypeVar("_T")
 _WINDOW = 512
 _SENTINEL = re.compile(r"answer\s*:", re.IGNORECASE)
 
@@ -65,15 +66,26 @@ _BOOL_TASK = {
 }
 
 
-def _tail_after_sentinel(text: str) -> Optional[str]:
+def _regions(text: str) -> Iterator[tuple[str, bool]]:
+    """Yield ``(region, is_tail)`` in precedence order: the text after the
+    last "Answer:" sentinel (if there is one), the trailing 512 characters,
+    then the whole text."""
     last = None
-    for m in _SENTINEL.finditer(text):
-        last = m
-    return text[last.end():] if last is not None else None
+    for last in _SENTINEL.finditer(text):
+        pass
+    if last is not None:
+        yield text[last.end():], True
+    yield text[-_WINDOW:], False
+    yield text, False
 
 
-def _parse_int(token: str) -> int:
-    return int(token.replace(",", ""))
+def _pick(candidates: Iterable[_T], is_tail: bool) -> Optional[_T]:
+    """The first candidate after the sentinel, the last one anywhere else."""
+    found = None
+    for found in candidates:
+        if is_tail:
+            break
+    return found
 
 
 def _block_ints(content: str) -> Optional[list[int]]:
@@ -89,56 +101,37 @@ def _block_ints(content: str) -> Optional[list[int]]:
     return values
 
 
-def _extract_int(text: str) -> int:
-    tail = _tail_after_sentinel(text)
-    if tail is not None:
-        m = _INT.search(tail)
-        if m:
-            return _parse_int(m.group())
-    for region in (text[-_WINDOW:], text):
-        matches = list(_INT.finditer(region))
-        if matches:
-            return _parse_int(matches[-1].group())
-    raise ExtractionFailed("no integer found")
-
-
-def _resolve_bool(region: str, patterns) -> Optional[bool]:
-    best: Optional[tuple[int, int, bool]] = None
-    for pattern, value in patterns:
-        for m in pattern.finditer(region):
-            key = (m.end(), m.end() - m.start())
-            if best is None or key > best[:2]:
-                best = (key[0], key[1], value)
-    return None if best is None else best[2]
-
-
-def _extract_bool(text: str, task: Task) -> bool:
-    patterns = _BOOL_GENERIC + _BOOL_TASK.get(task, [])
-    tail = _tail_after_sentinel(text)
-    regions = [text[-_WINDOW:], text] if tail is None else [tail, text[-_WINDOW:], text]
-    for region in regions:
-        value = _resolve_bool(region, patterns)
+def _bracket_blocks(region: str, parse: Callable[[str], Optional[_T]]) -> Iterator[tuple[int, _T]]:
+    """``(start, parsed content)`` of each bracket block that ``parse`` accepts."""
+    for m in _BRACKET.finditer(region):
+        value = parse(m.group(1))
         if value is not None:
-            return value
-    raise ExtractionFailed("no yes/no verdict found")
+            yield m.start(), value
 
 
-def _extract_node_set(text: str) -> frozenset[int]:
-    tail = _tail_after_sentinel(text)
-    if tail is not None:
-        for m in _BRACKET.finditer(tail):
-            values = _block_ints(m.group(1))
-            if values is not None:
-                return frozenset(values)
-    for region in (text[-_WINDOW:], text):
-        found = None
-        for m in _BRACKET.finditer(region):
-            values = _block_ints(m.group(1))
-            if values is not None:
-                found = values
-        if found is not None:
-            return frozenset(found)
-    raise ExtractionFailed("no bracketed node list found")
+def _find_int(region: str, is_tail: bool) -> Optional[int]:
+    m = _pick(_INT.finditer(region), is_tail)
+    return None if m is None else int(m.group().replace(",", ""))
+
+
+def _bool_finder(task: Task) -> Callable[[str, bool], Optional[bool]]:
+    patterns = _BOOL_GENERIC + _BOOL_TASK.get(task, [])
+
+    def find(region: str, is_tail: bool) -> Optional[bool]:
+        best: Optional[tuple[int, int, bool]] = None
+        for pattern, value in patterns:
+            for m in pattern.finditer(region):
+                key = (m.end(), m.end() - m.start())
+                if best is None or key > best[:2]:
+                    best = (key[0], key[1], value)
+        return None if best is None else best[2]
+
+    return find
+
+
+def _find_node_set(region: str, is_tail: bool) -> Optional[frozenset[int]]:
+    found = _pick(_bracket_blocks(region, _block_ints), is_tail)
+    return None if found is None else frozenset(found[1])
 
 
 def _pair_runs(region: str) -> list[list[tuple[int, int]]]:
@@ -158,89 +151,73 @@ def _pair_runs(region: str) -> list[list[tuple[int, int]]]:
 
 def _edge_block(content: str) -> Optional[list[tuple[int, int]]]:
     pairs = [(int(a), int(b)) for a, b in _PAIR.findall(content)]
-    if pairs:
+    if pairs or not content.strip():
         return pairs
-    if not content.strip():
-        return []
     return None
 
 
-def _extract_edge_set(text: str) -> frozenset[tuple[int, int]]:
-    tail = _tail_after_sentinel(text)
-    if tail is not None:
-        for m in _BRACKET.finditer(tail):
-            pairs = _edge_block(m.group(1))
-            if pairs is not None:
-                return frozenset(pairs)
-        runs = _pair_runs(tail)
-        if runs:
-            return frozenset(runs[0])
-    for region in (text[-_WINDOW:], text):
-        found = None
-        for m in _BRACKET.finditer(region):
-            pairs = _edge_block(m.group(1))
-            if pairs:
-                found = pairs
-        if found is not None:
-            return frozenset(found)
-        runs = _pair_runs(region)
-        if runs:
-            return frozenset(runs[-1])
-    raise ExtractionFailed("no edge list found")
+def _find_edge_set(region: str, is_tail: bool) -> Optional[frozenset[tuple[int, int]]]:
+    """A bracketed pair list, else a bare run of pairs. An empty block is an
+    answer only after the sentinel."""
+    blocks = (pairs for _, pairs in _bracket_blocks(region, _edge_block) if pairs or is_tail)
+    found = _pick(blocks, is_tail)
+    if found is None:
+        found = _pick(_pair_runs(region), is_tail)
+    return None if found is None else frozenset(found)
 
 
-def _extract_node_seq(text: str) -> tuple[int, ...]:
-    def block_candidates(region: str) -> list[tuple[int, tuple[int, ...]]]:
-        out = []
-        for m in _BRACKET.finditer(region):
-            values = _block_ints(m.group(1))
-            if values:
-                out.append((m.start(), tuple(values)))
-        return out
+def _find_node_seq(region: str, is_tail: bool) -> Optional[tuple[int, ...]]:
+    """Non-empty bracket blocks and arrow chains, plus bare comma chains after
+    the sentinel, ordered by where they start."""
+    candidates = [
+        (start, tuple(values))
+        for start, values in _bracket_blocks(region, _block_ints)
+        if values
+    ]
+    chains = (_ARROW_CHAIN, _COMMA_CHAIN) if is_tail else (_ARROW_CHAIN,)
+    candidates += [
+        (m.start(), tuple(int(t) for t in re.findall(r"\d+", m.group())))
+        for chain in chains
+        for m in chain.finditer(region)
+    ]
+    found = _pick(sorted(candidates), is_tail)
+    return None if found is None else found[1]
 
-    def arrow_candidates(region: str) -> list[tuple[int, tuple[int, ...]]]:
-        return [
-            (m.start(), tuple(int(t) for t in re.findall(r"\d+", m.group())))
-            for m in _ARROW_CHAIN.finditer(region)
-        ]
 
-    tail = _tail_after_sentinel(text)
-    if tail is not None:
-        candidates = block_candidates(tail) + arrow_candidates(tail)
-        candidates += [
-            (m.start(), tuple(int(t) for t in m.group().split(",")))
-            for m in _COMMA_CHAIN.finditer(tail)
-        ]
-        if candidates:
-            return min(candidates)[1]
-    for region in (text[-_WINDOW:], text):
-        candidates = block_candidates(region) + arrow_candidates(region)
-        if candidates:
-            return max(candidates)[1]
-    raise ExtractionFailed("no node ordering found")
+_FINDERS = {
+    AnswerKind.INT: _find_int,
+    AnswerKind.NODE_SET: _find_node_set,
+    AnswerKind.EDGE_SET: _find_edge_set,
+    AnswerKind.NODE_SEQ: _find_node_seq,
+}
+_NOT_FOUND = {
+    AnswerKind.INT: "no integer found",
+    AnswerKind.BOOL: "no yes/no verdict found",
+    AnswerKind.NODE_SET: "no bracketed node list found",
+    AnswerKind.EDGE_SET: "no edge list found",
+    AnswerKind.NODE_SEQ: "no node ordering found",
+}
 
 
 def extract_answer(task: Task, text: str) -> Answer:
     """Pull the task's answer out of free-form response text.
 
-    Precedence: the region after the last "Answer:" sentinel, then the
-    trailing 512 characters, then the whole text. Node labels are returned
-    exactly as written; any base shift happens at scoring time.
+    Precedence: the first candidate after the last "Answer:" sentinel, then
+    the last candidate in the trailing 512 characters, then the last in the
+    whole text. A yes/no verdict is the one that ends last in any region. A
+    bare comma chain counts as a node ordering, and an empty ``[]`` as an
+    edge list, only after the sentinel. Node labels are returned exactly as
+    written; any base shift happens at scoring time.
     """
     if not isinstance(text, str) or not text.strip():
         raise ExtractionFailed("empty response")
     kind = TASK_ANSWER_KINDS[task]
-    if kind is AnswerKind.INT:
-        return Answer.integer(_extract_int(text))
-    if kind is AnswerKind.BOOL:
-        return Answer.boolean(_extract_bool(text, task))
-    if kind is AnswerKind.NODE_SET:
-        return Answer.node_set(_extract_node_set(text))
-    if kind is AnswerKind.EDGE_SET:
-        return Answer.edge_set(_extract_edge_set(text))
-    if kind is AnswerKind.NODE_SEQ:
-        return Answer.node_seq(_extract_node_seq(text))
-    raise ExtractionFailed(f"unsupported answer kind {kind}")
+    find = _bool_finder(task) if kind is AnswerKind.BOOL else _FINDERS[kind]
+    for region, is_tail in _regions(text):
+        value = find(region, is_tail)
+        if value is not None:
+            return Answer(kind, value)
+    raise ExtractionFailed(_NOT_FOUND[kind])
 
 
 def _shift_answer(answer: Answer, delta: int) -> Answer:
@@ -375,17 +352,13 @@ class Report:
     strategies: list[str]
     cells: dict[tuple[str, str, str], tuple[int, int]]
     failures: dict[str, int] = field(default_factory=dict)
-    metadata: dict = field(default_factory=dict)
 
     def accuracy(self, task: Task, bucket: str, strategy: str) -> Optional[float]:
         correct, total = self.cells.get((task.value, bucket, strategy), (0, 0))
         return None if total == 0 else correct / total
 
 
-def aggregate_report(
-    records: Iterable[EvalRecord],
-    metadata: Optional[Mapping] = None,
-) -> Report:
+def aggregate_report(records: Iterable[EvalRecord]) -> Report:
     """Group records into per-cell counts, rejecting duplicates."""
     seen: set[tuple[str, str]] = set()
     cells: dict[tuple[str, str, str], list[int]] = {}
@@ -417,7 +390,6 @@ def aggregate_report(
         strategies=strategies,
         cells={k: (v[0], v[1]) for k, v in cells.items()},
         failures=failures,
-        metadata=dict(metadata or {}),
     )
 
 

@@ -96,7 +96,6 @@ class GeneratorConfig:
     """
 
     bucket: SizeBucket
-    master_seed: int = 0
     p_range: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self) -> None:
