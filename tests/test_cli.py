@@ -315,6 +315,65 @@ def test_config_malformed_line_rejected(tmp_path):
         run_cli("generate", "--config", config, "--out", tmp_path / "d.jsonl")
 
 
+@pytest.mark.parametrize("lines, flags", [
+    ("no-verify = yes\nlimit = 1\nlabel-base = 1\nstrategy = pseudo+k-shot\n",
+     ["--no-verify", "--limit", 1, "--label-base", 1, "--strategy", "pseudo+k-shot"]),
+    ("no_verify = false\nlimit = 2\n", ["--limit", 2]),
+])
+def test_config_run_matches_flags(dataset, tmp_path, capsys, monkeypatch, lines, flags):
+    import graphbench.cli as cli
+
+    verify_args = []
+    load_dataset = cli.ds.load_dataset
+
+    def tracked_load(path, verify=True):
+        verify_args.append(verify)
+        return load_dataset(path, verify=verify)
+
+    monkeypatch.setattr(cli.ds, "load_dataset", tracked_load)
+    config = tmp_path / "run.cfg"
+    config.write_text(lines)
+    out = tmp_path / "run"
+    results = []
+    for extra in (["--config", config], flags):
+        assert run_cli("run", "--dataset", dataset, *extra, "--out", out) == 0
+        results.append((capsys.readouterr().out, (out / "records.jsonl").read_bytes(),
+                        (out / "transcripts.jsonl").read_bytes()))
+    assert results[0] == results[1]
+    assert verify_args[0] == verify_args[1] == ("--no-verify" not in flags)
+
+
+@pytest.mark.parametrize("lines, flags", [
+    ("no-flag-best = true\n", ["--no-flag-best"]),
+    ("format = csv\n", ["--format", "csv"]),
+    ("no-flag-best = true\nformat = csv\n", ["--no-flag-best", "--format", "csv"]),
+])
+def test_config_report_matches_flags(dataset, tmp_path, capsys, lines, flags):
+    records = tmp_path / "run" / "records.jsonl"
+    run_cli("run", "--dataset", dataset, "--backend", "mock:oracle", "--out", records.parent)
+    config = tmp_path / "report.cfg"
+    config.write_text(lines)
+    tables = []
+    for extra in (["--config", config], flags, []):
+        capsys.readouterr()
+        assert run_cli("report", "--records", records, *extra) == 0
+        tables.append(capsys.readouterr().out)
+    assert tables[0] == tables[1] != tables[2]
+
+
+def test_config_empty_list_means_all(tmp_path, capsys):
+    config = tmp_path / "gen.cfg"
+    config.write_text("tasks =\nbuckets = S\ngraphs-per-cell = 1\n")
+    out = tmp_path / "d.jsonl"
+    results = []
+    for extra in (["--config", config],
+                  ["--tasks", "all", "--buckets", "S", "--graphs-per-cell", 1]):
+        assert run_cli("generate", *extra, "--out", out) == 0
+        results.append((capsys.readouterr().out, out.read_bytes()))
+    assert results[0] == results[1]
+    assert results[0][0].count(" S: ") == 10
+
+
 # --- error handling -----------------------------------------------------------------
 
 
