@@ -10,6 +10,7 @@ run can be re-scored forever without touching the network.
 """
 
 import tempfile
+from contextlib import closing
 from pathlib import Path
 
 from graphbench import (
@@ -59,9 +60,9 @@ def main():
 
     with tempfile.TemporaryDirectory() as tmp:
         cache_path = Path(tmp) / "cache.jsonl"
-        cache = ResponseCache(cache_path)
         strategy = Strategy.zero_shot()
-        live = evaluate(instances, strategy, make_backend("mock:oracle", instances), cache)
+        with closing(ResponseCache(cache_path)) as cache:
+            live = evaluate(instances, strategy, make_backend("mock:oracle", instances), cache)
         replayed = evaluate(instances, strategy,
                             make_backend("replay", cache_path=str(cache_path)))
         print("replayed records identical to the recorded run:",

@@ -6,8 +6,9 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from . import dataset as ds
 from .client import (
@@ -19,14 +20,13 @@ from .client import (
 )
 from .evaluate import (
     EvalRecord,
-    FailureKind,
     aggregate_report,
     emit_report,
     evaluate_response,
     load_records,
     save_records,
 )
-from .graphs import ALL_BUCKETS, SizeBucket
+from .graphs import ALL_BUCKETS, BUCKETS, SizeBucket
 from .prompts import (
     DEFAULT_EXEMPLAR_SEED,
     PseudocodeStyle,
@@ -35,54 +35,47 @@ from .prompts import (
 )
 from .tasks import ALL_TASKS, Task
 
+T = TypeVar("T")
 
-def _parse_tasks(tokens: Sequence[str]) -> list[Task]:
-    names: list[str] = []
-    for token in tokens:
-        names.extend(t for t in token.replace(",", " ").split() if t)
+
+def _parse_selection(tokens: Sequence[str], lookup: Callable[[str], T],
+                     everything: Iterable[T]) -> list[T]:
+    """Resolve space- or comma-separated names, each selection kept once.
+
+    No names, or 'all' among them, selects everything.
+    """
+    names = [name for token in tokens for name in token.replace(",", " ").split()]
     if not names or "all" in names:
-        return list(ALL_TASKS)
-    out = []
-    for name in names:
-        try:
-            out.append(Task(name.replace("-", "_")))
-        except ValueError:
-            raise SystemExit(f"error: unknown task {name!r}")
-    return out
+        return list(everything)
+    return list(dict.fromkeys(map(lookup, names)))
 
 
-def _parse_buckets(tokens: Sequence[str]) -> list[SizeBucket]:
-    names: list[str] = []
-    for token in tokens:
-        names.extend(t for t in token.replace(",", " ").split() if t)
-    if not names or "all" in names:
-        return list(ALL_BUCKETS)
-    by_name = {b.name: b for b in ALL_BUCKETS}
-    out = []
-    for name in names:
-        bucket = by_name.get(name.upper())
-        if bucket is None:
-            raise SystemExit(f"error: unknown bucket {name!r} (expected S, M, or L)")
-        out.append(bucket)
-    return out
+def _task(name: str) -> Task:
+    try:
+        return Task(name.replace("-", "_"))
+    except ValueError:
+        raise SystemExit(f"error: unknown task {name!r}")
 
 
-def _filter_instances(
-    instances: list[ds.TaskInstance],
-    tasks: list[Task],
-    buckets: list[SizeBucket],
-    limit: Optional[int],
-) -> list[ds.TaskInstance]:
-    """Keep selected cells; limit caps instances per (task, bucket) cell."""
-    task_set = {t.value for t in tasks}
-    bucket_set = {b.name for b in buckets}
+def _bucket(name: str) -> SizeBucket:
+    bucket = BUCKETS.get(name.upper())
+    if bucket is None:
+        raise SystemExit(f"error: unknown bucket {name!r} (expected S, M, or L)")
+    return bucket
+
+
+def _load_for_eval(args: argparse.Namespace) -> list[ds.TaskInstance]:
+    """Load the dataset's selected cells; --limit caps instances per (task, bucket) cell."""
+    instances = ds.load_dataset(args.dataset, verify=not args.no_verify)
+    tasks = set(_parse_selection(args.tasks, _task, ALL_TASKS))
+    buckets = set(_parse_selection(args.buckets, _bucket, ALL_BUCKETS))
     kept = []
-    per_cell: dict[tuple[str, str], int] = {}
+    per_cell: dict[tuple[Task, SizeBucket], int] = {}
     for inst in instances:
-        if inst.task.value not in task_set or inst.bucket.name not in bucket_set:
+        if inst.task not in tasks or inst.bucket not in buckets:
             continue
-        cell = (inst.task.value, inst.bucket.name)
-        if limit is not None and per_cell.get(cell, 0) >= limit:
+        cell = (inst.task, inst.bucket)
+        if args.limit is not None and per_cell.get(cell, 0) >= args.limit:
             continue
         per_cell[cell] = per_cell.get(cell, 0) + 1
         kept.append(inst)
@@ -106,41 +99,42 @@ def _load_config(path: str) -> dict[str, str]:
     return config
 
 
-def _apply_config(parser: argparse.ArgumentParser, config: dict[str, str]) -> None:
-    """Use config values as defaults; command-line flags still win."""
-    known = {}
-    for action in parser._actions:
-        if action.dest not in ("help", "config"):
-            known[action.dest] = action
-    unknown = set(config) - set(known)
+_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def _config_tokens(args: argparse.Namespace, config: dict[str, str]) -> list[str]:
+    """Spell config values as command-line flags for argparse to type and check.
+
+    ``args`` is the command line parsed without the config: its attributes
+    name the keys the subcommand accepts, and a value's type tells a flag
+    (bool) or a list apart from a single-valued option.
+    """
+    unknown = config.keys() - (vars(args).keys() - {"command", "func", "config"})
     if unknown:
         raise SystemExit(f"error: unknown config keys: {', '.join(sorted(unknown))}")
-    defaults = {}
-    for dest, raw in config.items():
-        action = known[dest]
-        if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-            lowered = raw.lower()
-            if lowered not in ("true", "false", "1", "0", "yes", "no"):
-                raise SystemExit(f"error: config key {dest}: expected a boolean, got {raw!r}")
-            defaults[dest] = lowered in ("true", "1", "yes")
-        elif action.nargs in ("+", "*"):
-            defaults[dest] = raw.split()
-        elif action.type is not None:
-            try:
-                defaults[dest] = action.type(raw)
-            except ValueError:
-                raise SystemExit(f"error: config key {dest}: bad value {raw!r}")
+    tokens = []
+    for key, raw in config.items():
+        flag = "--" + key.replace("_", "-")
+        current = getattr(args, key)
+        if isinstance(current, bool):
+            value = _BOOLEANS.get(raw.lower())
+            if value is None:
+                raise SystemExit(f"error: config key {key}: expected a boolean, got {raw!r}")
+            if value:
+                tokens.append(flag)
+        elif isinstance(current, list):
+            tokens += [flag, *raw.split()] if raw.split() else []
         else:
-            defaults[dest] = raw
-    parser.set_defaults(**defaults)
+            tokens.append(f"{flag}={raw}")
+    return tokens
 
 
-# --- subcommands ----------------------------------------------------------------
+# --- commands -------------------------------------------------------------------
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    tasks = _parse_tasks(args.tasks)
-    buckets = _parse_buckets(args.buckets)
+    tasks = _parse_selection(args.tasks, _task, ALL_TASKS)
+    buckets = _parse_selection(args.buckets, _bucket, ALL_BUCKETS)
     manifest, instances = ds.assemble_dataset(
         args.seed, tasks=tasks, buckets=buckets, graphs_per_cell=args.graphs_per_cell
     )
@@ -156,13 +150,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
     print(f"dataset: {out}")
     print(f"manifest: {manifest_path}")
     return 0
-
-
-def _load_for_eval(args: argparse.Namespace) -> list[ds.TaskInstance]:
-    instances = ds.load_dataset(args.dataset, verify=not args.no_verify)
-    return _filter_instances(
-        instances, _parse_tasks(args.tasks), _parse_buckets(args.buckets), args.limit
-    )
 
 
 def cmd_render(args: argparse.Namespace) -> int:
@@ -233,9 +220,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     save_records(records, outdir / "records.jsonl")
 
     correct = sum(r.correct for r in records)
-    failures = {k.value: 0 for k in FailureKind}
-    for rec in records:
-        failures[rec.failure.value] += 1
+    failures = aggregate_report(records).failures
     summary = {
         "dataset": str(args.dataset),
         "backend": args.backend,
@@ -332,8 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Deterministic graph-reasoning benchmark generator and evaluation harness.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", default=None,
+                        help="key=value defaults file; explicit flags win")
+    add_parser = partial(sub.add_parser, parents=[common])
 
-    p_gen = sub.add_parser("generate", help="generate a benchmark dataset")
+    p_gen = add_parser("generate", help="generate a benchmark dataset")
     p_gen.add_argument("--seed", type=int, default=0, help="master seed")
     p_gen.add_argument("--out", required=True, help="output dataset JSONL path")
     p_gen.add_argument("--manifest", default=None,
@@ -342,12 +331,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_selection_flags(p_gen)
     p_gen.set_defaults(func=cmd_generate)
 
-    p_render = sub.add_parser("render", help="render prompts without calling a model")
+    p_render = add_parser("render", help="render prompts without calling a model")
     _add_eval_flags(p_render)
     p_render.add_argument("--out", required=True, help="output prompts JSONL path")
     p_render.set_defaults(func=cmd_render)
 
-    p_run = sub.add_parser("run", help="render prompts, query a backend, score results")
+    p_run = add_parser("run", help="render prompts, query a backend, score results")
     _add_eval_flags(p_run)
     p_run.add_argument("--backend", default="mock:oracle",
                        help="mock:oracle, mock:adversary, replay, or http")
@@ -361,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.set_defaults(func=cmd_run)
 
-    p_score = sub.add_parser("score", help="re-score saved transcripts offline")
+    p_score = add_parser("score", help="re-score saved transcripts offline")
     p_score.add_argument("--dataset", required=True)
     p_score.add_argument("--transcripts", required=True)
     p_score.add_argument("--out", required=True, help="output records JSONL path")
@@ -369,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("--no-verify", action="store_true")
     p_score.set_defaults(func=cmd_score)
 
-    p_report = sub.add_parser("report", help="aggregate records into an accuracy table")
+    p_report = add_parser("report", help="aggregate records into an accuracy table")
     p_report.add_argument("--records", nargs="+", required=True,
                           help="one or more records JSONL files")
     p_report.add_argument("--format", default="markdown", choices=("markdown", "md", "csv"))
@@ -378,35 +367,18 @@ def build_parser() -> argparse.ArgumentParser:
                           help="do not bold the best cell per task column")
     p_report.set_defaults(func=cmd_report)
 
-    subcommands = {
-        "generate": p_gen,
-        "render": p_render,
-        "run": p_run,
-        "score": p_score,
-        "report": p_report,
-    }
-    for p in subcommands.values():
-        p.add_argument("--config", default=None,
-                       help="key=value defaults file; explicit flags win")
-    parser.subcommands = subcommands  # type: ignore[attr-defined]
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    # Pre-scan for --config so its values become parser defaults before the
-    # real parse; anything given explicitly on the command line still wins.
-    if "--config" in argv:
-        idx = argv.index("--config")
-        if idx + 1 >= len(argv):
-            parser.error("--config requires a path")
-        config = _load_config(argv[idx + 1])
-        command = next((a for a in argv if not a.startswith("-")), None)
-        subparser = parser.subcommands.get(command)  # type: ignore[attr-defined]
-        if subparser is not None:
-            _apply_config(subparser, config)
     args = parser.parse_args(argv)
+    if args.config is not None:
+        # Config flags go before the user's, so flags given explicitly win.
+        tokens = _config_tokens(args, _load_config(args.config))
+        rest = argv[argv.index(args.command) + 1:]
+        args = parser.parse_args([args.command, *tokens, *rest])
     try:
         return args.func(args)
     except (ClientError, ds.DatasetFormatError, ValueError, OSError) as exc:

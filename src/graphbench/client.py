@@ -14,14 +14,14 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Optional, Sequence, TextIO
+from typing import Callable, Iterable, Optional, Sequence, TextIO
 
 import requests
 
 from .dataset import TaskInstance
-from .oracles import Answer, AnswerKind, adjacency, topo_order, validate_topo_order
+from .oracles import Answer, AnswerKind, topo_order, validate_topo_order
 from .prompts import PromptBundle, format_answer
 
 

@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 from . import oracles
 from .graphs import (
     ALL_BUCKETS,
-    BUCKETS,
     GeneratorConfig,
     Graph,
     SizeBucket,

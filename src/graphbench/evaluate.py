@@ -7,9 +7,10 @@ import re
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
+from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
-from .dataset import TaskInstance
+from .dataset import TaskInstance, answer_to_json
 from .graphs import ALL_BUCKETS
 from .oracles import (
     Answer,
@@ -333,12 +334,7 @@ def evaluate_response(
     return EvalRecord(
         correct=correct,
         failure=FailureKind.NONE if correct else FailureKind.WRONG_ANSWER,
-        extracted=json.dumps(
-            answer.value if answer.kind in (AnswerKind.INT, AnswerKind.BOOL)
-            else sorted(answer.value)
-            if answer.kind in (AnswerKind.NODE_SET, AnswerKind.EDGE_SET)
-            else list(answer.value)
-        ),
+        extracted=json.dumps(answer_to_json(answer)["value"]),
         **base,
     )
 
@@ -468,8 +464,6 @@ def emit_report(report: Report, fmt: str = "markdown", flag_best: bool = True) -
 
 
 def save_records(records: Sequence[EvalRecord], path) -> None:
-    from pathlib import Path
-
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
     with p.open("w", encoding="utf-8") as fh:
@@ -478,8 +472,6 @@ def save_records(records: Sequence[EvalRecord], path) -> None:
 
 
 def load_records(path) -> list[EvalRecord]:
-    from pathlib import Path
-
     out = []
     with Path(path).open("r", encoding="utf-8") as fh:
         for line in fh:

@@ -1,7 +1,7 @@
 """Exact polynomial-time solvers for all ten tasks; the source of gold answers.
 
-Connected components is implemented twice on purpose (union-find and BFS
-flood fill); the test suite cross-checks the two.
+Connected components uses union-find; the test suite cross-checks it
+against a brute-force reachability closure (``tests/bruteforce.py``).
 """
 from __future__ import annotations
 

@@ -16,7 +16,7 @@ from importlib import resources
 
 from .dataset import TaskInstance, build_instances
 from .graphs import Graph, SizeBucket
-from .oracles import Answer, AnswerKind
+from .oracles import Answer, AnswerKind, TASK_ANSWER_KINDS
 from .tasks import Task, default_label_base
 
 #: Appended verbatim by the graph-reconstruction strategy.
@@ -194,8 +194,6 @@ def task_description(task: Task) -> str:
 
 
 def answer_format_line(task: Task) -> str:
-    from .oracles import TASK_ANSWER_KINDS
-
     return _ANSWER_FORMAT_LINES[TASK_ANSWER_KINDS[task]]
 
 

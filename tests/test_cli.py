@@ -58,6 +58,21 @@ def test_generate_different_seeds_differ(tmp_path, capsys):
     assert digests[0] != digests[1]
 
 
+@pytest.mark.parametrize("tasks, buckets, once", [
+    (["mst", "mst"], ["S", "s"], ["mst"]),
+    (["cycle-check,cycle_check", "mst", "cycle_check"], ["S,S"], ["cycle_check", "mst"]),
+])
+def test_generate_repeated_selection_names_count_once(tmp_path, capsys, tasks, buckets, once):
+    out = tmp_path / "d.jsonl"
+    results = []
+    for t, b in ((tasks, buckets), (once, ["S"])):
+        assert run_cli("generate", "--tasks", *t, "--buckets", *b,
+                       "--graphs-per-cell", 2, "--out", out) == 0
+        results.append((capsys.readouterr().out, out.read_bytes()))
+    assert results[0] == results[1]
+    assert f"total: {2 * len(once)}" in results[0][0]
+
+
 def test_generate_rejects_unknown_task(tmp_path):
     with pytest.raises(SystemExit):
         run_cli("generate", "--out", tmp_path / "x.jsonl", "--tasks", "sorting-hat")
@@ -212,6 +227,14 @@ def test_run_label_base_override(dataset, tmp_path):
     assert summary["accuracy"] == 1.0
 
 
+def test_run_rejects_repeated_instances(dataset, tmp_path, capsys):
+    doubled = tmp_path / "doubled.jsonl"
+    header, *lines = dataset.read_text().splitlines(keepends=True)
+    doubled.write_text(header + "".join(lines * 2))
+    assert run_cli("run", "--dataset", doubled, "--out", tmp_path / "r") == 1
+    assert "duplicate record" in capsys.readouterr().err
+
+
 # --- score -----------------------------------------------------------------------
 
 
@@ -313,6 +336,14 @@ def test_config_malformed_line_rejected(tmp_path):
     config.write_text("just some words\n")
     with pytest.raises(SystemExit):
         run_cli("generate", "--config", config, "--out", tmp_path / "d.jsonl")
+
+
+@pytest.mark.parametrize("option", ["--config={}", "--conf={}"])
+def test_config_option_spellings_are_applied(tmp_path, capsys, option):
+    config = tmp_path / "bench.cfg"
+    config.write_text("graphs-per-cell = 1\ntasks = mst\nbuckets = S\n")
+    assert run_cli("generate", option.format(config), "--out", tmp_path / "d.jsonl") == 0
+    assert "total: 1" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("lines, flags", [
