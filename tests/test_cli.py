@@ -6,6 +6,8 @@ import pytest
 from graphbench import load_records
 from graphbench.cli import main
 
+from conftest import FIXTURES
+
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
@@ -246,6 +248,49 @@ def test_score_matches_run_records(dataset, tmp_path):
                    "--transcripts", run_dir / "transcripts.jsonl",
                    "--out", rescored) == 0
     assert load_records(rescored) == load_records(run_dir / "records.jsonl")
+
+
+@pytest.fixture
+def labelled_dataset(tmp_path):
+    """Tasks that answer with node labels, so the label base decides the score."""
+    path = tmp_path / "labelled.jsonl"
+    assert run_cli("generate", "--seed", 0, "--out", path,
+                   "--tasks", "neighbors", "topological_sort",
+                   "--buckets", "S", "--graphs-per-cell", 2) == 0
+    return path
+
+
+def rescore(dataset, run_dir, out):
+    """``score`` the run's transcripts into ``out``; return the bytes of both record files."""
+    assert run_cli("score", "--dataset", dataset,
+                   "--transcripts", run_dir / "transcripts.jsonl", "--out", out) == 0
+    return out.read_bytes(), (run_dir / "records.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("run_args", [
+    ["--backend", "mock:oracle"],
+    ["--backend", "mock:adversary"],
+    ["--strategy", "pseudo+k-shot", "--shots", 2],
+])
+def test_score_reproduces_run_records(labelled_dataset, tmp_path, run_args):
+    run_dir = tmp_path / "run"
+    run_cli("run", "--dataset", labelled_dataset, *run_args, "--out", run_dir)
+    rescored, recorded = rescore(labelled_dataset, run_dir, tmp_path / "rescored.jsonl")
+    assert rescored == recorded
+
+
+def test_score_reads_transcripts_without_label_base(labelled_dataset, tmp_path):
+    """Rows with no ``label_base`` key score under each task's default base.
+
+    The fixture holds an oracle 0-shot run at ``--label-base 1`` and an
+    adversary BaG run, written before rows carried ``label_base``; its
+    records file is what ``score`` wrote for it then.
+    """
+    out = tmp_path / "rescored.jsonl"
+    assert run_cli("score", "--dataset", labelled_dataset,
+                   "--transcripts", FIXTURES / "legacy_transcripts.jsonl",
+                   "--out", out) == 0
+    assert out.read_bytes() == (FIXTURES / "legacy_transcripts.records.jsonl").read_bytes()
 
 
 def test_score_unknown_instance_fails(dataset, tmp_path):
