@@ -8,7 +8,7 @@ import sys
 import time
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar
 
 from . import dataset as ds
 from .client import (
@@ -30,6 +30,7 @@ from .graphs import ALL_BUCKETS, BUCKETS, SizeBucket
 from .prompts import (
     DEFAULT_EXEMPLAR_SEED,
     PseudocodeStyle,
+    Strategy,
     parse_strategy,
     render_prompt,
 )
@@ -80,6 +81,39 @@ def _load_for_eval(args: argparse.Namespace) -> list[ds.TaskInstance]:
         per_cell[cell] = per_cell.get(cell, 0) + 1
         kept.append(inst)
     return kept
+
+
+def _score_transcripts(rows: Iterable[tuple[int, dict]], source: str | Path,
+                       by_id: Mapping[str, ds.TaskInstance],
+                       out: str | Path) -> tuple[list[EvalRecord], dict[str, int]]:
+    """Score ``(line number, transcripts row)`` pairs, save the records to ``out``
+    and print the tally; return the records and their failure counts.
+
+    A row holds the response ``text`` or the backend's ``error``. A row without
+    ``label_base`` is scored under its task's default base.
+    """
+    strategies: dict[str, Strategy] = {}
+    records = []
+    for lineno, row in rows:
+        if not (isinstance(row, dict) and {"instance_id", "strategy"} <= row.keys()
+                and isinstance(row.get("text", row.get("error")), str)
+                and row.get("label_base") in (None, 0, 1)):
+            raise ValueError(f"{source}:{lineno}: not a transcripts row")
+        inst = by_id.get(row["instance_id"])
+        if inst is None:
+            raise SystemExit(f"error: {source}:{lineno}: unknown instance {row['instance_id']!r}")
+        name = row["strategy"]
+        if name not in strategies:
+            strategies[name] = parse_strategy(name)
+        records.append(evaluate_response(inst, strategies[name], row.get("text"),
+                                         label_base=row.get("label_base"),
+                                         backend_error=row.get("error", "")))
+    failures = aggregate_report(records).failures
+    save_records(records, out)
+    print(f"{sum(r.correct for r in records)}/{len(records)} correct "
+          f"({failures['extraction_failed']} extraction failures, "
+          f"{failures['backend_error']} backend errors)")
+    return records, failures
 
 
 # --- config files ---------------------------------------------------------------
@@ -194,33 +228,26 @@ def cmd_run(args: argparse.Namespace) -> int:
         if cache is not None:
             cache.close()
 
+    rows = []
+    cache_hits = 0
+    for bundle, (transcript, error) in zip(bundles, outcomes):
+        row = {"instance_id": bundle.instance_id, "strategy": strategy.display_name,
+               "label_base": bundle.label_base, "model": cfg.model, "backend": backend.name}
+        if transcript is None:
+            row["error"] = str(error)
+        else:
+            cache_hits += int(transcript.cached)
+            row.update(prompt_hash=transcript.prompt_hash, text=transcript.text)
+        rows.append(row)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    records: list[EvalRecord] = []
-    cache_hits = 0
-    with (outdir / "transcripts.jsonl").open("w", encoding="utf-8") as fh:
-        for inst, bundle, (transcript, error) in zip(instances, bundles, outcomes):
-            if transcript is not None:
-                cache_hits += int(transcript.cached)
-                fh.write(json.dumps({
-                    "instance_id": inst.id,
-                    "strategy": strategy.display_name,
-                    "prompt_hash": transcript.prompt_hash,
-                    "model": transcript.model,
-                    "backend": transcript.backend,
-                    "text": transcript.text,
-                }, sort_keys=True) + "\n")
-            records.append(evaluate_response(
-                inst,
-                strategy,
-                transcript.text if transcript is not None else None,
-                label_base=args.label_base,
-                backend_error=str(error) if error is not None else "",
-            ))
-    save_records(records, outdir / "records.jsonl")
+    transcripts = outdir / "transcripts.jsonl"
+    with transcripts.open("w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+    records, failures = _score_transcripts(enumerate(rows, 1), transcripts,
+                                           ds.instances_by_id(instances), outdir / "records.jsonl")
 
     correct = sum(r.correct for r in records)
-    failures = aggregate_report(records).failures
     summary = {
         "dataset": str(args.dataset),
         "backend": args.backend,
@@ -236,35 +263,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     (outdir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    print(f"{correct}/{len(records)} correct "
-          f"({failures['extraction_failed']} extraction failures, "
-          f"{failures['backend_error']} backend errors)")
     print(f"results: {outdir}")
     return 2 if failures["backend_error"] else 0
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    instances = ds.load_dataset(args.dataset, verify=not args.no_verify)
-    by_id = ds.instances_by_id(instances)
-    records = []
+    by_id = ds.instances_by_id(ds.load_dataset(args.dataset, verify=not args.no_verify))
     with Path(args.transcripts).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            inst = by_id.get(row["instance_id"])
-            if inst is None:
-                raise SystemExit(
-                    f"error: {args.transcripts}:{lineno}: unknown instance "
-                    f"{row['instance_id']!r}"
-                )
-            strategy = parse_strategy(row["strategy"])
-            records.append(evaluate_response(inst, strategy, row["text"],
-                                             label_base=args.label_base))
-    save_records(records, args.out)
-    correct = sum(r.correct for r in records)
-    print(f"{correct}/{len(records)} correct, records: {args.out}")
+        rows = [(lineno, json.loads(line)) for lineno, line in enumerate(fh, 1) if line.strip()]
+    _score_transcripts(rows, args.transcripts, by_id, args.out)
+    print(f"records: {args.out}")
     return 0
 
 
@@ -354,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("--dataset", required=True)
     p_score.add_argument("--transcripts", required=True)
     p_score.add_argument("--out", required=True, help="output records JSONL path")
-    p_score.add_argument("--label-base", type=int, default=None, choices=(0, 1))
     p_score.add_argument("--no-verify", action="store_true")
     p_score.set_defaults(func=cmd_score)
 

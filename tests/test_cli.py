@@ -271,12 +271,58 @@ def rescore(dataset, run_dir, out):
     ["--backend", "mock:oracle"],
     ["--backend", "mock:adversary"],
     ["--strategy", "pseudo+k-shot", "--shots", 2],
+    ["--label-base", 1],
 ])
 def test_score_reproduces_run_records(labelled_dataset, tmp_path, run_args):
     run_dir = tmp_path / "run"
     run_cli("run", "--dataset", labelled_dataset, *run_args, "--out", run_dir)
     rescored, recorded = rescore(labelled_dataset, run_dir, tmp_path / "rescored.jsonl")
     assert rescored == recorded
+
+
+def test_score_reproduces_backend_errors(dataset, tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    run_cli("run", "--dataset", dataset, "--tasks", "edge_count",
+            "--backend", "mock:oracle", "--cache", cache, "--out", tmp_path / "orig")
+    run_dir = tmp_path / "replay"
+    assert run_cli("run", "--dataset", dataset, "--backend", "replay",
+                   "--cache", cache, "--out", run_dir) == 2
+    rows = [json.loads(l) for l in (run_dir / "transcripts.jsonl").read_text().splitlines()]
+    common = {"instance_id", "strategy", "label_base", "model", "backend"}
+    assert [set(row) for row in rows] == [common | {"prompt_hash", "text"}] * 4 + \
+        [common | {"error"}] * 8
+    rescored, recorded = rescore(dataset, run_dir, tmp_path / "rescored.jsonl")
+    assert rescored == recorded
+
+
+def test_score_rejects_repeated_rows(dataset, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    run_cli("run", "--dataset", dataset, "--backend", "mock:oracle", "--out", run_dir)
+    doubled = tmp_path / "doubled.jsonl"
+    doubled.write_text((run_dir / "transcripts.jsonl").read_text() * 2)
+    assert run_cli("score", "--dataset", dataset, "--transcripts", doubled,
+                   "--out", tmp_path / "r.jsonl") == 1
+    assert "duplicate record" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", [
+    {"instance_id": "edge_count-S-000-0", "strategy": "0-shot"},
+    {"instance_id": "edge_count-S-000-0", "strategy": "0-shot", "text": "1", "label_base": 2},
+    {"key": "0" * 64, "text": "Answer: 1"},
+    ["edge_count-S-000-0", "0-shot", "Answer: 1"],
+])
+def test_score_rejects_malformed_rows(dataset, tmp_path, capsys, row):
+    bad = tmp_path / "transcripts.jsonl"
+    bad.write_text("\n" + json.dumps(row) + "\n")
+    assert run_cli("score", "--dataset", dataset, "--transcripts", bad,
+                   "--out", tmp_path / "r.jsonl") == 1
+    assert f"error: {bad}:2: not a transcripts row" in capsys.readouterr().err
+
+
+def test_score_has_no_label_base_flag(dataset, tmp_path):
+    with pytest.raises(SystemExit):
+        run_cli("score", "--dataset", dataset, "--transcripts", tmp_path / "t.jsonl",
+                "--out", tmp_path / "r.jsonl", "--label-base", 1)
 
 
 def test_score_reads_transcripts_without_label_base(labelled_dataset, tmp_path):
