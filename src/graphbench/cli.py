@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 import time
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar
 
@@ -30,7 +30,6 @@ from .graphs import ALL_BUCKETS, BUCKETS, SizeBucket
 from .prompts import (
     DEFAULT_EXEMPLAR_SEED,
     PseudocodeStyle,
-    Strategy,
     parse_strategy,
     render_prompt,
 )
@@ -49,6 +48,12 @@ def _parse_selection(tokens: Sequence[str], lookup: Callable[[str], T],
     if not names or "all" in names:
         return list(everything)
     return list(dict.fromkeys(map(lookup, names)))
+
+
+def _count(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a count of 0 or more, got {text!r}")
+    return int(text)
 
 
 def _task(name: str) -> Task:
@@ -86,26 +91,20 @@ def _load_for_eval(args: argparse.Namespace) -> list[ds.TaskInstance]:
 def _score_transcripts(rows: Iterable[tuple[int, dict]], source: str | Path,
                        by_id: Mapping[str, ds.TaskInstance],
                        out: str | Path) -> tuple[list[EvalRecord], dict[str, int]]:
-    """Score ``(line number, transcripts row)`` pairs, save the records to ``out``
-    and print the tally; return the records and their failure counts.
-
-    A row holds the response ``text`` or the backend's ``error``. A row without
-    ``label_base`` is scored under its task's default base.
+    """Score ``(line number, transcripts row)`` pairs, save the records to ``out`` and
+    print the tally. A row without ``label_base`` scores under its task's default.
     """
-    strategies: dict[str, Strategy] = {}
+    parse = lru_cache(maxsize=None)(parse_strategy)
     records = []
     for lineno, row in rows:
-        if not (isinstance(row, dict) and {"instance_id", "strategy"} <= row.keys()
-                and isinstance(row.get("text", row.get("error")), str)
-                and row.get("label_base") in (None, 0, 1)):
+        if not (isinstance(row, dict) and row.get("label_base") in (None, 0, 1)
+                and all(isinstance(row.get(key), str) for key in
+                        ("instance_id", "strategy", "text" if "text" in row else "error"))):
             raise ValueError(f"{source}:{lineno}: not a transcripts row")
         inst = by_id.get(row["instance_id"])
         if inst is None:
             raise SystemExit(f"error: {source}:{lineno}: unknown instance {row['instance_id']!r}")
-        name = row["strategy"]
-        if name not in strategies:
-            strategies[name] = parse_strategy(name)
-        records.append(evaluate_response(inst, strategies[name], row.get("text"),
+        records.append(evaluate_response(inst, parse(row["strategy"]), row.get("text"),
                                          label_base=row.get("label_base"),
                                          backend_error=row.get("error", "")))
     failures = aggregate_report(records).failures
@@ -304,7 +303,7 @@ def _add_selection_flags(p: argparse.ArgumentParser) -> None:
 def _add_eval_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dataset", required=True, help="dataset JSONL path")
     _add_selection_flags(p)
-    p.add_argument("--limit", type=int, default=None,
+    p.add_argument("--limit", type=_count, default=None,
                    help="cap instances per (task, bucket) cell")
     p.add_argument("--strategy", default="0-shot",
                    help="0-shot, k-shot, bag, 0-cot, pseudo, pseudo+k-shot")
@@ -335,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", required=True, help="output dataset JSONL path")
     p_gen.add_argument("--manifest", default=None,
                        help="manifest path (default: <out>.manifest.json)")
-    p_gen.add_argument("--graphs-per-cell", type=int, default=ds.GRAPHS_PER_CELL)
+    p_gen.add_argument("--graphs-per-cell", type=_count, default=ds.GRAPHS_PER_CELL)
     _add_selection_flags(p_gen)
     p_gen.set_defaults(func=cmd_generate)
 
@@ -381,12 +380,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.config is not None:
-        # Config flags go before the user's, so flags given explicitly win.
-        tokens = _config_tokens(args, _load_config(args.config))
-        rest = argv[argv.index(args.command) + 1:]
-        args = parser.parse_args([args.command, *tokens, *rest])
     try:
+        if args.config is not None:
+            # Config flags go before the user's, so flags given explicitly win.
+            tokens = _config_tokens(args, _load_config(args.config))
+            rest = argv[argv.index(args.command) + 1:]
+            args = parser.parse_args([args.command, *tokens, *rest])
         return args.func(args)
     except (ClientError, ds.DatasetFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -106,13 +106,14 @@ class ResponseCache:
         Only the final line can lack its newline. If it does not parse, it is
         a torn record: it is skipped and cut from the file. If it parses, the
         newline is added. Either way the next ``put`` starts a fresh line. A
-        line that does not parse anywhere else means corruption and raises.
+        line that does not parse anywhere else means corruption and raises, as
+        does a line that parses to anything but a ``key``/``text`` record.
         """
         whole = 0  # length of the file's prefix whose lines all parsed
         ends_line = True
         torn = False
         with self.path.open("rb") as fh:
-            for raw in fh:
+            for lineno, raw in enumerate(fh, 1):
                 if raw.strip():
                     try:
                         obj = json.loads(raw)
@@ -121,6 +122,9 @@ class ResponseCache:
                             raise
                         torn = True
                         break
+                    if not (isinstance(obj, dict) and isinstance(obj.get("key"), str)
+                            and isinstance(obj.get("text"), str)):
+                        raise ValueError(f"{self.path}:{lineno}: not a response cache record")
                     self._entries[obj["key"]] = obj["text"]
                 whole += len(raw)
                 ends_line = raw.endswith(b"\n")

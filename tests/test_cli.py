@@ -309,6 +309,8 @@ def test_score_rejects_repeated_rows(dataset, tmp_path, capsys):
     {"instance_id": "edge_count-S-000-0", "strategy": "0-shot"},
     {"instance_id": "edge_count-S-000-0", "strategy": "0-shot", "text": "1", "label_base": 2},
     {"key": "0" * 64, "text": "Answer: 1"},
+    {"instance_id": "edge_count-S-000-0", "strategy": 0, "text": "Answer: 1"},
+    {"instance_id": ["edge_count-S-000-0"], "strategy": "0-shot", "error": "timeout"},
     ["edge_count-S-000-0", "0-shot", "Answer: 1"],
 ])
 def test_score_rejects_malformed_rows(dataset, tmp_path, capsys, row):
@@ -504,6 +506,49 @@ def test_unknown_strategy_is_reported(dataset, tmp_path, capsys):
                    "--out", tmp_path / "r")
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_transcripts_as_cache_is_reported(dataset, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    run_cli("run", "--dataset", dataset, "--backend", "mock:oracle", "--out", run_dir)
+    transcripts = run_dir / "transcripts.jsonl"
+    capsys.readouterr()
+    for backend in ("mock:oracle", "replay"):
+        assert run_cli("run", "--dataset", dataset, "--backend", backend,
+                       "--cache", transcripts, "--out", tmp_path / "r") == 1
+        assert capsys.readouterr().err == \
+            f"error: {transcripts}:1: not a response cache record\n"
+
+
+def test_missing_config_is_reported(tmp_path, capsys):
+    code = run_cli("generate", "--config", tmp_path / "missing.cfg", "--out", tmp_path / "d.jsonl")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "missing.cfg" in err
+    assert not (tmp_path / "d.jsonl").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--graphs-per-cell", -2, "--out", "{tmp}/d.jsonl"],
+    ["render", "--dataset", "{dataset}", "--limit", -1, "--out", "{tmp}/p.jsonl"],
+    ["run", "--dataset", "{dataset}", "--limit", "-1", "--out", "{tmp}/r"],
+])
+def test_negative_counts_are_rejected(dataset, tmp_path, capsys, argv):
+    argv = [str(a).format(tmp=tmp_path, dataset=dataset) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "expected a count of 0 or more" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "data.manifest.json"]
+
+
+def test_negative_count_in_config_is_rejected(tmp_path, capsys):
+    config = tmp_path / "gen.cfg"
+    config.write_text("graphs-per-cell = -2\n")
+    with pytest.raises(SystemExit):
+        run_cli("generate", "--config", config, "--out", tmp_path / "d.jsonl")
+    assert "expected a count of 0 or more" in capsys.readouterr().err
+    assert not (tmp_path / "d.jsonl").exists()
 
 
 def test_missing_dataset_is_reported(tmp_path, capsys):

@@ -162,6 +162,23 @@ def test_cache_rejects_corrupt_line_before_the_end(tmp_path, corrupt_at):
     assert path.read_text(encoding="utf-8") == "".join(lines)  # left untouched
 
 
+@pytest.mark.parametrize("line", [
+    '{"instance_id": "mst-S-000-0", "strategy": "0-shot", "text": "Answer: 1"}',
+    '{"key": 7, "text": "seven"}',
+    '{"key": "k2", "text": null}',
+    '["k2", "two"]',
+    '"k2"',
+], ids=["transcripts-row", "int-key", "null-text", "list", "string"])
+@pytest.mark.parametrize("newline", ["\n", ""], ids=["ended", "unended"])
+def test_cache_rejects_a_line_that_is_not_a_record(tmp_path, line, newline):
+    path = tmp_path / "cache.jsonl"
+    whole = _record("k1", "one") + line + newline
+    path.write_text(whole, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"{path}:2: not a response cache record"):
+        ResponseCache(path)
+    assert path.read_text(encoding="utf-8") == whole  # left untouched
+
+
 # --- mock backends -----------------------------------------------------------------
 
 
