@@ -322,9 +322,10 @@ def test_score_rejects_malformed_rows(dataset, tmp_path, capsys, row):
 
 
 def test_score_has_no_label_base_flag(dataset, tmp_path):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         run_cli("score", "--dataset", dataset, "--transcripts", tmp_path / "t.jsonl",
                 "--out", tmp_path / "r.jsonl", "--label-base", 1)
+    assert exc.value.code == 2  # argparse: unrecognized arguments
 
 
 def test_score_reads_transcripts_without_label_base(labelled_dataset, tmp_path):
