@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from graphbench import load_records
+import graphbench.dataset as ds
+from graphbench import MEDIUM, SMALL, Task, load_records
 from graphbench.cli import main
 
 from conftest import FIXTURES
@@ -73,6 +74,23 @@ def test_generate_repeated_selection_names_count_once(tmp_path, capsys, tasks, b
         results.append((capsys.readouterr().out, out.read_bytes()))
     assert results[0] == results[1]
     assert f"total: {2 * len(once)}" in results[0][0]
+
+
+def test_generate_writes_what_assemble_and_save_write(tmp_path, capsys):
+    """``generate`` writes the bytes of ``assemble_dataset`` + ``save_dataset`` +
+    ``save_manifest`` over the same selection."""
+    out = tmp_path / "cli" / "d.jsonl"
+    assert run_cli("generate", "--seed", 7, "--out", out, "--tasks", "neighbors", "mst",
+                   "--buckets", "M", "S", "--graphs-per-cell", 2) == 0
+    manifest, instances = ds.assemble_dataset(7, tasks=[Task.NEIGHBORS, Task.MST],
+                                              buckets=[MEDIUM, SMALL], graphs_per_cell=2)
+    ref = tmp_path / "ref" / "d.jsonl"
+    ds.save_dataset(instances, ref)
+    ds.save_manifest(manifest, ref.with_suffix(".manifest.json"))
+    assert out.read_bytes() == ref.read_bytes()
+    assert (out.with_suffix(".manifest.json").read_bytes()
+            == ref.with_suffix(".manifest.json").read_bytes())
+    assert f"content digest: {manifest.content_digest}" in capsys.readouterr().out
 
 
 def test_generate_rejects_unknown_task(tmp_path):

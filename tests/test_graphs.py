@@ -71,6 +71,15 @@ def test_from_edges_canonicalizes_and_dedups():
     assert g.edge_count == 2
 
 
+def test_sorted_edges_leave_equality_and_hash_alone():
+    used = Graph.from_edges(4, [(2, 0), (3, 1), (0, 1)])
+    assert used.sorted_edges == ((0, 1), (0, 2), (1, 3))
+    fresh = Graph.from_edges(4, [(0, 1), (0, 2), (1, 3)])
+    assert used == fresh and fresh == used
+    assert hash(used) == hash(fresh)
+    assert len({used, fresh}) == 1
+
+
 def test_directed_edges_kept_as_given():
     g = Graph.from_edges(3, [(2, 0)], directed=True)
     assert g.edges == frozenset({(2, 0)})
