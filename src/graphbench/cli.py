@@ -168,11 +168,10 @@ def _config_tokens(args: argparse.Namespace, config: dict[str, str]) -> list[str
 def cmd_generate(args: argparse.Namespace) -> int:
     tasks = _parse_selection(args.tasks, _task, ALL_TASKS)
     buckets = _parse_selection(args.buckets, _bucket, ALL_BUCKETS)
-    manifest, instances = ds.assemble_dataset(
-        args.seed, tasks=tasks, buckets=buckets, graphs_per_cell=args.graphs_per_cell
-    )
     out = Path(args.out)
-    ds.save_dataset(instances, out)
+    manifest, _ = ds.assemble_dataset(
+        args.seed, tasks=tasks, buckets=buckets, graphs_per_cell=args.graphs_per_cell, out=out
+    )
     manifest_path = Path(args.manifest) if args.manifest else out.with_suffix(".manifest.json")
     ds.save_manifest(manifest, manifest_path)
     for task in tasks:
@@ -268,8 +267,14 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_score(args: argparse.Namespace) -> int:
     by_id = ds.instances_by_id(ds.load_dataset(args.dataset, verify=not args.no_verify))
+    rows = []
     with Path(args.transcripts).open("r", encoding="utf-8") as fh:
-        rows = [(lineno, json.loads(line)) for lineno, line in enumerate(fh, 1) if line.strip()]
+        for lineno, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    rows.append((lineno, json.loads(line)))
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{args.transcripts}:{lineno}: not a transcripts row") from exc
     _score_transcripts(rows, args.transcripts, by_id, args.out)
     print(f"records: {args.out}")
     return 0

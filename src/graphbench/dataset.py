@@ -3,6 +3,11 @@
 Counting rules: 7 graph-level tasks x 3 buckets x 100 graphs = 2,100
 instances; node degree and neighbors add 2 x 3 x 100 x 5 = 3,000; shortest
 path adds 3 x 100 x 5 = 1,500; 6,600 in total.
+
+Persistence: ``_instance_line`` is the one serializer and ``content_digest``
+the one loop that hashes its lines. ``save_dataset`` writes each line from
+that loop as it is hashed, so a saved dataset is serialized once and its
+digest describes the bytes on disk.
 """
 from __future__ import annotations
 
@@ -12,7 +17,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TextIO
 
 from . import oracles
 from .graphs import (
@@ -261,8 +266,13 @@ def assemble_dataset(
     tasks: Sequence[Task] = ALL_TASKS,
     buckets: Sequence[SizeBucket] = ALL_BUCKETS,
     graphs_per_cell: int = GRAPHS_PER_CELL,
+    out: str | Path | None = None,
 ) -> tuple[DatasetManifest, list[TaskInstance]]:
-    """Generate the whole benchmark for a master seed; fully deterministic."""
+    """Generate the whole benchmark for a master seed; fully deterministic.
+
+    With ``out``, the dataset is also saved there, and the manifest's digest is
+    taken from the lines as they are written.
+    """
     instances: list[TaskInstance] = []
     counts: dict[str, dict[str, int]] = {}
     prior: dict[str, dict[str, int]] = {}
@@ -280,7 +290,7 @@ def assemble_dataset(
         generator_version=GENERATOR_VERSION,
         counts=counts,
         total=len(instances),
-        content_digest=content_digest(instances),
+        content_digest=content_digest(instances) if out is None else save_dataset(instances, out),
         cycle_check_prior=prior,
     )
     return manifest, instances
@@ -293,24 +303,25 @@ def _instance_line(inst: TaskInstance) -> str:
     return json.dumps(inst.to_json_obj(), sort_keys=True, separators=(",", ":"))
 
 
-def content_digest(instances: Iterable[TaskInstance]) -> str:
+def content_digest(instances: Iterable[TaskInstance], out: TextIO | None = None) -> str:
     """Digest of the dataset content, identical to the digest of a saved file's
-    instance lines."""
+    instance lines; with ``out``, each line is also written there as it is hashed."""
     h = hashlib.sha256()
     for inst in instances:
-        h.update(_instance_line(inst).encode("utf-8"))
-        h.update(b"\n")
+        line = _instance_line(inst) + "\n"
+        h.update(line.encode("utf-8"))
+        if out is not None:
+            out.write(line)
     return h.hexdigest()
 
 
-def save_dataset(instances: Sequence[TaskInstance], path: str | Path) -> None:
-    """Write header line plus one JSON line per instance."""
+def save_dataset(instances: Iterable[TaskInstance], path: str | Path) -> str:
+    """Write header line plus one JSON line per instance; return the content digest."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as f:
         f.write(json.dumps({"schema_version": SCHEMA_VERSION, "kind": "graphbench-dataset"}) + "\n")
-        for inst in instances:
-            f.write(_instance_line(inst) + "\n")
+        return content_digest(instances, f)
 
 
 def load_dataset(path: str | Path, strict: bool = True, verify: bool = True) -> list[TaskInstance]:

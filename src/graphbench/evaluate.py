@@ -472,10 +472,15 @@ def save_records(records: Sequence[EvalRecord], path) -> None:
 
 
 def load_records(path) -> list[EvalRecord]:
+    """Read a records file; a line that is not a record raises ``ValueError``
+    naming ``FILE:LINE``."""
     out = []
     with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
                 out.append(EvalRecord.from_json_obj(json.loads(line)))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: not a records row") from exc
     return out

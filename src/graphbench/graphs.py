@@ -12,6 +12,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .tasks import Task
@@ -54,8 +55,10 @@ class Graph:
             canon.add((u, v))
         return cls(n=n, edges=frozenset(canon), directed=directed)
 
-    @property
+    @cached_property
     def sorted_edges(self) -> tuple[Edge, ...]:
+        """Computed once per graph; the cache is outside the dataclass fields, so
+        equality and hashing ignore it."""
         return tuple(sorted(self.edges))
 
     @property

@@ -93,6 +93,17 @@ def test_generate_writes_what_assemble_and_save_write(tmp_path, capsys):
     assert f"content digest: {manifest.content_digest}" in capsys.readouterr().out
 
 
+def test_generate_serializes_each_instance_once(tmp_path, monkeypatch, capsys):
+    serialized = []
+    line = ds._instance_line
+    monkeypatch.setattr(ds, "_instance_line", lambda inst: serialized.append(inst.id) or line(inst))
+    assert run_cli("generate", "--seed", 0, "--out", tmp_path / "d.jsonl",
+                   "--tasks", "shortest_path", "cycle_check", "--buckets", "S",
+                   "--graphs-per-cell", 2) == 0
+    assert "total: 12" in capsys.readouterr().out
+    assert len(serialized) == len(set(serialized)) == 12
+
+
 def test_generate_rejects_unknown_task(tmp_path):
     with pytest.raises(SystemExit):
         run_cli("generate", "--out", tmp_path / "x.jsonl", "--tasks", "sorting-hat")
@@ -339,6 +350,17 @@ def test_score_rejects_malformed_rows(dataset, tmp_path, capsys, row):
     assert f"error: {bad}:2: not a transcripts row" in capsys.readouterr().err
 
 
+def test_score_names_the_line_that_is_not_json(dataset, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    run_cli("run", "--dataset", dataset, "--backend", "mock:oracle", "--out", run_dir)
+    lines = (run_dir / "transcripts.jsonl").read_text().splitlines(keepends=True)
+    bad = tmp_path / "transcripts.jsonl"
+    bad.write_text("".join(lines[:5]) + '{"instance_id": "x",\n' + "".join(lines[5:]))
+    assert run_cli("score", "--dataset", dataset, "--transcripts", bad,
+                   "--out", tmp_path / "r.jsonl") == 1
+    assert capsys.readouterr().err == f"error: {bad}:6: not a transcripts row\n"
+
+
 def test_score_has_no_label_base_flag(dataset, tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli("score", "--dataset", dataset, "--transcripts", tmp_path / "t.jsonl",
@@ -406,6 +428,20 @@ def test_report_duplicate_records_fail(dataset, tmp_path, capsys):
                    run_dir / "records.jsonl")
     assert code == 1
     assert "duplicate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ['{"a": 1}', '{"instance_id": "edge_count-S-000-0",', "[1]"])
+def test_report_names_the_line_that_is_not_a_record(dataset, tmp_path, capsys, line):
+    run_dir = tmp_path / "run"
+    run_cli("run", "--dataset", dataset, "--backend", "mock:oracle", "--out", run_dir)
+    capsys.readouterr()
+    first = (run_dir / "records.jsonl").read_text().splitlines()[0]
+    bad = tmp_path / "records.jsonl"
+    bad.write_text(f"{first}\n\n{line}\n")
+    assert run_cli("report", "--records", bad) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}:3: not a records row\n"
 
 
 # --- config files ------------------------------------------------------------------

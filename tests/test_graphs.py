@@ -80,6 +80,13 @@ def test_sorted_edges_leave_equality_and_hash_alone():
     assert len({used, fresh}) == 1
 
 
+def test_sorted_edges_sorted_once():
+    g = Graph.from_edges(5, [(3, 4), (0, 2), (1, 4)])
+    first = g.sorted_edges
+    assert first == ((0, 2), (1, 4), (3, 4))
+    assert g.sorted_edges is first
+
+
 def test_directed_edges_kept_as_given():
     g = Graph.from_edges(3, [(2, 0)], directed=True)
     assert g.edges == frozenset({(2, 0)})
