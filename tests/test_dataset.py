@@ -167,30 +167,10 @@ def test_digest_matches_file_lines(tmp_path):
     _, instances = assemble_dataset(0, tasks=[Task.NODE_COUNT], buckets=[SMALL],
                                     graphs_per_cell=3)
     path = tmp_path / "data.jsonl"
-    save_dataset(instances, path)
+    returned = save_dataset(instances, path)
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)[1:]
     digest = hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
-    assert digest == content_digest(instances)
-
-
-def test_save_dataset_returns_digest_of_written_lines(tmp_path):
-    import hashlib
-
-    _, instances = assemble_dataset(0, tasks=[Task.NEIGHBORS, Task.MST], buckets=[SMALL],
-                                    graphs_per_cell=2)
-    path = tmp_path / "data.jsonl"
-    digest = save_dataset(instances, path)
-    body = path.read_bytes().split(b"\n", 1)[1]
-    assert digest == content_digest(instances) == hashlib.sha256(body).hexdigest()
-
-
-def test_assemble_dataset_with_out_saves_and_digests_once(tmp_path):
-    kept, _ = assemble_dataset(1, tasks=[Task.NODE_DEGREE], buckets=[SMALL], graphs_per_cell=2)
-    path = tmp_path / "data.jsonl"
-    manifest, instances = assemble_dataset(1, tasks=[Task.NODE_DEGREE], buckets=[SMALL],
-                                           graphs_per_cell=2, out=path)
-    assert manifest == kept
-    assert load_dataset(path) == instances
+    assert returned == digest == content_digest(instances)
 
 
 def test_load_reports_corrupt_line(tmp_path):
