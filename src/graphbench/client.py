@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Optional, Sequence, TextIO
 import requests
 
 from .dataset import TaskInstance
-from .oracles import Answer, AnswerKind, topo_order, validate_topo_order
+from .oracles import Answer, AnswerKind, validate_topo_order
 from .prompts import PromptBundle, format_answer
 
 
@@ -326,7 +326,7 @@ class MockAdversaryBackend(_InstanceBackedBackend):
     @staticmethod
     def _corrupt_order(inst: TaskInstance) -> Answer:
         g = inst.graph
-        order = topo_order(g)
+        order = inst.gold.value
         if g.edge_count > 0:
             # Reversing a valid order violates at least one edge.
             bad = tuple(reversed(order))
@@ -386,23 +386,15 @@ def complete(
     """Resolve one prompt, consulting and populating the cache."""
     cfg = cfg or ModelConfig()
     key = cache_key(bundle, cfg)
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return Transcript(
-                instance_id=bundle.instance_id,
-                prompt_hash=key,
-                model=cfg.model,
-                text=hit,
-                backend=backend.name,
-                latency_ms=0.0,
-                cached=True,
-            )
-    start = time.monotonic()
-    text = backend.complete_text(bundle, cfg)
-    latency_ms = (time.monotonic() - start) * 1000.0
-    if cache is not None:
-        cache.put(key, text)
+    text = None if cache is None else cache.get(key)
+    cached = text is not None
+    latency_ms = 0.0
+    if not cached:
+        start = time.monotonic()
+        text = backend.complete_text(bundle, cfg)
+        latency_ms = (time.monotonic() - start) * 1000.0
+        if cache is not None:
+            cache.put(key, text)
     return Transcript(
         instance_id=bundle.instance_id,
         prompt_hash=key,
@@ -410,7 +402,7 @@ def complete(
         text=text,
         backend=backend.name,
         latency_ms=latency_ms,
-        cached=False,
+        cached=cached,
     )
 
 

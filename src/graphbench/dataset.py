@@ -15,7 +15,7 @@ import gc
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
@@ -138,31 +138,6 @@ class DatasetManifest:
     schema_version: int = SCHEMA_VERSION
     #: Realized yes/no class balance of cycle-check instances per bucket.
     cycle_check_prior: dict[str, dict[str, int]] = field(default_factory=dict)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "master_seed": self.master_seed,
-            "generator_version": self.generator_version,
-            "counts": self.counts,
-            "total": self.total,
-            "content_digest": self.content_digest,
-            "digest_algorithm": self.digest_algorithm,
-            "cycle_check_prior": self.cycle_check_prior,
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "DatasetManifest":
-        return cls(
-            master_seed=obj["master_seed"],
-            generator_version=obj["generator_version"],
-            counts=obj["counts"],
-            total=obj["total"],
-            content_digest=obj["content_digest"],
-            digest_algorithm=obj.get("digest_algorithm", DIGEST_ALGORITHM),
-            schema_version=obj.get("schema_version", SCHEMA_VERSION),
-            cycle_check_prior=obj.get("cycle_check_prior", {}),
-        )
 
 
 # --- graph construction per task ---------------------------------------------
@@ -324,12 +299,12 @@ def save_dataset(instances: Iterable[TaskInstance], path: str | Path) -> str:
         return content_digest(instances, f)
 
 
-def load_dataset(path: str | Path, strict: bool = True, verify: bool = True) -> list[TaskInstance]:
+def load_dataset(path: str | Path, verify: bool = True) -> list[TaskInstance]:
     """Load a saved dataset.
 
-    strict: corrupt lines raise DatasetFormatError with their line number;
-    with strict=False, loading stops there and the prior lines are returned.
-    verify: re-check every gold answer against the oracles (self-checking).
+    Raises DatasetFormatError for a header of another schema version and,
+    naming the line, for a header that is not a JSON object or a corrupt line.
+    verify: re-check every gold answer by the scoring rule, ``is_right_answer``.
 
     Instances whose stored graphs are equal share one immutable ``Graph``, as
     they do straight after ``build_instances``. The cyclic garbage collector
@@ -347,6 +322,8 @@ def load_dataset(path: str | Path, strict: bool = True, verify: bool = True) -> 
             header = json.loads(header_line)
         except json.JSONDecodeError as exc:
             raise DatasetFormatError(f"line 1: unreadable header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise DatasetFormatError("line 1: header is not a JSON object")
         if header.get("schema_version") != SCHEMA_VERSION:
             raise DatasetFormatError(
                 f"schema version mismatch: file has {header.get('schema_version')!r}, "
@@ -361,9 +338,7 @@ def load_dataset(path: str | Path, strict: bool = True, verify: bool = True) -> 
                 try:
                     instances.append(TaskInstance.from_json_obj(json.loads(line), graphs))
                 except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                    if strict:
-                        raise DatasetFormatError(f"line {lineno}: corrupt instance: {exc}") from exc
-                    break
+                    raise DatasetFormatError(f"line {lineno}: corrupt instance: {exc}") from exc
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -373,24 +348,23 @@ def load_dataset(path: str | Path, strict: bool = True, verify: bool = True) -> 
 
 
 def verify_gold_answers(instances: Iterable[TaskInstance]) -> None:
-    """Check each stored gold against its oracle/validator; raise on mismatch."""
+    """Check each stored gold by the rule that scores answers; raise on a
+    wrong gold or a query the oracle rejects, naming the instance."""
     for inst in instances:
-        if inst.gold.kind is AnswerKind.EDGE_SET:
-            ok = oracles.validate_spanning_tree(inst.graph, inst.gold.value)
-        elif inst.gold.kind is AnswerKind.NODE_SEQ:
-            ok = oracles.validate_topo_order(inst.graph, inst.gold.value)
-        else:
-            ok = oracles.gold_answer(inst.task, inst.graph, inst.query) == inst.gold
+        try:
+            ok = oracles.is_right_answer(inst.task, inst.graph, inst.query, inst.gold)
+        except oracles.OracleError as exc:
+            raise DatasetFormatError(f"instance {inst.id}: {exc}") from exc
         if not ok:
             raise DatasetFormatError(f"instance {inst.id}: stored gold fails verification")
 
 
 def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(manifest.to_json_obj(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def load_manifest(path: str | Path) -> DatasetManifest:
-    return DatasetManifest.from_json_obj(json.loads(Path(path).read_text(encoding="utf-8")))
+    return DatasetManifest(**json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def instances_by_id(instances: Iterable[TaskInstance]) -> dict[str, TaskInstance]:

@@ -12,13 +12,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Ty
 
 from .dataset import TaskInstance, answer_to_json
 from .graphs import ALL_BUCKETS
-from .oracles import (
-    Answer,
-    AnswerKind,
-    TASK_ANSWER_KINDS,
-    validate_spanning_tree,
-    validate_topo_order,
-)
+from .oracles import Answer, AnswerKind, TASK_ANSWER_KINDS, is_right_answer
 from .prompts import Strategy
 from .tasks import ALL_TASKS, DISPLAY_NAMES, Task, default_label_base
 
@@ -239,20 +233,16 @@ def score_instance(
 ) -> bool:
     """Decide whether an extracted answer is correct for this instance.
 
-    Spanning trees and topological orders are validated structurally, so any
-    correct answer is accepted, not just the oracle's canonical one.
+    Surface labels are shifted back to 0-based ones, then judged by
+    ``is_right_answer``, the rule that also verifies stored golds: any valid
+    spanning tree or topological order is accepted, not just the oracle's.
     """
     if label_base is None:
         label_base = default_label_base(inst.task)
-    expected_kind = TASK_ANSWER_KINDS[inst.task]
-    if answer.kind is not expected_kind:
+    if answer.kind is not TASK_ANSWER_KINDS[inst.task]:
         raise ValueError(f"answer kind {answer.kind} does not match task {inst.task}")
     shifted = _shift_answer(answer, label_base)
-    if expected_kind is AnswerKind.EDGE_SET:
-        return validate_spanning_tree(inst.graph, set(shifted.value))
-    if expected_kind is AnswerKind.NODE_SEQ:
-        return validate_topo_order(inst.graph, tuple(shifted.value))
-    return shifted == inst.gold
+    return is_right_answer(inst.task, inst.graph, inst.query, shifted, inst.gold)
 
 
 class FailureKind(str, Enum):

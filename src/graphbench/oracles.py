@@ -180,10 +180,7 @@ def validate_spanning_tree(g: Graph, es: Iterable[Sequence[int]]) -> bool:
     for u, v in sorted(candidate):
         if not uf.union(u, v):
             return False  # cycle inside the candidate set
-    whole = _UnionFind(g.n)
-    for u, v in g.edges:
-        whole.union(u, v)
-    if len(candidate) != g.n - whole.count:
+    if len(candidate) != g.n - connected_components(g):
         return False
     # Same partition: every graph edge must not bridge two candidate components.
     return all(uf.find(u) == uf.find(v) for u, v in g.edges)
@@ -284,3 +281,21 @@ def gold_answer(task: Task, g: Graph, query: Sequence[int] = ()) -> Answer:
     if task is Task.TOPOLOGICAL_SORT:
         return Answer.node_seq(topo_order(g))
     raise ValueError(f"unknown task {task!r}")
+
+
+def is_right_answer(
+    task: Task, g: Graph, query: Sequence[int], answer: Answer, gold: Answer | None = None
+) -> bool:
+    """The one rule for a right answer, used by gold verification and scoring.
+
+    The answer must be of the task's kind. Any valid spanning forest or
+    topological order is right; any other answer must equal ``gold``, which
+    is computed by the oracle when not given.
+    """
+    if answer.kind is not TASK_ANSWER_KINDS[task]:
+        return False
+    if task is Task.MST:
+        return validate_spanning_tree(g, answer.value)
+    if task is Task.TOPOLOGICAL_SORT:
+        return validate_topo_order(g, answer.value)
+    return answer == (gold_answer(task, g, query) if gold is None else gold)

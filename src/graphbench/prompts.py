@@ -146,8 +146,6 @@ class PromptBundle:
     """A fully rendered prompt plus the metadata that produced it."""
 
     text: str
-    strategy: Strategy
-    task: Task
     instance_id: str
     label_base: int
 
@@ -359,8 +357,6 @@ def render_prompt(
     )
     return PromptBundle(
         text="\n\n".join(sections),
-        strategy=strategy,
-        task=inst.task,
         instance_id=inst.id,
         label_base=base,
     )

@@ -4,8 +4,9 @@ from pathlib import Path
 import pytest
 
 import graphbench.dataset as ds
-from graphbench import MEDIUM, SMALL, Task, load_records
+from graphbench import MEDIUM, SMALL, Answer, Graph, Task, load_records
 from graphbench.cli import main
+from graphbench.oracles import spanning_forest
 
 from conftest import FIXTURES
 
@@ -610,6 +611,33 @@ def test_missing_dataset_is_reported(tmp_path, capsys):
     code = run_cli("run", "--dataset", tmp_path / "missing.jsonl", "--out", tmp_path / "r")
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_run_rejects_a_gold_of_the_wrong_kind(tmp_path, capsys):
+    # A node-count gold stored as a node sequence and a cycle-check gold
+    # stored as a spanning forest: neither may load and then score 0/2.
+    path = tmp_path / "data.jsonl"
+    assert run_cli("generate", "--seed", 0, "--out", path, "--tasks", "node_count",
+                   "cycle_check", "--buckets", "S", "--graphs-per-cell", 1) == 0
+    header, *rows = [json.loads(line) for line in path.read_text().splitlines()]
+    rows[0]["gold"] = {"kind": "node_seq", "value": list(range(rows[0]["graph"]["n"]))}
+    forest = spanning_forest(Graph.from_edges(rows[1]["graph"]["n"], rows[1]["graph"]["edges"]))
+    rows[1]["gold"] = ds.answer_to_json(Answer.edge_set(forest))
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in [header, *rows]))
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert run_cli("run", "--dataset", path, "--backend", "mock:oracle", "--out", out) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: instance {rows[0]['id']}: stored gold fails verification"]
+    assert not (out / "summary.json").exists()
+
+
+def test_run_rejects_a_header_that_is_not_an_object(tmp_path, capsys):
+    path = tmp_path / "data.jsonl"
+    path.write_text("[1, 2]\n")
+    assert run_cli("run", "--dataset", path, "--out", tmp_path / "run") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: line 1: ")
 
 
 def test_unknown_backend_is_reported(dataset, tmp_path, capsys):

@@ -8,6 +8,7 @@ from graphbench import (
     ALL_TASKS,
     DatasetFormatError,
     GRAPH_LEVEL_TASKS,
+    Graph,
     MEDIUM,
     NODE_LEVEL_TASKS,
     SMALL,
@@ -27,9 +28,9 @@ from graphbench import (
     verify_gold_answers,
 )
 import graphbench.dataset as ds
-from graphbench.dataset import TaskInstance, _graph_for_instance
+from graphbench.dataset import TaskInstance, _graph_for_instance, answer_to_json
 from graphbench.graphs import derive_instance_seed
-from graphbench.oracles import Answer
+from graphbench.oracles import Answer, spanning_forest
 
 
 def small_cell(task, graphs=10, seed=0):
@@ -183,7 +184,6 @@ def test_load_reports_corrupt_line(tmp_path):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(DatasetFormatError, match="line 3"):
         load_dataset(path)
-    assert len(load_dataset(path, strict=False, verify=False)) == 1
 
 
 def test_load_rejects_wrong_schema(tmp_path):
@@ -245,19 +245,52 @@ def test_load_restores_gc_state(small_saved, monkeypatch, enabled, corrupt):
     assert verify_states == ([] if corrupt else [enabled])
 
 
-def test_verify_catches_tampered_gold(tmp_path):
-    _, instances = assemble_dataset(0, tasks=[Task.EDGE_COUNT], buckets=[SMALL],
-                                    graphs_per_cell=2)
+def _bump_gold(row):
+    row["gold"]["value"] += 1
+
+
+def _gold_as_node_seq(row):
+    # The right kind for topological sort, the wrong one for node count.
+    row["gold"] = {"kind": "node_seq", "value": list(range(row["graph"]["n"]))}
+
+
+def _gold_as_forest(row):
+    # The right kind for MST, the wrong one for cycle check.
+    g = Graph.from_edges(row["graph"]["n"], row["graph"]["edges"])
+    row["gold"] = answer_to_json(Answer.edge_set(spanning_forest(g)))
+
+
+def _query_out_of_range(row):
+    row["query"] = [99]
+
+
+@pytest.mark.parametrize("task, tamper, error", [
+    (Task.EDGE_COUNT, _bump_gold, "stored gold fails verification"),
+    (Task.NODE_COUNT, _gold_as_node_seq, "stored gold fails verification"),
+    (Task.CYCLE_CHECK, _gold_as_forest, "stored gold fails verification"),
+    (Task.NODE_DEGREE, _query_out_of_range, "node 99 not in graph"),
+], ids=["edge_count-off_by_one", "node_count-as_node_seq", "cycle_check-as_forest",
+        "node_degree-query_out_of_range"])
+def test_verify_catches_tampered_gold(tmp_path, task, tamper, error):
+    _, instances = assemble_dataset(0, tasks=[task], buckets=[SMALL], graphs_per_cell=2)
     path = tmp_path / "data.jsonl"
     save_dataset(instances, path)
     lines = path.read_text(encoding="utf-8").splitlines()
     row = json.loads(lines[1])
-    row["gold"]["value"] += 1
+    tamper(row)
     lines[1] = json.dumps(row, sort_keys=True, separators=(",", ":"))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(DatasetFormatError, match="verification"):
+    with pytest.raises(DatasetFormatError, match=f"^instance {row['id']}: {error}"):
         load_dataset(path, verify=True)
-    assert len(load_dataset(path, verify=False)) == 2
+    assert len(load_dataset(path, verify=False)) == len(instances)
+
+
+@pytest.mark.parametrize("header", ["[1, 2]", "7", '"graphbench"', "null"])
+def test_load_rejects_a_header_that_is_not_an_object(tmp_path, header):
+    path = tmp_path / "data.jsonl"
+    path.write_text(header + "\n", encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match="line 1"):
+        load_dataset(path)
 
 
 def test_verify_accepts_alternate_valid_forest():

@@ -9,6 +9,7 @@ from graphbench import (
     Strategy,
     Task,
     aggregate_report,
+    assemble_dataset,
     build_instances,
     emit_report,
     evaluate_response,
@@ -19,6 +20,7 @@ from graphbench import (
     save_records,
     score_instance,
     validate_spanning_tree,
+    verify_gold_answers,
 )
 from graphbench.dataset import TaskInstance
 from graphbench.oracles import gold_answer
@@ -56,6 +58,16 @@ def test_score_node_set():
     inst = instance_for(Task.NEIGHBORS)
     assert score_instance(inst, inst.gold)
     assert not score_instance(inst, Answer.node_set(set(inst.gold.value) ^ {0, 1}))
+
+
+def test_score_accepts_every_verified_gold():
+    # Scoring and gold verification share one rule, so a stored gold that
+    # passes verification scores as right on all ten tasks.
+    _, instances = assemble_dataset(0, graphs_per_cell=2)
+    verify_gold_answers(instances)
+    assert {inst.task for inst in instances} == set(Task)
+    for inst in instances:
+        assert score_instance(inst, inst.gold, label_base=0), inst.id
 
 
 def test_score_rejects_kind_mismatch():
