@@ -89,12 +89,17 @@ class TaskInstance:
         graph = graphs.get(key)
         if graph is None:
             graph = graphs[key] = Graph.from_edges(stored["n"], stored["edges"], stored["directed"])
+        task = Task(obj["task"])
+        query = tuple(obj["query"])
+        if len(query) != query_arity(task):
+            raise ValueError(f"{task.value} query {list(query)} has arity {len(query)}, "
+                             f"expected {query_arity(task)}")
         return cls(
             id=obj["id"],
-            task=Task(obj["task"]),
+            task=task,
             bucket=SizeBucket(bucket["name"], bucket["n_min"], bucket["n_max"]),
             graph=graph,
-            query=tuple(obj["query"]),
+            query=query,
             gold=answer_from_json(obj["gold"]),
             seed=obj["seed"],
         )
@@ -307,11 +312,19 @@ def load_dataset(path: str | Path, verify: bool = True) -> list[TaskInstance]:
     verify: re-check every gold answer by the scoring rule, ``is_right_answer``.
 
     Instances whose stored graphs are equal share one immutable ``Graph``, as
-    they do straight after ``build_instances``. The cyclic garbage collector
-    is paused only while the lines are parsed (the parse allocates many
-    objects but makes no reference cycles, so a collection there reclaims
-    nothing), and its prior state is restored before gold verification runs,
-    also when a line is corrupt.
+    they do straight after ``build_instances``.
+
+    The parse makes hundreds of thousands of objects and no reference cycles,
+    yet every later cyclic collection would walk them all. So when the
+    collector is enabled, load collects once (existing cyclic garbage is
+    still reclaimed), pauses the collector while it parses, and after a
+    successful parse moves every tracked object into the permanent generation
+    with ``gc.freeze()``; reference counting still frees the instances when
+    they are dropped. The caller inherits this: objects that were live at
+    load time are no longer cyclically collected until ``gc.unfreeze()``.
+    The collector's prior state is restored before gold verification runs,
+    also when a line is corrupt. With the collector off, load neither
+    collects nor freezes.
     """
     path = Path(path)
     instances: list[TaskInstance] = []
@@ -330,6 +343,8 @@ def load_dataset(path: str | Path, verify: bool = True) -> list[TaskInstance]:
                 f"expected {SCHEMA_VERSION}"
             )
         gc_was_enabled = gc.isenabled()
+        if gc_was_enabled:
+            gc.collect()
         gc.disable()
         try:
             for lineno, line in enumerate(f, start=2):
@@ -339,6 +354,10 @@ def load_dataset(path: str | Path, verify: bool = True) -> list[TaskInstance]:
                     instances.append(TaskInstance.from_json_obj(json.loads(line), graphs))
                 except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                     raise DatasetFormatError(f"line {lineno}: corrupt instance: {exc}") from exc
+            if gc_was_enabled:
+                # Before re-enabling: the freeze also resets the allocation
+                # count that would otherwise start a collection at once.
+                gc.freeze()
         finally:
             if gc_was_enabled:
                 gc.enable()

@@ -6,6 +6,8 @@ yield byte-identical prompts, which the golden-file tests rely on.
 Only (task, bucket, k, exemplar seed, label base) decides a prompt's exemplars
 and only (task, style) its pseudo-code, so each cell's exemplar and pseudo-code
 sections are rendered once per process and reused by every prompt in the cell.
+An instance's edge list is likewise encoded once per (graph, label base) while
+the graph's instances, adjacent in dataset order, are rendered.
 """
 from __future__ import annotations
 
@@ -330,6 +332,14 @@ def _exemplar_sections(
     )
 
 
+# Unlike a cell's sections, an edge list serves only its graph's few queries,
+# which are adjacent in dataset order; a small bound keeps that reuse while
+# holding few graphs alive.
+@functools.lru_cache(maxsize=64, typed=True)
+def _edge_list_section(g: Graph, label_base: int) -> str:
+    return encode_edge_list(g, label_base)
+
+
 def render_prompt(
     inst: TaskInstance,
     strategy: Strategy,
@@ -351,7 +361,7 @@ def render_prompt(
     if strategy.uses_exemplars:
         sections.extend(_exemplar_sections(inst.task, inst.bucket, strategy.k, exemplar_seed, base))
     sections.append(
-        f"{encode_edge_list(inst.graph, base)}\n"
+        f"{_edge_list_section(inst.graph, base)}\n"
         f"{question_for(inst.task, inst.query, base)}\n"
         f"{answer_format_line(inst.task)}"
     )

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import sys
 from pathlib import Path
 
@@ -15,6 +16,15 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def make_graph(n, edges, directed=False):
     return Graph.from_edges(n, edges, directed=directed)
+
+
+@pytest.fixture(autouse=True)
+def unfreeze_after_test():
+    """``load_dataset`` freezes every live object; without this, one test's
+    load would exempt its objects from cyclic collection (and hide cyclic
+    file leaks from the ResourceWarning filter) for the rest of the session."""
+    yield
+    gc.unfreeze()
 
 
 @pytest.fixture

@@ -632,6 +632,23 @@ def test_run_rejects_a_gold_of_the_wrong_kind(tmp_path, capsys):
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize("no_verify", [[], ["--no-verify"]])
+def test_run_rejects_a_query_of_the_wrong_arity(tmp_path, capsys, no_verify):
+    path = tmp_path / "data.jsonl"
+    assert run_cli("generate", "--seed", 0, "--out", path, "--tasks", "node_degree",
+                   "--buckets", "S", "--graphs-per-cell", 1) == 0
+    header, *rows = [json.loads(line) for line in path.read_text().splitlines()]
+    rows[0]["query"] = []
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in [header, *rows]))
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert run_cli("run", "--dataset", path, "--backend", "mock:oracle", "--out", out,
+                   *no_verify) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: line 2: corrupt instance: node_degree query [] has arity 0, expected 1"]
+    assert not (out / "summary.json").exists()
+
+
 def test_run_rejects_a_header_that_is_not_an_object(tmp_path, capsys):
     path = tmp_path / "data.jsonl"
     path.write_text("[1, 2]\n")

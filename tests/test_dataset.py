@@ -1,5 +1,6 @@
 import gc
 import json
+import weakref
 
 import pytest
 
@@ -243,6 +244,81 @@ def test_load_restores_gc_state(small_saved, monkeypatch, enabled, corrupt):
         (gc.enable if was_enabled else gc.disable)()
     assert parse_states and not any(parse_states)
     assert verify_states == ([] if corrupt else [enabled])
+
+
+class _Cycle:
+    def __init__(self):
+        self.self = self
+
+
+def _old_cyclic_garbage():
+    """A weakref to a reference cycle that became garbage in the oldest
+    generation, which only a full collection reclaims."""
+    cycle = _Cycle()
+    gc.collect()
+    ref = weakref.ref(cycle)
+    del cycle
+    return ref
+
+
+def test_load_freezes_what_it_loaded(small_saved):
+    instances, path = small_saved
+    before = gc.get_freeze_count()
+    loaded = load_dataset(path)
+    assert len(loaded) == len(instances)
+    assert gc.get_freeze_count() >= before + len(loaded)
+
+
+def test_load_collects_cyclic_garbage_before_freezing(small_saved):
+    _, path = small_saved
+    ref = _old_cyclic_garbage()
+    assert ref() is not None
+    load_dataset(path)
+    assert ref() is None
+
+
+def test_load_neither_collects_nor_freezes_with_the_collector_off(small_saved):
+    _, path = small_saved
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ref = _old_cyclic_garbage()
+        before = gc.get_freeze_count()
+        load_dataset(path)
+        assert gc.get_freeze_count() == before
+        assert ref() is not None
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_corrupt_line_freezes_nothing(small_saved):
+    _, path = small_saved
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[-1] = lines[-1][:20]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    before = gc.get_freeze_count()
+    with pytest.raises(DatasetFormatError, match=f"line {len(lines)}"):
+        load_dataset(path)
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("task, query", [
+    (Task.NODE_DEGREE, []), (Task.NODE_DEGREE, [0, 1]), (Task.SHORTEST_PATH, [0]),
+    (Task.EDGE_COUNT, [0]),
+])
+def test_load_rejects_a_query_of_the_wrong_arity(tmp_path, task, query):
+    _, instances = assemble_dataset(0, tasks=[task], buckets=[SMALL], graphs_per_cell=1)
+    path = tmp_path / "data.jsonl"
+    save_dataset(instances, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    row = json.loads(lines[1])
+    row["query"] = query
+    lines[1] = json.dumps(row)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for verify in (True, False):
+        with pytest.raises(DatasetFormatError,
+                           match=rf"^line 2: corrupt instance: {task.value} query \["):
+            load_dataset(path, verify=verify)
 
 
 def _bump_gold(row):

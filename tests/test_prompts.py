@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -8,6 +9,7 @@ from graphbench import (
     ALL_TASKS,
     BAG_SENTENCE,
     DEFAULT_EXEMPLAR_SEED,
+    Graph,
     PseudocodeStyle,
     SMALL,
     Strategy,
@@ -260,6 +262,27 @@ def test_cell_sections_are_built_once_per_process(monkeypatch):
     texts = [render_prompt(inst, strategy).text for inst in cell]
     assert len(cell) == 20 and len(set(texts)) > 1
     assert calls == {"build_exemplars": 1, "pseudocode_for": 1}
+
+
+def test_edge_list_memo_matches_encode_edge_list():
+    # Equal graphs held as distinct objects share an entry; a directed and an
+    # undirected graph over one edge set, and label base True against 1, must
+    # not, because they encode differently.
+    edges = [(0, 1), (1, 2), (0, 2)]
+    graphs = [Graph.from_edges(3, edges), Graph.from_edges(4, edges, directed=True),
+              Graph.from_edges(3, edges), Graph.from_edges(3, edges, directed=True)]
+    assert graphs[0] == graphs[2] and graphs[0] is not graphs[2]
+    inst = first_instance(Task.EDGE_COUNT)
+    prompts._edge_list_section.cache_clear()
+    for _ in range(2):
+        for label_base in (0, True, 1, 0, True):
+            for g in graphs:
+                want = encode_edge_list(g, label_base)
+                assert prompts._edge_list_section(g, label_base) == want
+                text = render_prompt(replace(inst, graph=g), Strategy.zero_shot(), label_base=label_base).text
+                assert f"\n\n{want}\n" in text, (g, label_base)
+    assert "numbered True.." in encode_edge_list(graphs[0], True)
+    assert prompts._edge_list_section.cache_info().maxsize is not None
 
 
 # --- encoding and label bases ------------------------------------------------------
