@@ -7,10 +7,12 @@ path adds 3 x 100 x 5 = 1,500; 6,600 in total.
 Persistence: ``_instance_line`` is the one serializer and ``content_digest``
 the one loop that hashes its lines. ``save_dataset`` writes each line from
 that loop as it is hashed, so a saved dataset is serialized once and its
-digest describes the bytes on disk.
+digest describes the bytes on disk. Each distinct graph's ``"graph"`` object
+is encoded once and joined into the lines of all its instances.
 """
 from __future__ import annotations
 
+import functools
 import gc
 import hashlib
 import json
@@ -59,24 +61,9 @@ class TaskInstance:
     gold: Answer
     seed: int
 
-    def to_json_obj(self) -> dict:
-        return {
-            "id": self.id,
-            "task": self.task.value,
-            "bucket": {"name": self.bucket.name, "n_min": self.bucket.n_min, "n_max": self.bucket.n_max},
-            "graph": {
-                "n": self.graph.n,
-                "edges": [list(e) for e in self.graph.sorted_edges],
-                "directed": self.graph.directed,
-            },
-            "query": list(self.query),
-            "gold": answer_to_json(self.gold),
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_json_obj(cls, obj: dict, graphs: dict | None = None) -> "TaskInstance":
-        """Inverse of ``to_json_obj``.
+        """Inverse of ``_instance_line``, given the parsed line.
 
         ``graphs`` memoizes graphs by their stored form, so instances whose
         stored graphs are equal share one ``Graph``; pass one dict per load.
@@ -180,7 +167,10 @@ def _graph_for_instance(task: Task, bucket: SizeBucket, instance_seed: int) -> G
     return gen_er(cfg, derive_seed(instance_seed, "graph", 0))
 
 
-def _same_component_pairs(g: Graph) -> list[tuple[int, int]]:
+# _graph_for_instance counts the pairs of the shortest-path graph it accepts,
+# and _queries_for_instance draws from them next; one entry serves both.
+@functools.lru_cache(maxsize=1)
+def _same_component_pairs(g: Graph) -> tuple[tuple[int, int], ...]:
     """All unordered pairs of distinct nodes in one component, sorted."""
     uf = oracles._UnionFind(g.n)
     for u, v in g.edges:
@@ -193,7 +183,7 @@ def _same_component_pairs(g: Graph) -> list[tuple[int, int]]:
         for i, u in enumerate(nodes):
             for v in nodes[i + 1 :]:
                 pairs.append((u, v))
-    return sorted(pairs)
+    return tuple(sorted(pairs))
 
 
 def _queries_for_instance(task: Task, g: Graph, instance_seed: int) -> list[tuple[int, ...]]:
@@ -279,8 +269,27 @@ def assemble_dataset(
 # --- persistence --------------------------------------------------------------
 
 
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+# A graph's instances are adjacent in dataset order, so a small bound encodes
+# each distinct graph once while holding few graphs alive.
+@functools.lru_cache(maxsize=64)
+def _graph_json(graph: Graph) -> str:
+    return _encode({"n": graph.n, "edges": graph.sorted_edges, "directed": graph.directed})
+
+
 def _instance_line(inst: TaskInstance) -> str:
-    return json.dumps(inst.to_json_obj(), sort_keys=True, separators=(",", ":"))
+    """The instance as one sorted-key, compact JSON object. Its keys sort as
+    ``bucket``, ``gold`` < ``graph`` < ``id``, ``query``, ``seed``, ``task``,
+    so the graph's cached fragment is joined between the two encoded halves."""
+    bucket = inst.bucket
+    head = _encode({
+        "bucket": {"name": bucket.name, "n_min": bucket.n_min, "n_max": bucket.n_max},
+        "gold": answer_to_json(inst.gold),
+    })
+    tail = _encode({"id": inst.id, "query": inst.query, "seed": inst.seed, "task": inst.task.value})
+    return f'{head[:-1]},"graph":{_graph_json(inst.graph)},{tail[1:]}'
 
 
 def content_digest(instances: Iterable[TaskInstance], out: TextIO | None = None) -> str:

@@ -286,12 +286,14 @@ class EvalRecord:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "EvalRecord":
+        if not isinstance(obj["correct"], bool):
+            raise TypeError(f"correct must be true or false, got {obj['correct']!r}")
         return cls(
             instance_id=obj["instance_id"],
             task=Task(obj["task"]),
             bucket=obj["bucket"],
             strategy=obj["strategy"],
-            correct=bool(obj["correct"]),
+            correct=obj["correct"],
             failure=FailureKind(obj["failure"]),
             extracted=obj.get("extracted"),
             detail=obj.get("detail", ""),

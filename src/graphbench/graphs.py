@@ -46,10 +46,13 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]], directed: bool = False) -> "Graph":
-        """Build a graph, canonicalizing undirected pairs and dropping duplicates."""
+        """Build a graph, canonicalizing undirected pairs and dropping duplicates.
+
+        Endpoints must be ``int`` (not ``bool`` or ``float``); nothing is coerced."""
         canon: set[Edge] = set()
         for u, v in edges:
-            u, v = int(u), int(v)
+            if type(u) is not int or type(v) is not int:
+                raise TypeError(f"edge ({u!r}, {v!r}) has an endpoint that is not an int")
             if not directed and u > v:
                 u, v = v, u
             canon.add((u, v))

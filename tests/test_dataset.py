@@ -418,7 +418,7 @@ def test_instances_by_id():
 def test_instance_json_round_trip():
     for task in (Task.MST, Task.TOPOLOGICAL_SORT, Task.NEIGHBORS, Task.SHORTEST_PATH):
         for inst in small_cell(task, 2):
-            assert TaskInstance.from_json_obj(inst.to_json_obj()) == inst
+            assert TaskInstance.from_json_obj(json.loads(ds._instance_line(inst))) == inst
 
 
 def test_gold_answers_match_oracles_direct():
@@ -427,3 +427,92 @@ def test_gold_answers_match_oracles_direct():
             if task in (Task.MST,):
                 continue  # forest is one of many valid answers; verified structurally
             assert inst.gold == gold_answer(task, inst.graph, inst.query)
+
+
+# --- the serializer ------------------------------------------------------------------
+
+
+def _reference_line(inst):
+    """The instance line as one ``json.dumps`` of the whole object."""
+    return json.dumps({
+        "id": inst.id,
+        "task": inst.task.value,
+        "bucket": {"name": inst.bucket.name, "n_min": inst.bucket.n_min,
+                   "n_max": inst.bucket.n_max},
+        "graph": {"n": inst.graph.n, "edges": [list(e) for e in sorted(inst.graph.edges)],
+                  "directed": inst.graph.directed},
+        "query": list(inst.query),
+        "gold": answer_to_json(inst.gold),
+        "seed": inst.seed,
+    }, sort_keys=True, separators=(",", ":"))
+
+
+def _edgeless_instance():
+    g = Graph(n=3, edges=frozenset())
+    return TaskInstance(id="edge_count-S-999-0", task=Task.EDGE_COUNT, bucket=SMALL, graph=g,
+                        query=(), gold=gold_answer(Task.EDGE_COUNT, g, ()), seed=7)
+
+
+def test_instance_line_matches_one_dump_of_the_whole_object():
+    _, instances = assemble_dataset(0, graphs_per_cell=2)
+    instances.append(_edgeless_instance())
+    assert {inst.task for inst in instances} == set(ALL_TASKS)
+    assert {inst.bucket for inst in instances} == set(ALL_BUCKETS)
+    assert any(inst.graph.directed for inst in instances)  # the DAGs of topological sort
+    assert not instances[-1].graph.edges
+    for inst in instances:
+        assert ds._instance_line(inst) == _reference_line(inst)
+
+
+def test_directed_and_undirected_graphs_encode_apart():
+    edges = [(0, 1), (1, 2)]
+    lines = set()
+    for directed in (False, True):
+        g = Graph.from_edges(3, edges, directed=directed)
+        inst = TaskInstance(id="edge_count-S-000-0", task=Task.EDGE_COUNT, bucket=SMALL,
+                            graph=g, query=(), gold=gold_answer(Task.EDGE_COUNT, g, ()), seed=0)
+        assert ds._instance_line(inst) == _reference_line(inst)
+        lines.add(ds._instance_line(inst))
+    assert len(lines) == 2
+
+
+def test_instance_line_holds_across_cache_eviction_and_repeats():
+    ds._graph_json.cache_clear()
+    distinct = small_cell(Task.EDGE_COUNT, 70)
+    assert len({inst.graph for inst in distinct}) > 64
+    # Equal graphs far apart, as separate objects: the first ones come back
+    # after 64 others have evicted them.
+    repeats = [TaskInstance(id=i.id, task=i.task, bucket=i.bucket,
+                            graph=Graph.from_edges(i.graph.n, i.graph.edges), query=i.query,
+                            gold=i.gold, seed=i.seed) for i in distinct[:5]]
+    sequence = distinct + repeats + distinct[::-1]
+    assert [ds._instance_line(i) for i in sequence] == [_reference_line(i) for i in sequence]
+    assert ds._graph_json.cache_info().currsize == 64
+    assert ds._graph_json.cache_info().misses > 70
+
+
+def test_shortest_path_pairs_computed_once_per_graph(monkeypatch):
+    ds._same_component_pairs.cache_clear()
+    generated, union_finds = [], []
+    gen_er, union_find = ds.gen_er, ds.oracles._UnionFind
+    monkeypatch.setattr(ds, "gen_er", lambda *a: generated.append(gen_er(*a)) or generated[-1])
+    monkeypatch.setattr(ds.oracles, "_UnionFind",
+                        lambda n: union_finds.append(n) or union_find(n))
+    small_cell(Task.SHORTEST_PATH, 20)
+    assert len(union_finds) == len(generated) > 20
+
+
+@pytest.mark.parametrize("endpoint", [0.9, 1.0, True, "1"])
+def test_load_rejects_an_edge_endpoint_that_is_not_an_int(tmp_path, endpoint):
+    _, instances = assemble_dataset(0, tasks=[Task.EDGE_COUNT], buckets=[SMALL],
+                                    graphs_per_cell=3)
+    path = tmp_path / "data.jsonl"
+    save_dataset(instances, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    row = json.loads(lines[1])
+    row["graph"]["edges"][0][0] = endpoint
+    lines[1] = json.dumps(row, sort_keys=True, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for verify in (True, False):
+        with pytest.raises(DatasetFormatError, match="^line 2: corrupt instance: edge .* not an int"):
+            load_dataset(path, verify=verify)

@@ -1,3 +1,6 @@
+import json
+import re
+
 import pytest
 
 from conftest import make_graph
@@ -145,6 +148,19 @@ def test_records_round_trip(tmp_path):
     path = tmp_path / "records.jsonl"
     save_records(records, path)
     assert load_records(path) == records
+
+
+@pytest.mark.parametrize("correct", ["false", "true", 0, 1, None])
+def test_load_records_rejects_a_correct_that_is_not_a_bool(tmp_path, correct):
+    inst = instance_for(Task.CYCLE_CHECK)
+    path = tmp_path / "records.jsonl"
+    save_records([evaluate_response(inst, Strategy.zero_shot(), "Answer: Yes")], path)
+    row = json.loads(path.read_text(encoding="utf-8"))
+    assert row["correct"] is True
+    row["correct"] = correct
+    path.write_text("\n" + json.dumps(row) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: not a records row$"):
+        load_records(path)
 
 
 # --- aggregation ------------------------------------------------------------------------

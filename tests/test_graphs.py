@@ -92,6 +92,13 @@ def test_directed_edges_kept_as_given():
     assert g.edges == frozenset({(2, 0)})
 
 
+@pytest.mark.parametrize("edge", [(0.9, 2), (0, 2.0), (True, 2), (0, False), ("0", 2), (None, 1)])
+def test_from_edges_rejects_endpoints_that_are_not_ints(edge):
+    for directed in (False, True):
+        with pytest.raises(TypeError, match="not an int"):
+            Graph.from_edges(3, [(0, 1), edge], directed=directed)
+
+
 # --- seed splitting ---------------------------------------------------------------
 
 
