@@ -89,7 +89,7 @@ class ResponseCache:
     Safe for concurrent use within one process; writes are serialized by a
     lock and flushed per record so an interrupted run loses at most the
     record being written. The first ``put`` opens one append handle, which
-    stays open until ``close``.
+    stays open until ``close``. Reading never writes to the file.
     """
 
     def __init__(self, path: str | Path):
@@ -97,30 +97,31 @@ class ResponseCache:
         self._lock = threading.Lock()
         self._entries: dict[str, str] = {}
         self._fh: Optional[TextIO] = None
+        self._tail: Optional[tuple[int, str]] = None  # (length to keep, text to add)
         if self.path.exists():
             self._load()
 
     def _load(self) -> None:
-        """Read every record; repair the tail that an interrupted ``put`` leaves.
+        """Read every record; note the tail that an interrupted ``put`` leaves.
 
         Only the final line can lack its newline. If it does not parse, it is
-        a torn record: it is skipped and cut from the file. If it parses, the
-        newline is added. Either way the next ``put`` starts a fresh line. A
-        line that does not parse anywhere else means corruption and raises, as
-        does a line that parses to anything but a ``key``/``text`` record.
+        a torn record: it is skipped, and the first ``put`` cuts it. If it
+        parses, that ``put`` adds the newline. Any other line that does not
+        parse to a ``key``/``text`` record raises ``ValueError`` naming
+        ``FILE:LINE``.
         """
         whole = 0  # length of the file's prefix whose lines all parsed
         ends_line = True
-        torn = False
         with self.path.open("rb") as fh:
             for lineno, raw in enumerate(fh, 1):
                 if raw.strip():
                     try:
                         obj = json.loads(raw)
-                    except ValueError:
+                    except ValueError as exc:
                         if raw.endswith(b"\n"):
-                            raise
-                        torn = True
+                            raise ValueError(
+                                f"{self.path}:{lineno}: not a response cache record") from exc
+                        self._tail = (whole, "")
                         break
                     if not (isinstance(obj, dict) and isinstance(obj.get("key"), str)
                             and isinstance(obj.get("text"), str)):
@@ -128,12 +129,8 @@ class ResponseCache:
                     self._entries[obj["key"]] = obj["text"]
                 whole += len(raw)
                 ends_line = raw.endswith(b"\n")
-        if torn or not ends_line:
-            with self.path.open("r+b") as fh:
-                fh.truncate(whole)
-                if not ends_line:
-                    fh.seek(whole)
-                    fh.write(b"\n")
+        if not ends_line:
+            self._tail = (whole, "\n")
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -152,6 +149,10 @@ class ResponseCache:
             if self._fh is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 self._fh = self.path.open("a", encoding="utf-8")
+                if self._tail is not None:  # repair the tail _load found
+                    self._fh.truncate(self._tail[0])
+                    self._fh.write(self._tail[1])
+                    self._tail = None
             self._fh.write(json.dumps({"key": key, "text": text}) + "\n")
             self._fh.flush()
 

@@ -22,7 +22,6 @@ class ExtractionFailed(ValueError):
 
 
 _T = TypeVar("_T")
-_WINDOW = 512
 _SENTINEL = re.compile(r"answer\s*:", re.IGNORECASE)
 
 # Comma-grouped form first so "1,275" is taken whole, not as 1 and 275.
@@ -63,14 +62,12 @@ _BOOL_TASK = {
 
 def _regions(text: str) -> Iterator[tuple[str, bool]]:
     """Yield ``(region, is_tail)`` in precedence order: the text after the
-    last "Answer:" sentinel (if there is one), the trailing 512 characters,
-    then the whole text."""
+    last "Answer:" sentinel (if there is one), then the whole text."""
     last = None
     for last in _SENTINEL.finditer(text):
         pass
     if last is not None:
         yield text[last.end():], True
-    yield text[-_WINDOW:], False
     yield text, False
 
 
@@ -197,9 +194,9 @@ _NOT_FOUND = {
 def extract_answer(task: Task, text: str) -> Answer:
     """Pull the task's answer out of free-form response text.
 
-    Precedence: the first candidate after the last "Answer:" sentinel, then
-    the last candidate in the trailing 512 characters, then the last in the
-    whole text. A yes/no verdict is the one that ends last in any region. A
+    Precedence: the first candidate after the last "Answer:" sentinel, else
+    the last candidate in the whole text, read uncut however long the text
+    is. A yes/no verdict is the one that ends last in either region. A
     bare comma chain counts as a node ordering, and an empty ``[]`` as an
     edge list, only after the sentinel. Node labels are returned exactly as
     written; any base shift happens at scoring time.

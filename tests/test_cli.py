@@ -223,6 +223,36 @@ def test_run_replay_reproduces_records(dataset, tmp_path):
     assert (tmp_path / "rp2" / "records.jsonl").read_bytes() == orig
 
 
+@pytest.mark.parametrize("tail", ["whole", "torn", "unterminated"])
+def test_run_replay_leaves_the_cache_bytes_unchanged(dataset, tmp_path, tail):
+    cache = tmp_path / "cache.jsonl"
+    run_cli("run", "--dataset", dataset, "--backend", "mock:oracle",
+            "--cache", cache, "--out", tmp_path / "orig")
+    recorded = {"whole": cache.read_bytes(),
+                "torn": cache.read_bytes() + b'{"key": "k", "te',
+                "unterminated": cache.read_bytes()[:-1]}[tail]
+    cache.write_bytes(recorded)
+    assert run_cli("run", "--dataset", dataset, "--backend", "replay",
+                   "--cache", cache, "--out", tmp_path / "r") == 0
+    assert cache.read_bytes() == recorded
+    assert (tmp_path / "r" / "records.jsonl").read_bytes() == \
+        (tmp_path / "orig" / "records.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("backend", ["mock:oracle", "replay"])
+def test_run_names_the_corrupt_cache_line(dataset, tmp_path, capsys, backend):
+    cache = tmp_path / "cache.jsonl"
+    run_cli("run", "--dataset", dataset, "--backend", "mock:oracle",
+            "--cache", cache, "--out", tmp_path / "orig")
+    lines = cache.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[3] = "{not json\n"
+    cache.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("run", "--dataset", dataset, "--backend", backend,
+                   "--cache", cache, "--out", tmp_path / "r") == 1
+    assert capsys.readouterr().err == f"error: {cache}:4: not a response cache record\n"
+
+
 def test_run_replay_missing_cache_fails(dataset, tmp_path, capsys):
     code = run_cli("run", "--dataset", dataset, "--backend", "replay",
                    "--cache", tmp_path / "nope.jsonl", "--out", tmp_path / "r")

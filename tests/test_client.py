@@ -131,23 +131,29 @@ def _record(key, text):
 def test_cache_resumes_after_torn_trailing_line(tmp_path):
     path = tmp_path / "cache.jsonl"
     whole = _record("k1", "one") + _record("k2", "two")
-    path.write_text(whole + _record("k3", "three")[:-9], encoding="utf-8")
+    torn = whole + _record("k3", "three")[:-9]
+    path.write_text(torn, encoding="utf-8")
     resumed = ResponseCache(path)
     assert len(resumed) == 2 and "k3" not in resumed
-    assert path.read_text(encoding="utf-8") == whole  # the torn record is cut
+    assert path.read_text(encoding="utf-8") == torn  # loading writes nothing
     resumed.put("k3", "three")
     resumed.close()
+    # The first put cuts the torn record and appends on a fresh line.
+    assert path.read_text(encoding="utf-8") == whole + _record("k3", "three")
     reopened = ResponseCache(path)
     assert [reopened.get(k) for k in ("k1", "k2", "k3")] == ["one", "two", "three"]
 
 
 def test_cache_completes_unterminated_final_record(tmp_path):
     path = tmp_path / "cache.jsonl"
-    path.write_text(_record("k1", "one") + _record("k2", "two")[:-1], encoding="utf-8")
+    unterminated = _record("k1", "one") + _record("k2", "two")[:-1]
+    path.write_text(unterminated, encoding="utf-8")
     resumed = ResponseCache(path)
     assert resumed.get("k2") == "two"
+    assert path.read_text(encoding="utf-8") == unterminated  # loading writes nothing
     resumed.put("k3", "three")
     resumed.close()
+    assert path.read_text(encoding="utf-8") == unterminated + "\n" + _record("k3", "three")
     assert len(ResponseCache(path)) == 3
 
 
@@ -157,7 +163,7 @@ def test_cache_rejects_corrupt_line_before_the_end(tmp_path, corrupt_at):
     lines[corrupt_at] = lines[corrupt_at][:-9] + "\n"
     path = tmp_path / "cache.jsonl"
     path.write_text("".join(lines), encoding="utf-8")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{path}:{corrupt_at + 1}: not a response cache record$"):
         ResponseCache(path)
     assert path.read_text(encoding="utf-8") == "".join(lines)  # left untouched
 

@@ -105,10 +105,10 @@ PRECEDENCE = [
     # (id, task, text, expected value)
     ("int-first-in-tail", Task.NODE_COUNT,
      "Counted 9 lines.\nAnswer: 7 nodes, not 8.", 7),
-    ("int-last-in-window", Task.NODE_COUNT,
+    ("int-last-in-whole-text", Task.NODE_COUNT,
      "First guess 5, then 6, finally 7 nodes.", 7),
-    ("int-straddling-window-start-is-cut", Task.NODE_COUNT,
-     "123456" + "." * 509, 456),
+    ("int-crossing-512-from-the-end-read-whole", Task.NODE_COUNT,
+     "123456" + "." * 509, 123456),
     ("node-set-first-valid-bracket-in-tail", Task.NEIGHBORS,
      "Scratch [9].\nAnswer: [a, b] then [1, 2], later [3]", {1, 2}),
     ("node-set-last-valid-bracket-outside-tail", Task.NEIGHBORS,
@@ -125,8 +125,8 @@ PRECEDENCE = [
      "Answer: (0, 1), (1, 2). Not (5, 6).", {(0, 1), (1, 2)}),
     ("edge-set-last-bare-run-outside-tail", Task.MST,
      "First try (0, 1), (1, 2). Corrected: (0, 2), (2, 3).", {(0, 2), (2, 3)}),
-    ("edge-set-run-straddling-window-start-is-cut", Task.MST,
-     _PAIR_LIST_80, {(i, i + 1) for i in range(29, 80)}),
+    ("edge-set-run-crossing-512-from-the-end-read-whole", Task.MST,
+     _PAIR_LIST_80, {(i, i + 1) for i in range(80)}),
     ("node-seq-comma-chain-in-tail", Task.TOPOLOGICAL_SORT,
      "Sorting by in-degree.\nAnswer: 2, 0, 1", (2, 0, 1)),
     ("node-seq-comma-chain-ignored-outside-tail", Task.TOPOLOGICAL_SORT,
@@ -139,10 +139,10 @@ PRECEDENCE = [
      "Answer: 3. Wait, recount.\nAnswer: 4", 4),
     ("last-sentinel-wins-bool", Task.CYCLE_CHECK,
      "Answer: yes. On reflection the graph is acyclic.\nAnswer: no", False),
-    # The window opens inside "does not contain a cycle", leaving "contain a cycle".
-    ("bool-verdict-straddling-window-start-is-cut", Task.CYCLE_CHECK,
-     "Checked every vertex; it does n" + "ot contain a cycle" + "." * (512 - 18), True),
-    ("bool-falls-back-to-window", Task.BIPARTITE_CHECK,
+    # 512 characters from the end falls inside "does not contain a cycle".
+    ("bool-verdict-crossing-512-from-the-end-read-whole", Task.CYCLE_CHECK,
+     "Checked every vertex; it does n" + "ot contain a cycle" + "." * (512 - 18), False),
+    ("bool-falls-back-to-whole-text", Task.BIPARTITE_CHECK,
      "Two-colouring works, so it is bipartite.\nAnswer: see above", True),
 ]
 

@@ -5,13 +5,13 @@ label base 0 and 1, wrapped in random prose that holds no answer-like token,
 and extracted again. Placements:
 
 - ``sentinel``: after an "Answer:" line, with prose after it too;
-- ``window``: bare, wholly inside the trailing 512-character window;
-- ``before-window``: bare, wholly before the window, so only the whole-text
-  fallback sees it;
-- ``straddle``: bare, starting before the window and ending inside it.
+- ``window``: bare, wholly inside the last 512 characters;
+- ``before-window``: bare, wholly before the last 512 characters;
+- ``straddle``: bare, starting before the last 512 characters and ending
+  inside them.
 
-Extraction reads a straddling answer cut at the window's start, so those
-cases are expected to fail until the window starts at a token boundary.
+Without a sentinel, extraction reads the last candidate of the whole text,
+so every bare placement must return the whole answer.
 """
 import random
 
@@ -25,12 +25,12 @@ from graphbench import (
     extract_answer,
     score_instance,
 )
-from graphbench.evaluate import _WINDOW
 from graphbench.prompts import format_answer
 
 SEED = 20240
 LABEL_BASES = (0, 1)
 PLACEMENTS = ("sentinel", "window", "before-window", "straddle")
+_WINDOW = 512  # the bare placements guard against a trailing window coming back
 
 # No digits, brackets, arrows, "answer", yes/no/true/false, or cycle and
 # bipartite vocabulary, so no word can be read as an answer of any kind.
@@ -75,18 +75,8 @@ def _wrap(rng, rendered, placement):
 
 
 def _cases():
-    cases = []
-    for task in ALL_TASKS:
-        for base in LABEL_BASES:
-            for placement in PLACEMENTS:
-                marks = ()
-                if placement == "straddle":
-                    marks = pytest.mark.xfail(
-                        reason="the trailing window starts mid-token and reads the answer cut",
-                        raises=AssertionError, strict=False)
-                cases.append(pytest.param(task, base, placement, marks=marks,
-                                          id=f"{task.value}-base{base}-{placement}"))
-    return cases
+    return [pytest.param(task, base, placement, id=f"{task.value}-base{base}-{placement}")
+            for task in ALL_TASKS for base in LABEL_BASES for placement in PLACEMENTS]
 
 
 def _texts(task, base, placement, answer_of):
