@@ -8,6 +8,7 @@ previously recorded cache only.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -71,16 +72,32 @@ class Transcript:
     cached: bool = False
 
 
+@functools.lru_cache(maxsize=None, typed=True)
+def _head_state(head: str, model: str, max_tokens: int):
+    """sha256 fed the key's JSON up to and including the escaped ``head + "\n\n"``.
+
+    Shared by every prompt of the cell and never updated once built; callers
+    hash on a copy. typed=True keeps max_tokens True and 1 apart, which
+    encode differently.
+    """
+    blob = json.dumps({"max_tokens": max_tokens, "model": model, "prompt": head + "\n\n"},
+                      sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob[:-len('"}')].encode("ascii"))
+
+
 def cache_key(bundle: PromptBundle, cfg: ModelConfig) -> str:
-    """Digest of everything that influences the response text."""
-    payload = {
-        "prompt": bundle.text,
-        "model": cfg.model,
-        "temperature": cfg.temperature,
-        "max_tokens": cfg.max_tokens,
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    """Digest of everything that influences the response text.
+
+    The sha256 of ``json.dumps({"max_tokens", "model", "prompt",
+    "temperature"}, sort_keys=True, separators=(",", ":"))``. The JSON is
+    hashed in two pieces: the cell's head state, then the rest. ASCII
+    escaping works per code point, so the escaped head and tail join to the
+    escaped prompt.
+    """
+    h = _head_state(bundle.head, cfg.model, cfg.max_tokens).copy()
+    h.update(f'{json.dumps(bundle.tail)[1:]},"temperature":{json.dumps(cfg.temperature)}}}'
+             .encode("ascii"))
+    return h.hexdigest()
 
 
 class ResponseCache:

@@ -3,11 +3,13 @@
 Rendering is a pure function of (instance, strategy, assets): identical inputs
 yield byte-identical prompts, which the golden-file tests rely on.
 
-Only (task, bucket, k, exemplar seed, label base) decides a prompt's exemplars
-and only (task, style) its pseudo-code, so each cell's exemplar and pseudo-code
-sections are rendered once per process and reused by every prompt in the cell.
-An instance's edge list is likewise encoded once per (graph, label base) while
-the graph's instances, adjacent in dataset order, are rendered.
+A prompt is its cell's head (description, pseudo-code, exemplars) followed by
+its instance's tail (edge list, question, answer format). Only (task, bucket,
+strategy, exemplar seed, label base) decides the head, so each head is built
+once per process and shared by every prompt in the cell; a ``PromptBundle``
+holds the head and the instance, and joins them only when its ``text`` is
+read. An instance's edge list is encoded once per (graph, label base) while
+the tails of the graph's instances, adjacent in dataset order, are read.
 """
 from __future__ import annotations
 
@@ -143,15 +145,6 @@ def standard_strategies(style: PseudocodeStyle = PseudocodeStyle.PLAIN) -> tuple
     )
 
 
-@dataclass(frozen=True)
-class PromptBundle:
-    """A fully rendered prompt plus the metadata that produced it."""
-
-    text: str
-    instance_id: str
-    label_base: int
-
-
 # --- surface text --------------------------------------------------------------
 
 _TASK_DESCRIPTIONS: dict[Task, str] = {
@@ -197,10 +190,15 @@ def answer_format_line(task: Task) -> str:
     return _ANSWER_FORMAT_LINES[TASK_ANSWER_KINDS[task]]
 
 
+def _check_label_base(label_base: int) -> None:
+    """Raise ValueError unless ``label_base`` is the int 0 or 1 (a bool is not)."""
+    if type(label_base) is not int or label_base not in (0, 1):
+        raise ValueError(f"label_base must be 0 or 1, not {label_base!r}")
+
+
 def encode_edge_list(g: Graph, label_base: int = 0) -> str:
     """Deterministic edge-list encoding; directed graphs state the direction."""
-    if label_base not in (0, 1):
-        raise ValueError("label_base must be 0 or 1")
+    _check_label_base(label_base)
     lo, hi = label_base, g.n - 1 + label_base
     pairs = ", ".join(f"({u + label_base}, {v + label_base})" for u, v in g.sorted_edges)
     pairs = pairs or "(none)"
@@ -309,20 +307,20 @@ def build_exemplars(
 
 # --- rendering ------------------------------------------------------------------
 
-# The helpers below hold each cell's sections for the life of the process. They
-# return immutable strings, so every prompt can share them; typed=True keeps
-# label_base True and 1 apart, which render differently. A cache miss calls
-# pseudocode_for / build_exemplars through the module globals, so a wrapper
-# installed on those names sees it.
+# The helpers below hold each cell's head and sections for the life of the
+# process. They return immutable strings, so every prompt can share them;
+# render_prompt checks the label base before it reaches them, so no key can
+# hold True in place of 1. A cache miss calls pseudocode_for / build_exemplars
+# through the module globals, so a wrapper installed on those names sees it.
 
 
-@functools.lru_cache(maxsize=None, typed=True)
+@functools.lru_cache(maxsize=None)
 def _pseudocode_section(task: Task, style: PseudocodeStyle) -> str:
     code = pseudocode_for(task, style).rstrip("\n")
     return f"You can follow this pseudo-code to solve the problem:\n{code}"
 
 
-@functools.lru_cache(maxsize=None, typed=True)
+@functools.lru_cache(maxsize=None)
 def _exemplar_sections(
     task: Task, bucket: SizeBucket, k: int, exemplar_seed: int, label_base: int
 ) -> tuple[str, ...]:
@@ -332,12 +330,62 @@ def _exemplar_sections(
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _head(
+    task: Task, bucket: SizeBucket, strategy: Strategy, exemplar_seed: int, label_base: int
+) -> str:
+    description = task_description(task)
+    if strategy.kind is StrategyKind.BAG:
+        description += f" {BAG_SENTENCE}."
+    elif strategy.kind is StrategyKind.ZERO_COT:
+        description += f" {ZERO_COT_SENTENCE}."
+    sections = [description]
+    if strategy.uses_pseudocode:
+        assert strategy.style is not None
+        sections.append(_pseudocode_section(task, strategy.style))
+    if strategy.uses_exemplars:
+        sections.extend(_exemplar_sections(task, bucket, strategy.k, exemplar_seed, label_base))
+    return "\n\n".join(sections)
+
+
 # Unlike a cell's sections, an edge list serves only its graph's few queries,
 # which are adjacent in dataset order; a small bound keeps that reuse while
 # holding few graphs alive.
-@functools.lru_cache(maxsize=64, typed=True)
+@functools.lru_cache(maxsize=64)
 def _edge_list_section(g: Graph, label_base: int) -> str:
     return encode_edge_list(g, label_base)
+
+
+@dataclass(frozen=True)
+class PromptBundle:
+    """One prompt: its cell's shared ``head``, the instance it asks about, and
+    the label base both are rendered in.
+
+    ``text`` is ``head``, a blank line and ``tail``. It is built on each read
+    and kept nowhere, so holding many bundles holds each head once.
+    """
+
+    head: str
+    instance: TaskInstance
+    label_base: int
+
+    @property
+    def instance_id(self) -> str:
+        return self.instance.id
+
+    @property
+    def tail(self) -> str:
+        """The instance's section: edge list, question and answer-format line."""
+        inst, base = self.instance, self.label_base
+        return (
+            f"{_edge_list_section(inst.graph, base)}\n"
+            f"{question_for(inst.task, inst.query, base)}\n"
+            f"{answer_format_line(inst.task)}"
+        )
+
+    @property
+    def text(self) -> str:
+        return f"{self.head}\n\n{self.tail}"
 
 
 def render_prompt(
@@ -346,27 +394,8 @@ def render_prompt(
     exemplar_seed: int = DEFAULT_EXEMPLAR_SEED,
     label_base: int | None = None,
 ) -> PromptBundle:
-    """Compose the full prompt for one instance under one strategy."""
+    """Compose the prompt for one instance under one strategy."""
     base = default_label_base(inst.task) if label_base is None else label_base
-    description = task_description(inst.task)
-    if strategy.kind is StrategyKind.BAG:
-        description += f" {BAG_SENTENCE}."
-    elif strategy.kind is StrategyKind.ZERO_COT:
-        description += f" {ZERO_COT_SENTENCE}."
-
-    sections = [description]
-    if strategy.uses_pseudocode:
-        assert strategy.style is not None
-        sections.append(_pseudocode_section(inst.task, strategy.style))
-    if strategy.uses_exemplars:
-        sections.extend(_exemplar_sections(inst.task, inst.bucket, strategy.k, exemplar_seed, base))
-    sections.append(
-        f"{_edge_list_section(inst.graph, base)}\n"
-        f"{question_for(inst.task, inst.query, base)}\n"
-        f"{answer_format_line(inst.task)}"
-    )
-    return PromptBundle(
-        text="\n\n".join(sections),
-        instance_id=inst.id,
-        label_base=base,
-    )
+    _check_label_base(base)
+    head = _head(inst.task, inst.bucket, strategy, exemplar_seed, base)
+    return PromptBundle(head=head, instance=inst, label_base=base)

@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 import graphbench.dataset as ds
-from graphbench import MEDIUM, SMALL, Answer, Graph, Task, load_records
+from graphbench import (MEDIUM, SMALL, Answer, Graph, ModelConfig, PromptBundle, Strategy, Task,
+                        cache_key, load_records, render_prompt)
 from graphbench.cli import main
 from graphbench.oracles import spanning_forest
 
@@ -411,6 +412,47 @@ def test_score_reads_transcripts_without_label_base(labelled_dataset, tmp_path):
                    "--transcripts", FIXTURES / "legacy_transcripts.jsonl",
                    "--out", out) == 0
     assert out.read_bytes() == (FIXTURES / "legacy_transcripts.records.jsonl").read_bytes()
+
+
+def test_cache_keys_match_keys_recorded_before_split_hashing(labelled_dataset):
+    """The fixture's ``prompt_hash`` values were recorded when the key hashed
+    one JSON dump of the whole prompt; hashing head and tail apart must
+    reproduce every one. Its 0-shot rows ran at ``--label-base 1``, its BaG
+    rows at each task's default."""
+    by_id = ds.instances_by_id(ds.load_dataset(labelled_dataset))
+    strategies = {"0-shot": (Strategy.zero_shot(), 1), "BaG": (Strategy.bag(), None)}
+    rows = [json.loads(line) for line in
+            (FIXTURES / "legacy_transcripts.jsonl").read_text().splitlines()]
+    assert len(rows) == 24
+    for row in rows:
+        strategy, label_base = strategies[row["strategy"]]
+        bundle = render_prompt(by_id[row["instance_id"]], strategy, label_base=label_base)
+        assert cache_key(bundle, ModelConfig(model=row["model"])) == row["prompt_hash"], row
+
+
+def test_mock_and_replay_runs_never_build_prompt_text(labelled_dataset, tmp_path, monkeypatch):
+    def run(backend, out, cache):
+        assert run_cli("run", "--dataset", labelled_dataset, "--strategy", "pseudo+k-shot",
+                       "--shots", 2, "--backend", backend, "--cache", tmp_path / cache,
+                       "--out", tmp_path / out) == 0
+        return [(tmp_path / out / name).read_bytes()
+                for name in ("transcripts.jsonl", "records.jsonl")]
+
+    plain = run("mock:oracle", "plain", "plain.jsonl")
+
+    def built(bundle):
+        raise AssertionError(f"prompt text of {bundle.instance_id} was built")
+
+    monkeypatch.setattr(PromptBundle, "text", property(built))
+    assert run("mock:oracle", "oracle", "oracle.jsonl") == plain
+    assert (tmp_path / "oracle.jsonl").read_bytes() == (tmp_path / "plain.jsonl").read_bytes()
+    replayed = run("replay", "replay", "oracle.jsonl")
+    assert replayed[1] == plain[1]
+    # render writes each text, so it fails while the patch is in place.
+    with pytest.raises(AssertionError, match="prompt text of .* was built"):
+        run_cli("render", "--dataset", labelled_dataset, "--out", tmp_path / "p.jsonl")
+    monkeypatch.undo()
+    assert run_cli("render", "--dataset", labelled_dataset, "--out", tmp_path / "p.jsonl") == 0
 
 
 def test_score_unknown_instance_fails(dataset, tmp_path):

@@ -1,10 +1,14 @@
+import hashlib
 import json
+import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 
 import pytest
 import requests
 
+import graphbench.client as client
 from graphbench import (
     CacheMissError,
     ClientError,
@@ -13,6 +17,8 @@ from graphbench import (
     MockAdversaryBackend,
     MockOracleBackend,
     ModelConfig,
+    PromptBundle,
+    PseudocodeStyle,
     RateLimitedError,
     ReplayBackend,
     RequestTimeout,
@@ -59,6 +65,76 @@ def test_cache_key_sensitive_to_inputs(bundles):
     assert cache_key(bundles[0], ModelConfig(model="other")) != base
     assert cache_key(bundles[0], ModelConfig(temperature=0.7)) != base
     assert cache_key(bundles[0], ModelConfig(max_tokens=128)) != base
+
+
+def whole_json_key(bundle, cfg):
+    """The key as it was first defined: sha256 of the whole payload's JSON."""
+    payload = {"prompt": bundle.text, "model": cfg.model,
+               "temperature": cfg.temperature, "max_tokens": cfg.max_tokens}
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+class EscapeHeavyBundle(PromptBundle):
+    """A bundle whose tail, unlike any rendered one, needs JSON escapes."""
+
+    @property
+    def tail(self):
+        return 'tail: naïve — 𝔾𝕣𝕒𝕡𝕙 "quoted" back\\slash\ttab\x00 \ud800 end'
+
+
+CONFIGS = [
+    ModelConfig(),
+    ModelConfig(temperature=0),
+    ModelConfig(temperature=1),
+    ModelConfig(temperature=0.7),
+    ModelConfig(temperature=-0.0),
+    ModelConfig(temperature=1e-7),
+    ModelConfig(max_tokens=1),
+    ModelConfig(max_tokens=True),  # equal to 1 as a dict key, but encodes as true
+    ModelConfig(model="mödel-𝔾 “v2”", max_tokens=128),
+]
+
+
+def test_cache_key_matches_whole_json_formula(instances):
+    strategies = [Strategy.zero_shot(), Strategy.bag(),
+                  Strategy.pseudo_k_shot(PseudocodeStyle.PYTHON, 2)]
+    bundles = [render_prompt(inst, strategy) for inst in instances for strategy in strategies]
+    bundles += [
+        EscapeHeavyBundle(head="head: ünïcode ✓ 😀 \"q\" \\ \x7f\u2028", instance=instances[0],
+                          label_base=0),
+        PromptBundle(head="𝔾 astral head", instance=instances[1], label_base=1),
+        PromptBundle(head="", instance=instances[2], label_base=0),
+    ]
+    # Each config is tried before and after the others, so a head state cached
+    # under one config can never answer for another.
+    for cfg in CONFIGS + CONFIGS[::-1]:
+        for bundle in bundles:
+            assert cache_key(bundle, cfg) == whole_json_key(bundle, cfg), (bundle.head[:20], cfg)
+
+
+def test_cache_key_from_four_threads_matches_whole_json_formula(instances):
+    bundles = [render_prompt(inst, strategy) for inst in instances
+               for strategy in (Strategy.k_shot(2), Strategy.zero_cot())]
+    jobs = [(b, cfg) for cfg in CONFIGS for b in bundles] * 3
+    want = [whole_json_key(b, cfg) for b, cfg in jobs]
+    client._head_state.cache_clear()  # so the threads race to build each state
+    start = threading.Barrier(4, timeout=60)
+
+    def keys(part):
+        start.wait()
+        return [cache_key(b, cfg) for b, cfg in jobs[part::4]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(keys, part) for part in range(4)]
+            parts = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for part, got in enumerate(parts):
+        assert got == want[part::4]
 
 
 # --- response cache ----------------------------------------------------------------

@@ -255,6 +255,7 @@ def test_cell_sections_are_built_once_per_process(monkeypatch):
     # route each miss through them.
     for name in calls:
         monkeypatch.setattr(prompts, name, counting(name, getattr(prompts, name)))
+    prompts._head.cache_clear()
     prompts._exemplar_sections.cache_clear()
     prompts._pseudocode_section.cache_clear()
     cell = build_instances(Task.NEIGHBORS, SMALL, master_seed=3, graph_count=4)
@@ -266,8 +267,8 @@ def test_cell_sections_are_built_once_per_process(monkeypatch):
 
 def test_edge_list_memo_matches_encode_edge_list():
     # Equal graphs held as distinct objects share an entry; a directed and an
-    # undirected graph over one edge set, and label base True against 1, must
-    # not, because they encode differently.
+    # undirected graph over one edge set must not, because they encode
+    # differently.
     edges = [(0, 1), (1, 2), (0, 2)]
     graphs = [Graph.from_edges(3, edges), Graph.from_edges(4, edges, directed=True),
               Graph.from_edges(3, edges), Graph.from_edges(3, edges, directed=True)]
@@ -275,14 +276,25 @@ def test_edge_list_memo_matches_encode_edge_list():
     inst = first_instance(Task.EDGE_COUNT)
     prompts._edge_list_section.cache_clear()
     for _ in range(2):
-        for label_base in (0, True, 1, 0, True):
+        for label_base in (0, 1, 0):
             for g in graphs:
                 want = encode_edge_list(g, label_base)
                 assert prompts._edge_list_section(g, label_base) == want
                 text = render_prompt(replace(inst, graph=g), Strategy.zero_shot(), label_base=label_base).text
                 assert f"\n\n{want}\n" in text, (g, label_base)
-    assert "numbered True.." in encode_edge_list(graphs[0], True)
     assert prompts._edge_list_section.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize("label_base", [2, -1, True, 1.0])
+def test_render_prompt_rejects_bad_label_base_when_called(label_base):
+    # The tail is built only when read, so the check must not wait for it. A
+    # bool is rejected too, or True would render "numbered True..".
+    inst = first_instance(Task.NODE_DEGREE)
+    for strategy in (Strategy.zero_shot(), Strategy.k_shot(2)):
+        with pytest.raises(ValueError, match="label_base must be 0 or 1"):
+            render_prompt(inst, strategy, label_base=label_base)
+    with pytest.raises(ValueError, match="label_base must be 0 or 1"):
+        encode_edge_list(inst.graph, label_base)
 
 
 # --- encoding and label bases ------------------------------------------------------
