@@ -97,7 +97,9 @@ def _score_transcripts(rows: Iterable[tuple[int, dict]], source: str | Path,
     parse = lru_cache(maxsize=None)(parse_strategy)
     records = []
     for lineno, row in rows:
+        # A bool equals 0 or 1, so the type is checked too.
         if not (isinstance(row, dict) and row.get("label_base") in (None, 0, 1)
+                and type(row.get("label_base")) is not bool
                 and all(isinstance(row.get(key), str) for key in
                         ("instance_id", "strategy", "text" if "text" in row else "error"))):
             raise ValueError(f"{source}:{lineno}: not a transcripts row")

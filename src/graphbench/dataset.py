@@ -62,20 +62,17 @@ class TaskInstance:
     seed: int
 
     @classmethod
-    def from_json_obj(cls, obj: dict, graphs: dict | None = None) -> "TaskInstance":
+    def from_json_obj(cls, obj: dict, graphs: "GraphTable | None" = None) -> "TaskInstance":
         """Inverse of ``_instance_line``, given the parsed line.
 
-        ``graphs`` memoizes graphs by their stored form, so instances whose
-        stored graphs are equal share one ``Graph``; pass one dict per load.
+        ``graphs`` builds the instance's ``Graph``; pass one ``GraphTable`` per
+        load, so that instances whose stored graphs are equal share one
+        ``Graph`` and equal edge pairs share one tuple.
         """
         bucket = obj["bucket"]
-        stored = obj["graph"]
         if graphs is None:
-            graphs = {}
-        key = (stored["n"], stored["directed"], tuple(map(tuple, stored["edges"])))
-        graph = graphs.get(key)
-        if graph is None:
-            graph = graphs[key] = Graph.from_edges(stored["n"], stored["edges"], stored["directed"])
+            graphs = GraphTable()
+        graph = graphs.graph(obj["graph"])
         task = Task(obj["task"])
         query = tuple(obj["query"])
         if len(query) != query_arity(task):
@@ -90,6 +87,30 @@ class TaskInstance:
             gold=answer_from_json(obj["gold"]),
             seed=obj["seed"],
         )
+
+
+class GraphTable:
+    """The graphs and edge pairs of one load, each distinct one held once.
+
+    A graph's instances are adjacent in a saved file, so a stored graph equal
+    to the one just built reuses its ``Graph``. Any other is built by
+    ``Graph.from_edges``, which checks and canonicalizes each pair before it
+    interns it in ``pairs``, and is then interned by value in ``graphs``.
+    """
+
+    def __init__(self) -> None:
+        self.graphs: dict[Graph, Graph] = {}
+        self.pairs: dict[tuple[int, int], tuple[int, int]] = {}
+        self._last: tuple[object, Graph | None] = (None, None)
+
+    def graph(self, stored: dict) -> Graph:
+        last_stored, last_graph = self._last
+        if last_graph is not None and stored == last_stored:
+            return last_graph
+        graph = Graph.from_edges(stored["n"], stored["edges"], stored["directed"], self.pairs)
+        graph = self.graphs.setdefault(graph, graph)
+        self._last = (stored, graph)
+        return graph
 
 
 def answer_to_json(answer: Answer) -> dict:
@@ -320,8 +341,15 @@ def load_dataset(path: str | Path, verify: bool = True) -> list[TaskInstance]:
     naming the line, for a header that is not a JSON object or a corrupt line.
     verify: re-check every gold answer by the scoring rule, ``is_right_answer``.
 
-    Instances whose stored graphs are equal share one immutable ``Graph``, as
-    they do straight after ``build_instances``.
+    Instances whose stored graphs are equal, wherever they sit in the file,
+    share one immutable ``Graph``, as they do straight after
+    ``build_instances``, and each distinct edge pair is one tuple shared by
+    all loaded graphs. One ``GraphTable`` does both for this call only; no
+    table outlives the load. Every endpoint is checked to be an int before
+    its pair is interned, so an endpoint ``true`` or ``1.0`` is a corrupt
+    line even where an equal int pair was loaded earlier. A line whose
+    ``"graph"`` object equals the line before it in value reuses that line's
+    ``Graph`` unchecked.
 
     The parse makes hundreds of thousands of objects and no reference cycles,
     yet every later cyclic collection would walk them all. So when the
@@ -337,7 +365,7 @@ def load_dataset(path: str | Path, verify: bool = True) -> list[TaskInstance]:
     """
     path = Path(path)
     instances: list[TaskInstance] = []
-    graphs: dict = {}
+    graphs = GraphTable()
     with path.open("r", encoding="utf-8") as f:
         header_line = f.readline()
         try:

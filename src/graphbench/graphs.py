@@ -45,17 +45,24 @@ class Graph:
                 raise ValueError(f"undirected edge ({u}, {v}) not canonical (need u < v)")
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[Sequence[int]], directed: bool = False) -> "Graph":
+    def from_edges(cls, n: int, edges: Iterable[Sequence[int]], directed: bool = False,
+                   pairs: dict[Edge, Edge] | None = None) -> "Graph":
         """Build a graph, canonicalizing undirected pairs and dropping duplicates.
 
-        Endpoints must be ``int`` (not ``bool`` or ``float``); nothing is coerced."""
+        Endpoints must be ``int`` (not ``bool`` or ``float``); nothing is coerced.
+        ``pairs`` interns edges: each pair, once checked and canonical, is
+        replaced by the equal tuple already in ``pairs`` or added to it, so
+        graphs built with one table share their equal pairs."""
+        if pairs is None:
+            pairs = {}
         canon: set[Edge] = set()
         for u, v in edges:
             if type(u) is not int or type(v) is not int:
                 raise TypeError(f"edge ({u!r}, {v!r}) has an endpoint that is not an int")
             if not directed and u > v:
                 u, v = v, u
-            canon.add((u, v))
+            pair = (u, v)
+            canon.add(pairs.setdefault(pair, pair))
         return cls(n=n, edges=frozenset(canon), directed=directed)
 
     @cached_property

@@ -382,6 +382,20 @@ def test_score_rejects_malformed_rows(dataset, tmp_path, capsys, row):
     assert f"error: {bad}:2: not a transcripts row" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("label_base", [True, False])
+def test_score_rejects_a_bool_label_base(dataset, tmp_path, capsys, label_base):
+    run_dir = tmp_path / "run"
+    run_cli("run", "--dataset", dataset, "--backend", "mock:oracle", "--out", run_dir)
+    rows = [json.loads(line) for line in (run_dir / "transcripts.jsonl").read_text().splitlines()]
+    bad = tmp_path / "transcripts.jsonl"
+    for base, code in ((int(label_base), 0), (label_base, 1)):
+        rows[2]["label_base"] = base
+        bad.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        assert run_cli("score", "--dataset", dataset, "--transcripts", bad,
+                       "--out", tmp_path / "r.jsonl") == code
+    assert capsys.readouterr().err == f"error: {bad}:3: not a transcripts row\n"
+
+
 def test_score_names_the_line_that_is_not_json(dataset, tmp_path, capsys):
     run_dir = tmp_path / "run"
     run_cli("run", "--dataset", dataset, "--backend", "mock:oracle", "--out", run_dir)

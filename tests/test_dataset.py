@@ -1,5 +1,6 @@
 import gc
 import json
+import tracemalloc
 import weakref
 
 import pytest
@@ -516,3 +517,85 @@ def test_load_rejects_an_edge_endpoint_that_is_not_an_int(tmp_path, endpoint):
     for verify in (True, False):
         with pytest.raises(DatasetFormatError, match="^line 2: corrupt instance: edge .* not an int"):
             load_dataset(path, verify=verify)
+
+
+def _edge_count_file(path, graphs):
+    """A hand-written edge_count dataset, one line per stored ``"graph"`` object.
+    Each edge list must hold no pair twice, in either order."""
+    lines = [json.dumps({"schema_version": ds.SCHEMA_VERSION, "kind": "graphbench-dataset"})]
+    for i, graph in enumerate(graphs):
+        lines.append(json.dumps({
+            "bucket": {"name": "S", "n_min": 5, "n_max": 11},
+            "gold": {"kind": "int", "value": len(graph["edges"])},
+            "graph": graph, "id": f"edge_count-S-{i:03d}-0", "query": [], "seed": i,
+            "task": "edge_count"}))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def _graph(edges, n=5, directed=False):
+    return {"n": n, "edges": edges, "directed": directed}
+
+
+def test_load_shares_equal_graphs_on_lines_that_are_not_adjacent(tmp_path):
+    a, b = _graph([[0, 1], [1, 3]]), _graph([[0, 2]])
+    loaded = load_dataset(_edge_count_file(tmp_path / "data.jsonl", [a, b, a, b, a]))
+    assert [i.graph.edge_count for i in loaded] == [2, 1, 2, 1, 2]
+    assert loaded[0].graph is loaded[2].graph is loaded[4].graph
+    assert loaded[1].graph is loaded[3].graph
+    assert loaded[0].graph is not loaded[1].graph
+
+
+def test_load_shares_one_graph_between_reordered_undirected_twins(tmp_path):
+    canonical = _graph([[0, 1], [1, 3], [2, 4]])
+    twins = [_graph([[2, 4], [0, 1], [1, 3]]), _graph([[1, 0], [3, 1], [4, 2]]),
+             _graph([[4, 2], [1, 3], [1, 0]])]
+    directed = _graph([[1, 0], [3, 1], [4, 2]], directed=True)
+    path = _edge_count_file(tmp_path / "data.jsonl", [canonical, directed, *twins])
+    loaded = load_dataset(path)
+    assert all(i.graph is loaded[0].graph for i in loaded[2:])
+    assert loaded[1].graph is not loaded[0].graph
+    assert loaded[1].graph.edges == {(1, 0), (3, 1), (4, 2)}
+
+
+def _shares_each_equal_pair(graphs):
+    return len({id(e) for g in graphs for e in g.edges}) == len({e for g in graphs for e in g.edges})
+
+
+def test_load_makes_each_distinct_edge_pair_one_object(small_saved, tmp_path):
+    _, path = small_saved
+    assert _shares_each_equal_pair([i.graph for i in load_dataset(path)])
+    path = _edge_count_file(tmp_path / "hand.jsonl", [
+        _graph([[0, 1], [1, 3]]), _graph([[3, 1], [2, 4]]),
+        _graph([[1, 3], [3, 1]], directed=True), _graph([[1, 0], [4, 2]], n=6)])
+    graphs = [i.graph for i in load_dataset(path)]
+    assert _shares_each_equal_pair(graphs)
+    assert len({e for g in graphs for e in g.edges}) == 4
+
+
+@pytest.mark.parametrize("endpoint", [True, 1.0])
+@pytest.mark.parametrize("spelling", [0, 1])
+def test_load_checks_an_endpoint_whose_int_pair_was_loaded_before(tmp_path, endpoint, spelling):
+    bad = [[endpoint, 3], [3, endpoint]][spelling]
+    path = _edge_count_file(tmp_path / "data.jsonl", [
+        _graph([[1, 3], [0, 2]]), _graph([[1, 3], [0, 2]]), _graph([[0, 4]]),
+        _graph([bad, [2, 4]])])
+    for verify in (True, False):
+        with pytest.raises(DatasetFormatError, match="^line 5: corrupt instance: edge .* not an int"):
+            load_dataset(path, verify=verify)
+
+
+def test_load_peak_memory_per_stored_edge(tmp_path):
+    """Load holds each distinct graph and edge pair once, and builds no second
+    copy of the edges while it parses."""
+    path = tmp_path / "data.jsonl"
+    assemble_dataset(0, graphs_per_cell=10, out=path)
+    tracemalloc.start()
+    try:
+        loaded = load_dataset(path, verify=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stored_edges = sum(g.edge_count for g in {i.graph for i in loaded})
+    assert stored_edges > 30_000
+    assert peak / stored_edges < 100
