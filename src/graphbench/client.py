@@ -4,6 +4,10 @@ The HTTP backend targets any chat-completions style endpoint. Mock backends
 answer from the gold labels (perfectly or adversarially) so the whole harness
 can be exercised offline, and the replay backend serves responses from a
 previously recorded cache only.
+
+Only the HTTP backend needs ``requests``, and it is imported only when that
+backend opens its default session; every other backend, and an HTTP backend
+given its own session, runs on the standard library alone.
 """
 
 from __future__ import annotations
@@ -12,18 +16,19 @@ import functools
 import hashlib
 import json
 import os
+import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence, TextIO
-
-import requests
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, TextIO
 
 from .dataset import TaskInstance
 from .oracles import Answer, AnswerKind, validate_topo_order
 from .prompts import PromptBundle, format_answer
+
+if TYPE_CHECKING:
+    import requests
 
 
 class ClientError(RuntimeError):
@@ -208,7 +213,14 @@ class HttpChatBackend(Backend):
         sleeper: Callable[[float], None] = time.sleep,
         base_delay: float = 1.0,
     ):
-        self.session = session or requests.Session()
+        if session is None:
+            try:
+                import requests
+            except ImportError as exc:
+                raise ClientError(
+                    f"the http backend needs the requests package: {exc}") from exc
+            session = requests.Session()
+        self.session = session
         self.sleeper = sleeper
         self.base_delay = base_delay
 
@@ -239,11 +251,16 @@ class HttpChatBackend(Backend):
                     headers=self._headers(cfg),
                     timeout=cfg.timeout,
                 )
-            except requests.Timeout:
-                last_error = RequestTimeout(f"timed out after {cfg.timeout}s")
-                continue
-            except requests.RequestException as exc:
-                last_error = ClientError(f"transport failure: {exc}")
+            except Exception as exc:
+                # A requests exception exists only once requests is imported,
+                # so its classes are looked up here, never imported.
+                req = sys.modules.get("requests")
+                if req is None or not isinstance(exc, req.RequestException):
+                    raise
+                if isinstance(exc, req.Timeout):
+                    last_error = RequestTimeout(f"timed out after {cfg.timeout}s")
+                else:
+                    last_error = ClientError(f"transport failure: {exc}")
                 continue
             if resp.status_code == 429:
                 last_error = RateLimitedError("rate limited (429)")
@@ -448,5 +465,6 @@ def run_prompts(
 
     if parallel == 1 or len(bundles) <= 1:
         return [one(b) for b in bundles]
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=parallel) as pool:
         return list(pool.map(one, bundles))

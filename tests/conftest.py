@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import os
 import sys
 from pathlib import Path
 
@@ -8,10 +9,19 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # for the bruteforce helpers
 
+import graphbench
 from graphbench import Graph
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def subprocess_env(*first: Path) -> dict[str, str]:
+    """Environment for a fresh interpreter that imports this graphbench,
+    with ``first`` ahead of it on ``PYTHONPATH``."""
+    src = Path(graphbench.__file__).resolve().parents[1]
+    paths = [*map(str, first), str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
 
 
 def make_graph(n, edges, directed=False):

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,7 +11,7 @@ from graphbench import (MEDIUM, SMALL, Answer, Graph, ModelConfig, PromptBundle,
 from graphbench.cli import main
 from graphbench.oracles import spanning_forest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, subprocess_env
 
 
 def run_cli(*argv):
@@ -748,3 +750,67 @@ def test_unknown_backend_is_reported(dataset, tmp_path, capsys):
                    "--out", tmp_path / "r")
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+# --- without requests ----------------------------------------------------------------
+
+
+@pytest.fixture
+def no_requests_env(tmp_path):
+    """Environment whose interpreters find a ``requests`` that fails to import."""
+    shim = tmp_path / "shim"
+    shim.mkdir()
+    (shim / "requests.py").write_text('raise ImportError("No module named \'requests\'")\n')
+    return subprocess_env(shim)
+
+
+def run_without_requests(env, cwd, *argv):
+    return subprocess.run([sys.executable, "-m", "graphbench.cli", *map(str, argv)], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_every_command_but_http_runs_without_requests(no_requests_env, tmp_path, monkeypatch,
+                                                      capsys):
+    commands = [
+        ["generate", "--seed", 0, "--graphs-per-cell", 2, "--out", "data/dataset.jsonl"],
+        ["run", "--dataset", "data/dataset.jsonl", "--backend", "mock:oracle",
+         "--cache", "data/cache.jsonl", "--out", "run"],
+        ["run", "--dataset", "data/dataset.jsonl", "--backend", "replay",
+         "--cache", "data/cache.jsonl", "--out", "replay"],
+        ["report", "--records", "run/records.jsonl"],
+        ["score", "--dataset", "data/dataset.jsonl", "--transcripts", "run/transcripts.jsonl",
+         "--out", "scored.jsonl"],
+        ["render", "--dataset", "data/dataset.jsonl", "--strategy", "pseudo+2-shot",
+         "--out", "prompts.jsonl"],
+    ]
+    shimmed, plain = tmp_path / "shimmed", tmp_path / "plain"
+    shimmed.mkdir()
+    plain.mkdir()
+    monkeypatch.chdir(plain)
+    for argv in commands:
+        proc = run_without_requests(no_requests_env, shimmed, *argv)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert run_cli(*argv) == 0
+        assert proc.stdout == capsys.readouterr().out, argv
+
+    files = sorted(p.relative_to(plain) for p in plain.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(shimmed) for p in shimmed.rglob("*") if p.is_file())
+    assert len(files) == 11
+    for name in files:
+        got, want = (shimmed / name).read_bytes(), (plain / name).read_bytes()
+        if name.name == "summary.json":  # stamped with the time of the run
+            got, want = ({k: v for k, v in json.loads(b).items() if k != "generated_at"}
+                         for b in (got, want))
+        assert got == want, name
+    assert (shimmed / "run/records.jsonl").read_bytes() == \
+        (shimmed / "replay/records.jsonl").read_bytes()
+
+
+def test_http_backend_without_requests_is_one_error_line(dataset, no_requests_env, tmp_path):
+    proc = run_without_requests(no_requests_env, tmp_path, "run", "--dataset", dataset,
+                                "--backend", "http", "--endpoint", "http://localhost:9/v1",
+                                "--out", tmp_path / "r")
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: the http backend needs the requests package: "
+                           "No module named 'requests'\n")
+    assert not (tmp_path / "r").exists()

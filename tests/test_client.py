@@ -1,5 +1,6 @@
 import hashlib
 import json
+import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -35,6 +36,8 @@ from graphbench import (
     render_prompt,
     run_prompts,
 )
+
+from conftest import subprocess_env
 
 
 @pytest.fixture(scope="module")
@@ -415,6 +418,84 @@ def test_http_api_key_from_env_only(bundles, monkeypatch):
     backend, _ = make_http([StubResponse(payload=chat_payload("ok"))])
     backend.complete_text(bundles[0], CFG)
     assert backend.session.calls[0]["headers"]["Authorization"] == "Bearer sk-test"
+
+
+def test_http_retries_connection_errors_as_transport_failures(bundles):
+    backend, sleeps = make_http([requests.ConnectionError("refused"),
+                                 StubResponse(payload=chat_payload("ok"))])
+    assert backend.complete_text(bundles[0], CFG) == "ok"
+    assert sleeps == [1.0]
+
+    backend, sleeps = make_http([requests.ConnectionError("refused")] * 4)
+    with pytest.raises(ClientError, match="^transport failure: refused$") as info:
+        backend.complete_text(bundles[0], CFG)
+    assert type(info.value) is ClientError
+    assert sleeps == [1.0, 2.0, 4.0]
+
+
+def test_http_other_exceptions_propagate_without_retry(bundles):
+    boom = RuntimeError("boom")
+    backend, sleeps = make_http([boom, StubResponse(payload=chat_payload("ok"))])
+    with pytest.raises(RuntimeError) as info:
+        backend.complete_text(bundles[0], CFG)
+    assert info.value is boom
+    assert len(backend.session.calls) == 1
+    assert sleeps == []
+
+
+def test_http_backend_without_requests_is_a_client_error(monkeypatch):
+    monkeypatch.setitem(sys.modules, "requests", None)  # makes `import requests` fail
+    with pytest.raises(ClientError, match="needs the requests package"):
+        make_backend("http")
+    backend = make_backend("http", session=StubSession([]))  # a given session needs none
+    assert backend.session.calls == []
+
+
+def test_requests_and_thread_pool_are_imported_only_when_used():
+    # A fresh interpreter, so no other test's imports count.
+    script = """
+import sys
+import graphbench.cli
+from graphbench import SMALL, Strategy, Task, build_instances, client, render_prompt
+assert "requests" not in sys.modules and "concurrent.futures" not in sys.modules
+
+class Reply:
+    status_code = 200
+
+    def json(self):
+        return {"choices": [{"message": {"content": "Answer: 1"}}]}
+
+class Session:
+    def __init__(self, error=None):
+        self.error = error
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        if self.error is not None:
+            raise self.error
+        return Reply()
+
+bundles = [render_prompt(inst, Strategy.zero_shot())
+           for inst in build_instances(Task.EDGE_COUNT, SMALL, 0, 2)]
+assert len(bundles) == 2
+cfg = client.ModelConfig(endpoint="https://example.test/v1/chat")
+backend = client.HttpChatBackend(session=Session())
+assert [t.text for t, _ in client.run_prompts(bundles, backend, cfg)] == ["Answer: 1"] * 2
+try:  # the except path looks the requests classes up; it must not import them
+    client.HttpChatBackend(session=Session(KeyError("k"))).complete_text(bundles[0], cfg)
+except KeyError:
+    pass
+assert "requests" not in sys.modules and "concurrent.futures" not in sys.modules
+outcomes = client.run_prompts(bundles, backend, cfg, parallel=2)
+assert [t.text for t, _ in outcomes] == ["Answer: 1"] * 2
+assert "requests" not in sys.modules and "concurrent.futures" in sys.modules
+
+backend = client.make_backend("http")
+import requests
+assert isinstance(backend.session, requests.Session)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], env=subprocess_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # --- complete() and caching ----------------------------------------------------------

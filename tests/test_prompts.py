@@ -326,6 +326,22 @@ def test_encode_rejects_other_bases(triangle):
         encode_edge_list(triangle, 2)
 
 
+def test_encode_edge_list_pair_table_matches_formatting_each_pair():
+    # The shared pair table must give the bytes that formatting each pair
+    # gave, at both bases and in both directions, and hold each pair once.
+    graphs = {inst.graph for bucket in ALL_BUCKETS
+              for task in (Task.CYCLE_CHECK, Task.TOPOLOGICAL_SORT)
+              for inst in build_instances(task, bucket, master_seed=5, graph_count=3)}
+    for g in graphs:
+        for base in (0, 1):
+            pairs = ", ".join(f"({u + base}, {v + base})" for u, v in g.sorted_edges)
+            assert encode_edge_list(g, base).endswith(": " + (pairs or "(none)"))
+    n_max = max(bucket.n_max for bucket in ALL_BUCKETS)
+    for base, table in enumerate(prompts._PAIR_TEXT):
+        assert table.base == base and 0 < len(table) <= n_max * n_max
+        assert all(text == f"({u + base}, {v + base})" for (u, v), text in table.items())
+
+
 def test_topological_prompts_are_one_based():
     inst = first_instance(Task.TOPOLOGICAL_SORT)
     bundle = render_prompt(inst, Strategy.zero_shot())
