@@ -52,8 +52,8 @@ def main():
     expectations = {"mock:oracle": "100", "mock:adversary": "0"}
     for name, expected in expectations.items():
         records = []
+        backend = make_backend(name)
         for strategy in (Strategy.zero_shot(), Strategy.k_shot(2)):
-            backend = make_backend(name, instances)
             records.extend(evaluate(instances, strategy, backend))
         print(f"{name} — every cell must read {expected}:")
         print(render_markdown(aggregate_report(records), flag_best=False))
@@ -62,7 +62,7 @@ def main():
         cache_path = Path(tmp) / "cache.jsonl"
         strategy = Strategy.zero_shot()
         with closing(ResponseCache(cache_path)) as cache:
-            live = evaluate(instances, strategy, make_backend("mock:oracle", instances), cache)
+            live = evaluate(instances, strategy, make_backend("mock:oracle"), cache)
         replayed = evaluate(instances, strategy,
                             make_backend("replay", cache_path=str(cache_path)))
         print("replayed records identical to the recorded run:",

@@ -30,7 +30,7 @@ TASKS = (Task.EDGE_COUNT, Task.CYCLE_CHECK, Task.TOPOLOGICAL_SORT)
 
 
 def run_strategy(instances, strategy):
-    backend = make_backend("mock:oracle", instances)
+    backend = make_backend("mock:oracle")
     bundles = [render_prompt(inst, strategy) for inst in instances]
     return [
         evaluate_response(inst, strategy, transcript.text)

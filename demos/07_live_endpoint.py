@@ -51,7 +51,7 @@ def main():
         return
 
     cfg = ModelConfig(model=MODEL, endpoint=ENDPOINT, temperature=0.0)
-    backend = HttpChatBackend(cfg)
+    backend = HttpChatBackend()
     strategy = Strategy.k_shot(2)
 
     instances = build_instances(Task.CYCLE_CHECK, SMALL, master_seed=0, graph_count=3)

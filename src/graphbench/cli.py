@@ -8,13 +8,14 @@ import sys
 import time
 from functools import lru_cache, partial
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from . import dataset as ds
 from .client import (
     ClientError,
     ModelConfig,
     ResponseCache,
+    Transcript,
     make_backend,
     run_prompts,
 )
@@ -88,27 +89,15 @@ def _load_for_eval(args: argparse.Namespace) -> list[ds.TaskInstance]:
     return kept
 
 
-def _score_transcripts(rows: Iterable[tuple[int, dict]], source: str | Path,
-                       by_id: Mapping[str, ds.TaskInstance],
+def _score_transcripts(pairs: Iterable[tuple[ds.TaskInstance, Transcript]],
                        out: str | Path) -> tuple[list[EvalRecord], dict[str, int]]:
-    """Score ``(line number, transcripts row)`` pairs, save the records to ``out`` and
-    print the tally. A row without ``label_base`` scores under its task's default.
+    """Score ``(instance, transcript)`` pairs, save the records to ``out`` and print
+    the tally. A transcript without a label base scores under its task's default.
     """
     parse = lru_cache(maxsize=None)(parse_strategy)
-    records = []
-    for lineno, row in rows:
-        # A bool equals 0 or 1, so the type is checked too.
-        if not (isinstance(row, dict) and row.get("label_base") in (None, 0, 1)
-                and type(row.get("label_base")) is not bool
-                and all(isinstance(row.get(key), str) for key in
-                        ("instance_id", "strategy", "text" if "text" in row else "error"))):
-            raise ValueError(f"{source}:{lineno}: not a transcripts row")
-        inst = by_id.get(row["instance_id"])
-        if inst is None:
-            raise SystemExit(f"error: {source}:{lineno}: unknown instance {row['instance_id']!r}")
-        records.append(evaluate_response(inst, parse(row["strategy"]), row.get("text"),
-                                         label_base=row.get("label_base"),
-                                         backend_error=row.get("error", "")))
+    records = [evaluate_response(inst, parse(t.strategy), t.text, label_base=t.label_base,
+                                 backend_error=t.error or "")
+               for inst, t in pairs]
     failures = aggregate_report(records).failures
     save_records(records, out)
     print(f"{sum(r.correct for r in records)}/{len(records)} correct "
@@ -215,7 +204,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         temperature=args.temperature,
         max_tokens=args.max_tokens,
     )
-    backend = make_backend(args.backend, instances, cache_path=args.cache)
+    backend = make_backend(args.backend, cache_path=args.cache)
     cache = None
     if args.cache and args.backend != "replay":
         cache = ResponseCache(args.cache)
@@ -228,24 +217,16 @@ def cmd_run(args: argparse.Namespace) -> int:
         if cache is not None:
             cache.close()
 
-    rows = []
-    cache_hits = 0
-    for bundle, (transcript, error) in zip(bundles, outcomes):
-        row = {"instance_id": bundle.instance_id, "strategy": strategy.display_name,
-               "label_base": bundle.label_base, "model": cfg.model, "backend": backend.name}
-        if transcript is None:
-            row["error"] = str(error)
-        else:
-            cache_hits += int(transcript.cached)
-            row.update(prompt_hash=transcript.prompt_hash, text=transcript.text)
-        rows.append(row)
+    transcripts = [
+        Transcript(bundle.instance_id, strategy.display_name, bundle.label_base, cfg.model,
+                   backend.name, error=str(error)) if transcript is None else transcript
+        for bundle, (transcript, error) in zip(bundles, outcomes)
+    ]
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    transcripts = outdir / "transcripts.jsonl"
-    with transcripts.open("w", encoding="utf-8") as fh:
-        fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
-    records, failures = _score_transcripts(enumerate(rows, 1), transcripts,
-                                           ds.instances_by_id(instances), outdir / "records.jsonl")
+    with (outdir / "transcripts.jsonl").open("w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(t.to_row(), sort_keys=True) + "\n" for t in transcripts)
+    records, failures = _score_transcripts(zip(instances, transcripts), outdir / "records.jsonl")
 
     correct = sum(r.correct for r in records)
     summary = {
@@ -257,7 +238,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "correct": correct,
         "accuracy": correct / len(records),
         "failures": failures,
-        "cache_hits": cache_hits,
+        "cache_hits": sum(t.cached for t in transcripts),
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
     (outdir / "summary.json").write_text(
@@ -269,15 +250,21 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_score(args: argparse.Namespace) -> int:
     by_id = ds.instances_by_id(ds.load_dataset(args.dataset, verify=not args.no_verify))
-    rows = []
+    pairs = []
     with Path(args.transcripts).open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            if line.strip():
-                try:
-                    rows.append((lineno, json.loads(line)))
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"{args.transcripts}:{lineno}: not a transcripts row") from exc
-    _score_transcripts(rows, args.transcripts, by_id, args.out)
+            if not line.strip():
+                continue
+            try:
+                transcript = Transcript.from_row(json.loads(line))
+            except ValueError as exc:
+                raise ValueError(f"{args.transcripts}:{lineno}: not a transcripts row") from exc
+            inst = by_id.get(transcript.instance_id)
+            if inst is None:
+                raise SystemExit(f"error: {args.transcripts}:{lineno}: "
+                                 f"unknown instance {transcript.instance_id!r}")
+            pairs.append((inst, transcript))
+    _score_transcripts(pairs, args.out)
     print(f"records: {args.out}")
     return 0
 

@@ -21,7 +21,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, TextIO
 
 from .dataset import TaskInstance
 from .oracles import Answer, AnswerKind, validate_topo_order
@@ -66,15 +66,46 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class Transcript:
-    """One resolved prompt: what was asked, what came back, and from where."""
+    """One resolved prompt, and one row of ``transcripts.jsonl``.
+
+    An answered transcript has ``prompt_hash`` and ``text``; a failed one has
+    ``error`` instead. ``latency_ms`` and ``cached`` are never written.
+    """
 
     instance_id: str
-    prompt_hash: str
-    model: str
-    text: str
-    backend: str
-    latency_ms: float
+    strategy: str  # the strategy's display name
+    label_base: Optional[int] = None
+    model: Optional[str] = None
+    backend: Optional[str] = None
+    prompt_hash: Optional[str] = None
+    text: Optional[str] = None
+    error: Optional[str] = None
+    latency_ms: float = 0.0
     cached: bool = False
+
+    def to_row(self) -> dict:
+        row = {"instance_id": self.instance_id, "strategy": self.strategy,
+               "label_base": self.label_base, "model": self.model, "backend": self.backend}
+        if self.error is None:
+            row.update(prompt_hash=self.prompt_hash, text=self.text)
+        else:
+            row["error"] = self.error
+        return row
+
+    @classmethod
+    def from_row(cls, row: object) -> "Transcript":
+        """Read a row; raise ValueError unless ``instance_id``, ``strategy`` and
+        ``text`` (or, if absent, ``error``) are strings and ``label_base`` is
+        missing, null, 0 or 1 (not a bool, which equals 0 or 1)."""
+        if not (isinstance(row, dict) and row.get("label_base") in (None, 0, 1)
+                and type(row.get("label_base")) is not bool
+                and all(isinstance(row.get(key), str) for key in
+                        ("instance_id", "strategy", "text" if "text" in row else "error"))):
+            raise ValueError("not a transcripts row")
+        text = row.get("text")
+        return cls(row["instance_id"], row["strategy"], row.get("label_base"), row.get("model"),
+                   row.get("backend"), row.get("prompt_hash"), text,
+                   None if text is not None else row["error"])
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -293,31 +324,17 @@ class HttpChatBackend(Backend):
         return text
 
 
-class _InstanceBackedBackend(Backend):
-    """Shared lookup for backends that answer from the gold labels."""
-
-    def __init__(self, instances: Iterable[TaskInstance]):
-        self._by_id = {inst.id: inst for inst in instances}
-
-    def _lookup(self, bundle: PromptBundle) -> TaskInstance:
-        inst = self._by_id.get(bundle.instance_id)
-        if inst is None:
-            raise ClientError(f"no instance with id {bundle.instance_id!r}")
-        return inst
-
-
-class MockOracleBackend(_InstanceBackedBackend):
+class MockOracleBackend(Backend):
     """Always answers correctly, in the requested output format."""
 
     name = "mock:oracle"
 
     def complete_text(self, bundle: PromptBundle, cfg: ModelConfig) -> str:
-        inst = self._lookup(bundle)
-        rendered = format_answer(inst.gold, bundle.label_base)
+        rendered = format_answer(bundle.instance.gold, bundle.label_base)
         return f"Working through the graph as described.\nAnswer: {rendered}"
 
 
-class MockAdversaryBackend(_InstanceBackedBackend):
+class MockAdversaryBackend(Backend):
     """Always answers incorrectly, but in a well-formed way.
 
     Useful as the floor of the harness: every response must parse, and every
@@ -327,9 +344,7 @@ class MockAdversaryBackend(_InstanceBackedBackend):
     name = "mock:adversary"
 
     def complete_text(self, bundle: PromptBundle, cfg: ModelConfig) -> str:
-        inst = self._lookup(bundle)
-        wrong = self._corrupt(inst)
-        rendered = format_answer(wrong, bundle.label_base)
+        rendered = format_answer(self._corrupt(bundle.instance), bundle.label_base)
         return f"Working through the graph as described.\nAnswer: {rendered}"
 
     @staticmethod
@@ -394,15 +409,14 @@ class ReplayBackend(Backend):
 
 def make_backend(
     spec: str,
-    instances: Sequence[TaskInstance] = (),
     cache_path: Optional[str] = None,
     session: Optional[requests.Session] = None,
 ) -> Backend:
     """Build a backend from its CLI name."""
     if spec == "mock:oracle":
-        return MockOracleBackend(instances)
+        return MockOracleBackend()
     if spec == "mock:adversary":
-        return MockAdversaryBackend(instances)
+        return MockAdversaryBackend()
     if spec == "replay":
         if not cache_path:
             raise ClientError("replay backend requires a cache path")
@@ -430,15 +444,8 @@ def complete(
         latency_ms = (time.monotonic() - start) * 1000.0
         if cache is not None:
             cache.put(key, text)
-    return Transcript(
-        instance_id=bundle.instance_id,
-        prompt_hash=key,
-        model=cfg.model,
-        text=text,
-        backend=backend.name,
-        latency_ms=latency_ms,
-        cached=cached,
-    )
+    return Transcript(bundle.instance_id, bundle.strategy.display_name, bundle.label_base,
+                      cfg.model, backend.name, key, text, latency_ms=latency_ms, cached=cached)
 
 
 def run_prompts(

@@ -380,7 +380,7 @@ def _edge_list_section(g: Graph, label_base: int) -> str:
 @dataclass(frozen=True)
 class PromptBundle:
     """One prompt: its cell's shared ``head``, the instance it asks about, and
-    the label base both are rendered in.
+    the strategy and label base both are rendered in.
 
     ``text`` is ``head``, a blank line and ``tail``. It is built on each read
     and kept nowhere, so holding many bundles holds each head once.
@@ -388,6 +388,7 @@ class PromptBundle:
 
     head: str
     instance: TaskInstance
+    strategy: Strategy
     label_base: int
 
     @property
@@ -419,4 +420,4 @@ def render_prompt(
     base = default_label_base(inst.task) if label_base is None else label_base
     _check_label_base(base)
     head = _head(inst.task, inst.bucket, strategy, exemplar_seed, base)
-    return PromptBundle(head=head, instance=inst, label_base=base)
+    return PromptBundle(head=head, instance=inst, strategy=strategy, label_base=base)

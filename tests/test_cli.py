@@ -370,6 +370,7 @@ def test_score_rejects_repeated_rows(dataset, tmp_path, capsys):
 
 @pytest.mark.parametrize("row", [
     {"instance_id": "edge_count-S-000-0", "strategy": "0-shot"},
+    {"instance_id": "edge_count-S-000-0", "strategy": "0-shot", "text": None, "error": "e"},
     {"instance_id": "edge_count-S-000-0", "strategy": "0-shot", "text": "1", "label_base": 2},
     {"key": "0" * 64, "text": "Answer: 1"},
     {"instance_id": "edge_count-S-000-0", "strategy": 0, "text": "Answer: 1"},

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -27,6 +28,7 @@ from graphbench import (
     SMALL,
     Strategy,
     Task,
+    Transcript,
     build_instances,
     cache_key,
     complete,
@@ -105,9 +107,10 @@ def test_cache_key_matches_whole_json_formula(instances):
     bundles = [render_prompt(inst, strategy) for inst in instances for strategy in strategies]
     bundles += [
         EscapeHeavyBundle(head="head: ünïcode ✓ 😀 \"q\" \\ \x7f\u2028", instance=instances[0],
-                          label_base=0),
-        PromptBundle(head="𝔾 astral head", instance=instances[1], label_base=1),
-        PromptBundle(head="", instance=instances[2], label_base=0),
+                          strategy=Strategy.zero_shot(), label_base=0),
+        PromptBundle(head="𝔾 astral head", instance=instances[1], strategy=Strategy.bag(),
+                     label_base=1),
+        PromptBundle(head="", instance=instances[2], strategy=Strategy.zero_shot(), label_base=0),
     ]
     # Each config is tried before and after the others, so a head state cached
     # under one config can never answer for another.
@@ -268,7 +271,7 @@ def test_cache_rejects_a_line_that_is_not_a_record(tmp_path, line, newline):
 
 
 def test_mock_oracle_is_always_correct(instances, bundles):
-    backend = MockOracleBackend(instances)
+    backend = MockOracleBackend()
     for inst, bundle in zip(instances, bundles):
         text = backend.complete_text(bundle, ModelConfig())
         assert "Answer:" in text
@@ -277,19 +280,13 @@ def test_mock_oracle_is_always_correct(instances, bundles):
 
 
 def test_mock_adversary_is_never_correct_but_parseable(instances, bundles):
-    backend = MockAdversaryBackend(instances)
+    backend = MockAdversaryBackend()
     for inst, bundle in zip(instances, bundles):
         text = backend.complete_text(bundle, ModelConfig())
         extract_answer(inst.task, text)  # must parse
         rec = evaluate_response(inst, Strategy.zero_shot(), text)
         assert not rec.correct, f"{inst.id}: {text!r}"
         assert rec.failure.value == "wrong_answer"
-
-
-def test_mock_backend_unknown_instance(bundles):
-    backend = MockOracleBackend([])
-    with pytest.raises(ClientError):
-        backend.complete_text(bundles[0], ModelConfig())
 
 
 # --- http backend -----------------------------------------------------------------
@@ -525,13 +522,52 @@ def test_complete_uses_cache(tmp_path, bundles):
     assert second.latency_ms == 0.0
 
 
-def test_complete_records_metadata(bundles):
+def test_complete_records_metadata(instances):
+    bundle = render_prompt(instances[2], Strategy.pseudo_k_shot(PseudocodeStyle.MULTI, 2),
+                           label_base=1)
     backend = CountingBackend()
-    t = complete(bundles[0], backend, ModelConfig(model="m2"))
+    t = complete(bundle, backend, ModelConfig(model="m2"))
     assert t.model == "m2"
     assert t.backend == "counting"
-    assert t.instance_id == bundles[0].instance_id
-    assert t.prompt_hash == cache_key(bundles[0], ModelConfig(model="m2"))
+    assert t.instance_id == bundle.instance_id
+    assert t.strategy == "Pseudo+2-shot"
+    assert t.label_base == 1
+    assert t.prompt_hash == cache_key(bundle, ModelConfig(model="m2"))
+    assert t.error is None
+
+
+# --- transcripts rows ---------------------------------------------------------------
+
+
+def test_transcript_rows_round_trip(tmp_path, bundles):
+    cache_path = tmp_path / "cache.jsonl"
+    with closing(ResponseCache(cache_path)) as cache:
+        answered = complete(bundles[0], CountingBackend(), ModelConfig(), cache)
+        cached = complete(bundles[0], CountingBackend(), ModelConfig(), cache)
+    replayed = complete(bundles[0], ReplayBackend(cache_path), ModelConfig())
+    failed = Transcript(bundles[1].instance_id, "0-shot", 0, "mock", "replay",
+                        error="no recorded response")
+    assert cached.cached and replayed.backend == "replay"
+    for t in (answered, cached, replayed, failed):
+        row = t.to_row()
+        assert "latency_ms" not in row and "cached" not in row
+        assert Transcript.from_row(json.loads(json.dumps(row))) == \
+            dataclasses.replace(t, latency_ms=0.0, cached=False)
+    common = {"instance_id", "strategy", "label_base", "model", "backend"}
+    assert set(failed.to_row()) == common | {"error"}
+    assert set(answered.to_row()) == common | {"prompt_hash", "text"}
+
+
+@pytest.mark.parametrize("row", [
+    {"instance_id": "i", "strategy": "0-shot", "text": "t"},
+    {"instance_id": "i", "strategy": "0-shot", "text": "t", "label_base": None},
+    {"instance_id": "i", "strategy": "0-shot", "error": "e", "label_base": 1},
+    {"instance_id": "i", "strategy": "0-shot", "text": "t", "error": 5, "label_base": 0},
+])
+def test_transcript_from_row_accepts(row):
+    t = Transcript.from_row(row)
+    assert (t.instance_id, t.text, t.label_base) == ("i", row.get("text"), row.get("label_base"))
+    assert (t.error is None) == ("text" in row)
 
 
 # --- replay -------------------------------------------------------------------------
@@ -558,7 +594,7 @@ def test_replay_requires_existing_file(tmp_path):
 
 
 def test_run_prompts_preserves_order(instances, bundles):
-    backend = MockOracleBackend(instances)
+    backend = MockOracleBackend()
     results = run_prompts(bundles, backend, ModelConfig(), parallel=4)
     assert len(results) == len(bundles)
     for bundle, (transcript, error) in zip(bundles, results):
@@ -566,11 +602,26 @@ def test_run_prompts_preserves_order(instances, bundles):
         assert transcript.instance_id == bundle.instance_id
 
 
-def test_run_prompts_isolates_failures(instances, bundles):
-    backend = MockOracleBackend(instances[1:])  # first instance unknown
+class FailingBackend(CountingBackend):
+    """Fails on one instance and answers every other."""
+
+    def __init__(self, failing_id):
+        super().__init__()
+        self.failing_id = failing_id
+
+    def complete_text(self, bundle, cfg):
+        if bundle.instance_id == self.failing_id:
+            raise ClientError(f"cannot answer {self.failing_id}")
+        return super().complete_text(bundle, cfg)
+
+
+def test_run_prompts_isolates_failures(bundles):
+    backend = FailingBackend(bundles[1].instance_id)
     results = run_prompts(bundles[:3], backend, ModelConfig(), parallel=2)
-    assert results[0][0] is None and isinstance(results[0][1], ClientError)
-    assert results[1][1] is None and results[2][1] is None
+    assert results[1][0] is None and isinstance(results[1][1], ClientError)
+    assert results[0][1] is None and results[2][1] is None
+    assert [t.instance_id for t, _ in (results[0], results[2])] == \
+        [bundles[0].instance_id, bundles[2].instance_id]
 
 
 def test_run_prompts_rejects_bad_parallel(bundles):
@@ -581,9 +632,9 @@ def test_run_prompts_rejects_bad_parallel(bundles):
 # --- make_backend --------------------------------------------------------------------
 
 
-def test_make_backend_dispatch(tmp_path, instances):
-    assert isinstance(make_backend("mock:oracle", instances), MockOracleBackend)
-    assert isinstance(make_backend("mock:adversary", instances), MockAdversaryBackend)
+def test_make_backend_dispatch(tmp_path):
+    assert isinstance(make_backend("mock:oracle"), MockOracleBackend)
+    assert isinstance(make_backend("mock:adversary"), MockAdversaryBackend)
     assert isinstance(make_backend("http"), HttpChatBackend)
     cache_path = tmp_path / "c.jsonl"
     with closing(ResponseCache(cache_path)) as cache:

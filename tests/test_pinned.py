@@ -19,6 +19,7 @@ from graphbench import (
     save_dataset,
     standard_strategies,
 )
+from graphbench.cli import main
 
 SEED0_CONTENT_DIGEST = "db99ee3cea99b9d71dd5738de9ce23a0aa0cb94081f0f7157c16d1c5f926eb41"
 SEED0_PROMPTS_SHA256 = {
@@ -29,6 +30,18 @@ SEED0_PROMPTS_SHA256 = {
     "Pseudo": "c0923497961b27a9137557e7aa26b8f7dc64230215ebe059b15d8b8c82a7f7bc",
     "Pseudo+1-shot": "5a4ceef9f991de51af2a4f18fecee1d2c4a3015836122efdaa38c67aceecfbae",
     "Pseudo+5-shot": "2bdaa58239075ff3e162f03bf6e55a946865fc8f9cde369c65fd1cb021a4cf7f",
+}
+#: ``display_name`` drops the style, so the other styles' Pseudo digests are
+#: keyed by style; the plain one is ``SEED0_PROMPTS_SHA256["Pseudo"]``.
+SEED0_PSEUDO_STYLE_SHA256 = {
+    "python": "4038abcf3c76c95f68a27ba2f1883c17152fb03afd4c8796ecbd0091208ad61f",
+    "multi": "4780991dc2288b87c094c77ffee4bc8ca9e847e70d437dab55405e5a7ffbd5af",
+}
+#: sha256 of ``transcripts.jsonl`` from two runs over the seed-0,
+#: ``--graphs-per-cell 2`` dataset (132 instances); see ``test_transcripts_sha256``.
+TRANSCRIPTS_SHA256 = {
+    "oracle": "e78c5106ba15a4a0e3a5a3d534232260301d6ee9510d72c0f8325968f923081c",
+    "replay": "61f26cc281932eeb3795ebced135017bf8c9cd55b0e71244b778fc94e159a9f6",
 }
 PSEUDO_5_SHOT = Strategy.pseudo_k_shot(PseudocodeStyle.PLAIN, 5)
 
@@ -80,3 +93,33 @@ def test_seed0_loaded_prompts_sha256(seed0_loaded, strategy):
     assert len(seed0_loaded) == 6600
     digest = prompts_sha256(render_prompt(inst, strategy).text for inst in seed0_loaded)
     assert digest == SEED0_PROMPTS_SHA256[strategy.display_name]
+
+
+@pytest.mark.parametrize("style", sorted(SEED0_PSEUDO_STYLE_SHA256))
+def test_seed0_pseudo_style_prompts_sha256(seed0, style):
+    _, instances = seed0
+    strategy = Strategy.pseudo(PseudocodeStyle(style))
+    digest = prompts_sha256(render_prompt(inst, strategy).text for inst in instances)
+    assert digest == SEED0_PSEUDO_STYLE_SHA256[style]
+
+
+def test_transcripts_sha256(tmp_path):
+    """The rows ``run`` writes, answered and failed: an oracle Pseudo+2-shot
+    run, and a replay over the first 40 of a 0-shot run's 132 cache lines,
+    which leaves 92 error rows."""
+    dataset, cache = tmp_path / "dataset.jsonl", tmp_path / "cache.jsonl"
+
+    def run(*argv):
+        return main([*map(str, argv), "--dataset", str(dataset)])
+
+    assert main(["generate", "--seed", "0", "--graphs-per-cell", "2", "--out", str(dataset)]) == 0
+    assert run("run", "--backend", "mock:oracle", "--strategy", "pseudo+2-shot",
+               "--out", tmp_path / "oracle") == 0
+    assert run("run", "--backend", "mock:oracle", "--cache", cache, "--out", tmp_path / "full") == 0
+    lines = cache.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert len(lines) == 132
+    cache.write_text("".join(lines[:40]), encoding="utf-8")
+    assert run("run", "--backend", "replay", "--cache", cache, "--out", tmp_path / "replay") == 2
+    for name, digest in TRANSCRIPTS_SHA256.items():
+        data = (tmp_path / name / "transcripts.jsonl").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
