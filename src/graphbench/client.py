@@ -96,9 +96,9 @@ class Transcript:
     def from_row(cls, row: object) -> "Transcript":
         """Read a row; raise ValueError unless ``instance_id``, ``strategy`` and
         ``text`` (or, if absent, ``error``) are strings and ``label_base`` is
-        missing, null, 0 or 1 (not a bool, which equals 0 or 1)."""
+        missing, null or the int 0 or 1 (not a bool or float, which equal 0 or 1)."""
         if not (isinstance(row, dict) and row.get("label_base") in (None, 0, 1)
-                and type(row.get("label_base")) is not bool
+                and type(row.get("label_base")) in (int, type(None))
                 and all(isinstance(row.get(key), str) for key in
                         ("instance_id", "strategy", "text" if "text" in row else "error"))):
             raise ValueError("not a transcripts row")

@@ -62,17 +62,16 @@ class TaskInstance:
     seed: int
 
     @classmethod
-    def from_json_obj(cls, obj: dict, graphs: "GraphTable | None" = None) -> "TaskInstance":
+    def from_json_obj(cls, obj: dict, graph: Graph | None = None) -> "TaskInstance":
         """Inverse of ``_instance_line``, given the parsed line.
 
-        ``graphs`` builds the instance's ``Graph``; pass one ``GraphTable`` per
-        load, so that instances whose stored graphs are equal share one
-        ``Graph`` and equal edge pairs share one tuple.
+        ``graph`` is the instance's ``Graph``, already built from the line's
+        ``"graph"`` object; without it, that object is built here.
         """
         bucket = obj["bucket"]
-        if graphs is None:
-            graphs = GraphTable()
-        graph = graphs.graph(obj["graph"])
+        if graph is None:
+            stored = obj["graph"]
+            graph = Graph.from_edges(stored["n"], stored["edges"], stored["directed"])
         task = Task(obj["task"])
         query = tuple(obj["query"])
         if len(query) != query_arity(task):
@@ -87,30 +86,6 @@ class TaskInstance:
             gold=answer_from_json(obj["gold"]),
             seed=obj["seed"],
         )
-
-
-class GraphTable:
-    """The graphs and edge pairs of one load, each distinct one held once.
-
-    A graph's instances are adjacent in a saved file, so a stored graph equal
-    to the one just built reuses its ``Graph``. Any other is built by
-    ``Graph.from_edges``, which checks and canonicalizes each pair before it
-    interns it in ``pairs``, and is then interned by value in ``graphs``.
-    """
-
-    def __init__(self) -> None:
-        self.graphs: dict[Graph, Graph] = {}
-        self.pairs: dict[tuple[int, int], tuple[int, int]] = {}
-        self._last: tuple[object, Graph | None] = (None, None)
-
-    def graph(self, stored: dict) -> Graph:
-        last_stored, last_graph = self._last
-        if last_graph is not None and stored == last_stored:
-            return last_graph
-        graph = Graph.from_edges(stored["n"], stored["edges"], stored["directed"], self.pairs)
-        graph = self.graphs.setdefault(graph, graph)
-        self._last = (stored, graph)
-        return graph
 
 
 def answer_to_json(answer: Answer) -> dict:
@@ -341,15 +316,11 @@ def load_dataset(path: str | Path, verify: bool = True) -> list[TaskInstance]:
     naming the line, for a header that is not a JSON object or a corrupt line.
     verify: re-check every gold answer by the scoring rule, ``is_right_answer``.
 
-    Instances whose stored graphs are equal, wherever they sit in the file,
-    share one immutable ``Graph``, as they do straight after
-    ``build_instances``, and each distinct edge pair is one tuple shared by
-    all loaded graphs. One ``GraphTable`` does both for this call only; no
-    table outlives the load. Every endpoint is checked to be an int before
-    its pair is interned, so an endpoint ``true`` or ``1.0`` is a corrupt
-    line even where an equal int pair was loaded earlier. A line whose
-    ``"graph"`` object equals the line before it in value reuses that line's
-    ``Graph`` unchecked.
+    A line whose ``"graph"`` object equals the previous line's reuses that
+    line's ``Graph`` unchecked, so a graph's adjacent instances share one
+    ``Graph``, as they do straight after ``build_instances``. Any other line
+    builds its own, and each distinct edge pair, once its endpoints are
+    checked to be ints, is one tuple shared by every graph of this load.
 
     The parse makes hundreds of thousands of objects and no reference cycles,
     yet every later cyclic collection would walk them all. So when the
@@ -365,7 +336,8 @@ def load_dataset(path: str | Path, verify: bool = True) -> list[TaskInstance]:
     """
     path = Path(path)
     instances: list[TaskInstance] = []
-    graphs = GraphTable()
+    pairs: dict[tuple[int, int], tuple[int, int]] = {}
+    last_stored, graph = None, None
     with path.open("r", encoding="utf-8") as f:
         header_line = f.readline()
         try:
@@ -388,7 +360,13 @@ def load_dataset(path: str | Path, verify: bool = True) -> list[TaskInstance]:
                 if not line.strip():
                     continue
                 try:
-                    instances.append(TaskInstance.from_json_obj(json.loads(line), graphs))
+                    obj = json.loads(line)
+                    stored = obj["graph"]
+                    if graph is None or stored != last_stored:
+                        graph = Graph.from_edges(stored["n"], stored["edges"], stored["directed"],
+                                                 pairs)
+                        last_stored = stored
+                    instances.append(TaskInstance.from_json_obj(obj, graph))
                 except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                     raise DatasetFormatError(f"line {lineno}: corrupt instance: {exc}") from exc
             if gc_was_enabled:

@@ -266,8 +266,8 @@ class EvalRecord:
     detail: str = ""
 
     def __post_init__(self):
-        if self.correct and self.failure is not FailureKind.NONE:
-            raise ValueError("a correct record cannot carry a failure kind")
+        if self.correct != (self.failure is FailureKind.NONE):
+            raise ValueError("a record is correct exactly when its failure kind is none")
 
     def to_json_obj(self) -> dict:
         return {

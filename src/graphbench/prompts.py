@@ -315,40 +315,26 @@ def build_exemplars(
         raise ValueError("k must be >= 1")
     base = default_label_base(task) if label_base is None else label_base
     exemplars = []
-    instances = build_instances(task, bucket, exemplar_seed, graph_count=k, stream="exemplar")
-    per_graph: dict[str, TaskInstance] = {}
-    for inst in instances:  # keep only the first query of each exemplar graph
-        key = inst.id.rsplit("-", 1)[0]
-        per_graph.setdefault(key, inst)
-    for inst in list(per_graph.values())[:k]:
-        question = f"{encode_edge_list(inst.graph, base)}\n{question_for(task, inst.query, base)}"
-        exemplars.append((question, format_answer(inst.gold, base)))
+    for inst in build_instances(task, bucket, exemplar_seed, graph_count=k, stream="exemplar"):
+        if inst.id.endswith("-0"):  # each exemplar graph's first query
+            question = f"{encode_edge_list(inst.graph, base)}\n{question_for(task, inst.query, base)}"
+            exemplars.append((question, format_answer(inst.gold, base)))
     return exemplars
 
 
 # --- rendering ------------------------------------------------------------------
 
-# The helpers below hold each cell's head and sections for the life of the
-# process. They return immutable strings, so every prompt can share them;
-# render_prompt checks the label base before it reaches them, so no key can
-# hold True in place of 1. A cache miss calls pseudocode_for / build_exemplars
-# through the module globals, so a wrapper installed on those names sees it.
+# The memos below hold each cell's head, and each pseudo-code section, for the
+# life of the process. They are immutable strings, so every prompt can share
+# them; render_prompt checks the label base first, so no key can hold True in
+# place of 1. A miss calls pseudocode_for / build_exemplars through the module
+# globals, so a wrapper installed on those names sees it.
 
 
 @functools.lru_cache(maxsize=None)
 def _pseudocode_section(task: Task, style: PseudocodeStyle) -> str:
     code = pseudocode_for(task, style).rstrip("\n")
     return f"You can follow this pseudo-code to solve the problem:\n{code}"
-
-
-@functools.lru_cache(maxsize=None)
-def _exemplar_sections(
-    task: Task, bucket: SizeBucket, k: int, exemplar_seed: int, label_base: int
-) -> tuple[str, ...]:
-    return tuple(
-        f"Example:\n{question}\nAnswer: {answer}"
-        for question, answer in build_exemplars(task, bucket, k, exemplar_seed, label_base)
-    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -365,11 +351,14 @@ def _head(
         assert strategy.style is not None
         sections.append(_pseudocode_section(task, strategy.style))
     if strategy.uses_exemplars:
-        sections.extend(_exemplar_sections(task, bucket, strategy.k, exemplar_seed, label_base))
+        sections.extend(
+            f"Example:\n{question}\nAnswer: {answer}"
+            for question, answer in build_exemplars(task, bucket, strategy.k, exemplar_seed, label_base)
+        )
     return "\n\n".join(sections)
 
 
-# Unlike a cell's sections, an edge list serves only its graph's few queries,
+# Unlike a cell's head, an edge list serves only its graph's few queries,
 # which are adjacent in dataset order; a small bound keeps that reuse while
 # holding few graphs alive.
 @functools.lru_cache(maxsize=64)

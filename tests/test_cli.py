@@ -385,7 +385,7 @@ def test_score_rejects_malformed_rows(dataset, tmp_path, capsys, row):
     assert f"error: {bad}:2: not a transcripts row" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("label_base", [True, False])
+@pytest.mark.parametrize("label_base", [True, False, 1.0, 0.0])
 def test_score_rejects_a_bool_label_base(dataset, tmp_path, capsys, label_base):
     run_dir = tmp_path / "run"
     run_cli("run", "--dataset", dataset, "--backend", "mock:oracle", "--out", run_dir)

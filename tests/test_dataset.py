@@ -207,11 +207,15 @@ def test_load_shares_one_graph_per_stored_graph(small_saved):
     instances, path = small_saved
     loaded = load_dataset(path)
     assert loaded == instances
-    for a in loaded:
-        for b in loaded:
-            assert (a.graph is b.graph) == (a.graph == b.graph)
+    stored = [json.loads(line)["graph"] for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+    # Adjacent lines share a Graph exactly when their stored graphs are equal,
+    # and each run of such lines has a Graph of its own.
+    for i in range(1, len(loaded)):
+        assert (loaded[i].graph is loaded[i - 1].graph) == (stored[i] == stored[i - 1])
+    runs = 1 + sum(a != b for a, b in zip(stored, stored[1:]))
+    assert len({id(i.graph) for i in loaded}) == runs
     # Node-level and pair tasks store each graph once per query.
-    assert len({id(i.graph) for i in loaded}) < len(loaded)
+    assert runs < len(loaded)
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -225,9 +229,9 @@ def test_load_restores_gc_state(small_saved, monkeypatch, enabled, corrupt):
     parse_states, verify_states = [], []
     parse = TaskInstance.from_json_obj
 
-    def spying_parse(cls, obj, graphs=None):
+    def spying_parse(cls, obj, graph=None):
         parse_states.append(gc.isenabled())
-        return parse(obj, graphs)
+        return parse(obj, graph)
 
     monkeypatch.setattr(TaskInstance, "from_json_obj", classmethod(spying_parse))
     monkeypatch.setattr(ds, "verify_gold_answers",
@@ -537,25 +541,16 @@ def _graph(edges, n=5, directed=False):
     return {"n": n, "edges": edges, "directed": directed}
 
 
-def test_load_shares_equal_graphs_on_lines_that_are_not_adjacent(tmp_path):
+def test_load_builds_equal_graphs_apart_unless_their_lines_are_adjacent_and_equal(tmp_path):
     a, b = _graph([[0, 1], [1, 3]]), _graph([[0, 2]])
-    loaded = load_dataset(_edge_count_file(tmp_path / "data.jsonl", [a, b, a, b, a]))
-    assert [i.graph.edge_count for i in loaded] == [2, 1, 2, 1, 2]
-    assert loaded[0].graph is loaded[2].graph is loaded[4].graph
-    assert loaded[1].graph is loaded[3].graph
-    assert loaded[0].graph is not loaded[1].graph
-
-
-def test_load_shares_one_graph_between_reordered_undirected_twins(tmp_path):
-    canonical = _graph([[0, 1], [1, 3], [2, 4]])
-    twins = [_graph([[2, 4], [0, 1], [1, 3]]), _graph([[1, 0], [3, 1], [4, 2]]),
-             _graph([[4, 2], [1, 3], [1, 0]])]
-    directed = _graph([[1, 0], [3, 1], [4, 2]], directed=True)
-    path = _edge_count_file(tmp_path / "data.jsonl", [canonical, directed, *twins])
-    loaded = load_dataset(path)
-    assert all(i.graph is loaded[0].graph for i in loaded[2:])
-    assert loaded[1].graph is not loaded[0].graph
-    assert loaded[1].graph.edges == {(1, 0), (3, 1), (4, 2)}
+    twins = [_graph([[1, 3], [0, 1]]), _graph([[3, 1], [1, 0]])]
+    directed = _graph([[1, 0], [3, 1]], directed=True)
+    path = _edge_count_file(tmp_path / "data.jsonl", [a, b, a, *twins, directed, a])
+    graphs = [i.graph for i in load_dataset(path)]
+    assert graphs[0] == graphs[2] == graphs[3] == graphs[4] == graphs[6]
+    assert graphs[5] != graphs[0] and graphs[5].edges == {(1, 0), (3, 1)}
+    assert len({id(g) for g in graphs}) == len(graphs)
+    assert _shares_each_equal_pair(graphs)
 
 
 def _shares_each_equal_pair(graphs):
@@ -586,8 +581,8 @@ def test_load_checks_an_endpoint_whose_int_pair_was_loaded_before(tmp_path, endp
 
 
 def test_load_peak_memory_per_stored_edge(tmp_path):
-    """Load holds each distinct graph and edge pair once, and builds no second
-    copy of the edges while it parses."""
+    """Load holds each distinct edge pair once, builds one graph per run of
+    equal stored graphs, and builds no second copy of the edges while it parses."""
     path = tmp_path / "data.jsonl"
     assemble_dataset(0, graphs_per_cell=10, out=path)
     tracemalloc.start()

@@ -132,11 +132,12 @@ def test_evaluate_response_outcomes():
 
 
 def test_record_invariant():
-    with pytest.raises(ValueError):
-        EvalRecord(
-            instance_id="x", task=Task.EDGE_COUNT, bucket="S", strategy="0-shot",
-            correct=True, failure=FailureKind.WRONG_ANSWER,
-        )
+    for correct, failure in ((True, FailureKind.WRONG_ANSWER), (False, FailureKind.NONE)):
+        with pytest.raises(ValueError):
+            EvalRecord(
+                instance_id="x", task=Task.EDGE_COUNT, bucket="S", strategy="0-shot",
+                correct=correct, failure=failure,
+            )
 
 
 def test_records_round_trip(tmp_path):
@@ -158,6 +159,18 @@ def test_load_records_rejects_a_correct_that_is_not_a_bool(tmp_path, correct):
     row = json.loads(path.read_text(encoding="utf-8"))
     assert row["correct"] is True
     row["correct"] = correct
+    path.write_text("\n" + json.dumps(row) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: not a records row$"):
+        load_records(path)
+
+
+def test_load_records_rejects_an_incorrect_row_with_no_failure_kind(tmp_path):
+    inst = instance_for(Task.CYCLE_CHECK)
+    path = tmp_path / "records.jsonl"
+    save_records([evaluate_response(inst, Strategy.zero_shot(), "Answer: Yes")], path)
+    row = json.loads(path.read_text(encoding="utf-8"))
+    assert row["failure"] == "none"
+    row["correct"] = False
     path.write_text("\n" + json.dumps(row) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: not a records row$"):
         load_records(path)

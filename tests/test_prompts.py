@@ -256,7 +256,6 @@ def test_cell_sections_are_built_once_per_process(monkeypatch):
     for name in calls:
         monkeypatch.setattr(prompts, name, counting(name, getattr(prompts, name)))
     prompts._head.cache_clear()
-    prompts._exemplar_sections.cache_clear()
     prompts._pseudocode_section.cache_clear()
     cell = build_instances(Task.NEIGHBORS, SMALL, master_seed=3, graph_count=4)
     strategy = Strategy.pseudo_k_shot(PseudocodeStyle.MULTI, 2)
