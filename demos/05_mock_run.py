@@ -33,11 +33,9 @@ def evaluate(instances, strategy, backend, cache=None):
     bundles = [render_prompt(inst, strategy) for inst in instances]
     results = run_prompts(bundles, backend, cache=cache)
     records = []
-    for inst, (transcript, error) in zip(instances, results):
+    for inst, (transcript, _) in zip(instances, results):
         records.append(evaluate_response(
-            inst, strategy,
-            transcript.text if transcript else None,
-            backend_error=str(error) if error else "",
+            inst, strategy, transcript.text, backend_error=transcript.error or "",
         ))
     return records
 

@@ -60,11 +60,9 @@ def main():
     results = run_prompts(bundles, backend, cfg=cfg, parallel=2)
 
     records = []
-    for inst, (transcript, error) in zip(instances, results):
+    for inst, (transcript, _) in zip(instances, results):
         records.append(evaluate_response(
-            inst, strategy,
-            transcript.text if transcript else None,
-            backend_error=str(error) if error else "",
+            inst, strategy, transcript.text, backend_error=transcript.error or "",
         ))
     print(render_markdown(aggregate_report(records)))
 

@@ -25,7 +25,9 @@ from .evaluate import (
     emit_report,
     evaluate_response,
     load_records,
+    read_rows,
     save_records,
+    write_rows,
 )
 from .graphs import ALL_BUCKETS, BUCKETS, SizeBucket
 from .prompts import (
@@ -178,18 +180,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_render(args: argparse.Namespace) -> int:
     instances = _load_for_eval(args)
     strategy = parse_strategy(args.strategy, args.shots, PseudocodeStyle(args.style))
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", encoding="utf-8") as fh:
-        for inst in instances:
-            bundle = render_prompt(inst, strategy, args.exemplar_seed, args.label_base)
-            fh.write(json.dumps({
-                "instance_id": bundle.instance_id,
-                "strategy": strategy.display_name,
-                "label_base": bundle.label_base,
-                "text": bundle.text,
-            }, sort_keys=True) + "\n")
-    print(f"rendered {len(instances)} prompts to {out}")
+    bundles = (render_prompt(inst, strategy, args.exemplar_seed, args.label_base)
+               for inst in instances)
+    write_rows(({"instance_id": b.instance_id, "strategy": strategy.display_name,
+                 "label_base": b.label_base, "text": b.text} for b in bundles), args.out)
+    print(f"rendered {len(instances)} prompts to {Path(args.out)}")
     return 0
 
 
@@ -217,15 +212,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         if cache is not None:
             cache.close()
 
-    transcripts = [
-        Transcript(bundle.instance_id, strategy.display_name, bundle.label_base, cfg.model,
-                   backend.name, error=str(error)) if transcript is None else transcript
-        for bundle, (transcript, error) in zip(bundles, outcomes)
-    ]
+    transcripts = [t for t, _ in outcomes]
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    with (outdir / "transcripts.jsonl").open("w", encoding="utf-8") as fh:
-        fh.writelines(json.dumps(t.to_row(), sort_keys=True) + "\n" for t in transcripts)
+    write_rows((t.to_row() for t in transcripts), outdir / "transcripts.jsonl")
     records, failures = _score_transcripts(zip(instances, transcripts), outdir / "records.jsonl")
 
     correct = sum(r.correct for r in records)
@@ -251,19 +240,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_score(args: argparse.Namespace) -> int:
     by_id = ds.instances_by_id(ds.load_dataset(args.dataset, verify=not args.no_verify))
     pairs = []
-    with Path(args.transcripts).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                transcript = Transcript.from_row(json.loads(line))
-            except ValueError as exc:
-                raise ValueError(f"{args.transcripts}:{lineno}: not a transcripts row") from exc
-            inst = by_id.get(transcript.instance_id)
-            if inst is None:
-                raise SystemExit(f"error: {args.transcripts}:{lineno}: "
-                                 f"unknown instance {transcript.instance_id!r}")
-            pairs.append((inst, transcript))
+    for lineno, transcript in read_rows(args.transcripts, Transcript.from_row, "transcripts row"):
+        inst = by_id.get(transcript.instance_id)
+        if inst is None:
+            raise SystemExit(f"error: {args.transcripts}:{lineno}: "
+                             f"unknown instance {transcript.instance_id!r}")
+        pairs.append((inst, transcript))
     _score_transcripts(pairs, args.out)
     print(f"records: {args.out}")
     return 0

@@ -454,21 +454,23 @@ def run_prompts(
     cfg: Optional[ModelConfig] = None,
     cache: Optional[ResponseCache] = None,
     parallel: int = 1,
-) -> list[tuple[Optional[Transcript], Optional[ClientError]]]:
+) -> list[tuple[Transcript, Optional[ClientError]]]:
     """Resolve many prompts, preserving input order.
 
-    Returns one (transcript, error) pair per bundle; exactly one side is
-    set. A failing prompt never aborts the batch.
+    Returns one (transcript, error) pair per bundle. ``error`` is set exactly
+    when the prompt failed, and then the transcript carries its message. A
+    failing prompt never aborts the batch.
     """
     if parallel < 1:
         raise ValueError("parallel must be at least 1")
     cfg = cfg or ModelConfig()
 
-    def one(bundle: PromptBundle) -> tuple[Optional[Transcript], Optional[ClientError]]:
+    def one(bundle: PromptBundle) -> tuple[Transcript, Optional[ClientError]]:
         try:
             return complete(bundle, backend, cfg, cache), None
         except ClientError as exc:
-            return None, exc
+            return Transcript(bundle.instance_id, bundle.strategy.display_name, bundle.label_base,
+                              cfg.model, backend.name, error=str(exc)), exc
 
     if parallel == 1 or len(bundles) <= 1:
         return [one(b) for b in bundles]

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Optional, TypeVar
 
 from .dataset import TaskInstance, answer_to_json
 from .graphs import ALL_BUCKETS
@@ -254,20 +254,20 @@ class FailureKind(str, Enum):
 
 @dataclass(frozen=True)
 class EvalRecord:
-    """Outcome of one (instance, strategy) evaluation."""
+    """Outcome of one (instance, strategy) evaluation; it is correct exactly
+    when its failure kind is none."""
 
     instance_id: str
     task: Task
     bucket: str
     strategy: str
-    correct: bool
     failure: FailureKind
     extracted: Optional[str] = None
     detail: str = ""
 
-    def __post_init__(self):
-        if self.correct != (self.failure is FailureKind.NONE):
-            raise ValueError("a record is correct exactly when its failure kind is none")
+    @property
+    def correct(self) -> bool:
+        return self.failure is FailureKind.NONE
 
     def to_json_obj(self) -> dict:
         return {
@@ -283,15 +283,19 @@ class EvalRecord:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "EvalRecord":
-        if not isinstance(obj["correct"], bool):
-            raise TypeError(f"correct must be true or false, got {obj['correct']!r}")
+        """Read a row; raise unless ``instance_id``, ``bucket`` and ``strategy``
+        are strings and ``correct`` is the bool that ``failure`` implies."""
+        failure = FailureKind(obj["failure"])
+        if obj["correct"] is not (failure is FailureKind.NONE):
+            raise ValueError(f"correct {obj['correct']!r} does not match failure {failure}")
+        if not all(isinstance(obj[key], str) for key in ("instance_id", "bucket", "strategy")):
+            raise TypeError("instance_id, bucket and strategy must be strings")
         return cls(
             instance_id=obj["instance_id"],
             task=Task(obj["task"]),
             bucket=obj["bucket"],
             strategy=obj["strategy"],
-            correct=obj["correct"],
-            failure=FailureKind(obj["failure"]),
+            failure=failure,
             extracted=obj.get("extracted"),
             detail=obj.get("detail", ""),
         )
@@ -312,16 +316,13 @@ def evaluate_response(
         strategy=strategy.display_name,
     )
     if text is None:
-        return EvalRecord(correct=False, failure=FailureKind.BACKEND_ERROR,
-                          detail=backend_error, **base)
+        return EvalRecord(failure=FailureKind.BACKEND_ERROR, detail=backend_error, **base)
     try:
         answer = extract_answer(inst.task, text)
     except ExtractionFailed as exc:
-        return EvalRecord(correct=False, failure=FailureKind.EXTRACTION_FAILED,
-                          detail=str(exc), **base)
+        return EvalRecord(failure=FailureKind.EXTRACTION_FAILED, detail=str(exc), **base)
     correct = score_instance(inst, answer, label_base)
     return EvalRecord(
-        correct=correct,
         failure=FailureKind.NONE if correct else FailureKind.WRONG_ANSWER,
         extracted=json.dumps(answer_to_json(answer)["value"]),
         **base,
@@ -452,24 +453,33 @@ def emit_report(report: Report, fmt: str = "markdown", flag_best: bool = True) -
     raise ValueError(f"unknown report format {fmt!r}")
 
 
-def save_records(records: Sequence[EvalRecord], path) -> None:
+def write_rows(rows: Iterable[Mapping], path) -> None:
+    """Write one sorted-key JSON line per row, creating the parent directory."""
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
     with p.open("w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec.to_json_obj(), sort_keys=True) + "\n")
+        fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
 
 
-def load_records(path) -> list[EvalRecord]:
-    """Read a records file; a line that is not a record raises ``ValueError``
-    naming ``FILE:LINE``."""
-    out = []
+def read_rows(path, parse: Callable[[object], _T], what: str) -> Iterator[tuple[int, _T]]:
+    """Yield ``(lineno, parse(obj))`` for each non-blank line; a line that is
+    not JSON, or that ``parse`` rejects, raises ``ValueError`` naming ``FILE:LINE``."""
     with Path(path).open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                out.append(EvalRecord.from_json_obj(json.loads(line)))
+                row = parse(json.loads(line))
             except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: not a records row") from exc
-    return out
+                raise ValueError(f"{path}:{lineno}: not a {what}") from exc
+            yield lineno, row
+
+
+def save_records(records: Iterable[EvalRecord], path) -> None:
+    write_rows((rec.to_json_obj() for rec in records), path)
+
+
+def load_records(path) -> list[EvalRecord]:
+    """Read a records file; a line that is not a record raises ``ValueError``
+    naming ``FILE:LINE``."""
+    return [rec for _, rec in read_rows(path, EvalRecord.from_json_obj, "records row")]

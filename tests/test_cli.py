@@ -520,7 +520,13 @@ def test_report_duplicate_records_fail(dataset, tmp_path, capsys):
     assert "duplicate" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ['{"a": 1}', '{"instance_id": "edge_count-S-000-0",', "[1]"])
+_RECORD = ('{"correct": true, "detail": "", "extracted": "1", "failure": "none", '
+           '"instance_id": "edge_count-S-000-0", "task": "edge_count", ')
+
+
+@pytest.mark.parametrize("line", ['{"a": 1}', '{"instance_id": "edge_count-S-000-0",', "[1]",
+                                  _RECORD + '"bucket": ["S"], "strategy": "0-shot"}',
+                                  _RECORD + '"bucket": "S", "strategy": 5}'])
 def test_report_names_the_line_that_is_not_a_record(dataset, tmp_path, capsys, line):
     run_dir = tmp_path / "run"
     run_cli("run", "--dataset", dataset, "--backend", "mock:oracle", "--out", run_dir)

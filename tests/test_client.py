@@ -617,11 +617,22 @@ class FailingBackend(CountingBackend):
 
 def test_run_prompts_isolates_failures(bundles):
     backend = FailingBackend(bundles[1].instance_id)
-    results = run_prompts(bundles[:3], backend, ModelConfig(), parallel=2)
-    assert results[1][0] is None and isinstance(results[1][1], ClientError)
-    assert results[0][1] is None and results[2][1] is None
-    assert [t.instance_id for t, _ in (results[0], results[2])] == \
-        [bundles[0].instance_id, bundles[2].instance_id]
+    results = run_prompts(bundles[:3], backend, ModelConfig(model="m"), parallel=2)
+    (first, first_error), (failed, error), (last, last_error) = results
+    assert first_error is None and last_error is None and isinstance(error, ClientError)
+    assert [first.instance_id, last.instance_id] == [bundles[0].instance_id, bundles[2].instance_id]
+    assert first.error is None and last.error is None
+    # The failed prompt's transcript is built where it failed, and holds no answer.
+    assert failed.error == str(error) == f"cannot answer {bundles[1].instance_id}"
+    assert failed.to_row() == {
+        "instance_id": bundles[1].instance_id,
+        "strategy": bundles[1].strategy.display_name,
+        "label_base": bundles[1].label_base,
+        "model": "m",
+        "backend": backend.name,
+        "error": str(error),
+    }
+    assert failed.prompt_hash is None and failed.text is None
 
 
 def test_run_prompts_rejects_bad_parallel(bundles):

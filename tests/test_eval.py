@@ -18,12 +18,14 @@ from graphbench import (
     evaluate_response,
     format_percent,
     load_records,
+    read_rows,
     render_csv,
     render_markdown,
     save_records,
     score_instance,
     validate_spanning_tree,
     verify_gold_answers,
+    write_rows,
 )
 from graphbench.dataset import TaskInstance
 from graphbench.oracles import gold_answer
@@ -132,12 +134,11 @@ def test_evaluate_response_outcomes():
 
 
 def test_record_invariant():
-    for correct, failure in ((True, FailureKind.WRONG_ANSWER), (False, FailureKind.NONE)):
-        with pytest.raises(ValueError):
-            EvalRecord(
-                instance_id="x", task=Task.EDGE_COUNT, bucket="S", strategy="0-shot",
-                correct=correct, failure=failure,
-            )
+    for failure in FailureKind:
+        record = EvalRecord(instance_id="x", task=Task.EDGE_COUNT, bucket="S",
+                            strategy="0-shot", failure=failure)
+        assert record.correct is (failure is FailureKind.NONE)
+        assert record.to_json_obj()["correct"] is record.correct
 
 
 def test_records_round_trip(tmp_path):
@@ -151,6 +152,27 @@ def test_records_round_trip(tmp_path):
     assert load_records(path) == records
 
 
+def test_write_rows_writes_one_sorted_key_line_per_row(tmp_path):
+    path = tmp_path / "new" / "rows.jsonl"
+    write_rows(({"b": i, "a": [i]} for i in range(2)), path)
+    assert path.read_text(encoding="utf-8") == '{"a": [0], "b": 0}\n{"a": [1], "b": 1}\n'
+
+
+@pytest.mark.parametrize("bad", ['{"b": 3}', "[1]", '{"a": ', '{"a": -1}'])
+def test_read_rows_skips_blank_lines_but_counts_them(tmp_path, bad):
+    def parse(obj):
+        if obj["a"] < 0:
+            raise ValueError("negative")
+        return obj["a"]
+
+    path = tmp_path / "rows.jsonl"
+    path.write_text(f'\n{{"a": 1}}\n  \n{{"a": 2}}\n{bad}\n{{"a": 3}}\n', encoding="utf-8")
+    rows = read_rows(path, parse, "thing")
+    assert [next(rows), next(rows)] == [(2, 1), (4, 2)]
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:5: not a thing$"):
+        next(rows)
+
+
 @pytest.mark.parametrize("correct", ["false", "true", 0, 1, None])
 def test_load_records_rejects_a_correct_that_is_not_a_bool(tmp_path, correct):
     inst = instance_for(Task.CYCLE_CHECK)
@@ -159,6 +181,19 @@ def test_load_records_rejects_a_correct_that_is_not_a_bool(tmp_path, correct):
     row = json.loads(path.read_text(encoding="utf-8"))
     assert row["correct"] is True
     row["correct"] = correct
+    path.write_text("\n" + json.dumps(row) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: not a records row$"):
+        load_records(path)
+
+
+@pytest.mark.parametrize("key", ["instance_id", "bucket", "strategy"])
+@pytest.mark.parametrize("value", [["S"], 5])
+def test_load_records_rejects_a_name_that_is_not_a_string(tmp_path, key, value):
+    inst = instance_for(Task.CYCLE_CHECK)
+    path = tmp_path / "records.jsonl"
+    save_records([evaluate_response(inst, Strategy.zero_shot(), "Answer: Yes")], path)
+    row = json.loads(path.read_text(encoding="utf-8"))
+    row[key] = value
     path.write_text("\n" + json.dumps(row) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: not a records row$"):
         load_records(path)
@@ -182,7 +217,6 @@ def test_load_records_rejects_an_incorrect_row_with_no_failure_kind(tmp_path):
 def rec(instance_id, task, bucket, strategy, correct):
     return EvalRecord(
         instance_id=instance_id, task=task, bucket=bucket, strategy=strategy,
-        correct=correct,
         failure=FailureKind.NONE if correct else FailureKind.WRONG_ANSWER,
     )
 
