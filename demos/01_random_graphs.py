@@ -19,7 +19,7 @@ from graphbench import (
 def describe(title, g):
     kind = "directed" if g.directed else "undirected"
     print(f"{title}: {kind}, n={g.n}, m={g.edge_count}")
-    print(f"  edges: {g.sorted_edges}")
+    print(f"  edges: {g.edges}")
 
 
 def main():

@@ -26,7 +26,7 @@ def main():
     # A small worked example: two triangles joined by a bridge, plus an
     # isolated node.
     g = Graph.from_edges(8, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)])
-    print(f"graph: n={g.n}, edges={g.sorted_edges}\n")
+    print(f"graph: n={g.n}, edges={g.edges}\n")
 
     print("== Graph-level oracles ==")
     print(f"  node_count            -> {g.n}")
@@ -47,7 +47,7 @@ def main():
     print("\n== Directed: topological sorting ==")
     dag = Graph.from_edges(5, [(0, 2), (1, 2), (2, 3), (2, 4)], directed=True)
     order = topo_order(dag)
-    print(f"  dag edges             -> {dag.sorted_edges}")
+    print(f"  dag edges             -> {dag.edges}")
     print(f"  lexicographically smallest order -> {order}")
     print(f"  validate_topo_order([1, 0, 2, 3, 4]) -> "
           f"{validate_topo_order(dag, (1, 0, 2, 3, 4))}  (also valid)")

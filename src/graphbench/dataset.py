@@ -74,6 +74,10 @@ class TaskInstance:
             graph = Graph.from_edges(stored["n"], stored["edges"], stored["directed"])
         task = Task(obj["task"])
         query = tuple(obj["query"])
+        if any(type(node) is not int for node in query):
+            raise TypeError(f"query {list(query)} has a node that is not an int")
+        if type(obj["id"]) is not str:
+            raise TypeError(f"id {obj['id']!r} is not a string")
         if len(query) != query_arity(task):
             raise ValueError(f"{task.value} query {list(query)} has arity {len(query)}, "
                              f"expected {query_arity(task)}")
@@ -272,7 +276,7 @@ _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 # each distinct graph once while holding few graphs alive.
 @functools.lru_cache(maxsize=64)
 def _graph_json(graph: Graph) -> str:
-    return _encode({"n": graph.n, "edges": graph.sorted_edges, "directed": graph.directed})
+    return _encode({"n": graph.n, "edges": graph.edges, "directed": graph.directed})
 
 
 def _instance_line(inst: TaskInstance) -> str:

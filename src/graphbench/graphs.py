@@ -12,7 +12,6 @@ import hashlib
 import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .tasks import Task
@@ -22,27 +21,31 @@ Edge = tuple[int, int]
 
 @dataclass(frozen=True)
 class Graph:
-    """An unweighted graph over nodes 0..n-1 with a canonical edge set.
+    """An unweighted graph over nodes 0..n-1.
 
-    Undirected edges are stored as (u, v) with u < v and no duplicates.
-    Directed graphs keep edge tuples as given; the DAG generator only ever
-    emits edges oriented from the lower label to the higher one.
+    ``edges`` is sorted ascending with no pair twice; the constructor sorts
+    the pairs it is given. Undirected pairs are stored as (u, v) with u < v,
+    directed ones as given (the DAG generator orients each edge low -> high).
     """
 
     n: int
-    edges: frozenset[Edge]
+    edges: tuple[Edge, ...]
     directed: bool = False
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"node count must be positive, got {self.n}")
-        for u, v in self.edges:
+        edges = tuple(sorted(self.edges))
+        for i, (u, v) in enumerate(edges):
             if u == v:
                 raise ValueError(f"self-loop ({u}, {v}) not allowed")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
             if not self.directed and u > v:
                 raise ValueError(f"undirected edge ({u}, {v}) not canonical (need u < v)")
+            if i and edges[i - 1] == (u, v):
+                raise ValueError(f"edge ({u}, {v}) repeated")
+        object.__setattr__(self, "edges", edges)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]], directed: bool = False,
@@ -63,13 +66,7 @@ class Graph:
                 u, v = v, u
             pair = (u, v)
             canon.add(pairs.setdefault(pair, pair))
-        return cls(n=n, edges=frozenset(canon), directed=directed)
-
-    @cached_property
-    def sorted_edges(self) -> tuple[Edge, ...]:
-        """Computed once per graph; the cache is outside the dataclass fields, so
-        equality and hashing ignore it."""
-        return tuple(sorted(self.edges))
+        return cls(n=n, edges=canon, directed=directed)
 
     @property
     def edge_count(self) -> int:
@@ -184,12 +181,12 @@ def gen_er(cfg: GeneratorConfig, seed: int) -> Graph:
     rng = random.Random(seed)
     n = _uniform_int(rng, cfg.bucket.n_min, cfg.bucket.n_max)
     p = _uniform_p(rng, cfg.p_range)
-    edges = set()
+    edges = []
     for u in range(n):
         for v in range(u + 1, n):
             if rng.random() < p:
-                edges.add((u, v))
-    return Graph(n=n, edges=frozenset(edges), directed=False)
+                edges.append((u, v))
+    return Graph(n=n, edges=edges, directed=False)
 
 
 def gen_er_dag(cfg: GeneratorConfig, seed: int) -> Graph:
@@ -213,5 +210,5 @@ def gen_random_bipartite(cfg: GeneratorConfig, seed: int) -> Graph:
     candidates = sorted(
         (min(u, v), max(u, v)) for u in left for v in range(n) if v not in left
     )
-    edges = {pair for pair in candidates if rng.random() < p}
-    return Graph(n=n, edges=frozenset(edges), directed=False)
+    edges = [pair for pair in candidates if rng.random() < p]
+    return Graph(n=n, edges=edges, directed=False)

@@ -111,7 +111,7 @@ class _UnionFind:
 def adjacency(g: Graph) -> list[list[int]]:
     """Adjacency lists; for directed graphs, successors only."""
     adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.sorted_edges:
+    for u, v in g.edges:
         adj[u].append(v)
         if not g.directed:
             adj[v].append(u)
@@ -150,12 +150,9 @@ def connected_components(g: Graph) -> int:
 
 
 def has_cycle(g: Graph) -> bool:
-    """True iff the undirected graph contains a cycle (union-find early exit)."""
-    uf = _UnionFind(g.n)
-    for u, v in g.sorted_edges:
-        if not uf.union(u, v):
-            return True
-    return False
+    """True iff the undirected graph contains a cycle: a forest on n nodes
+    with c components has exactly n - c edges, and any other graph more."""
+    return len(g.edges) > g.n - connected_components(g)
 
 
 def spanning_forest(g: Graph) -> frozenset[Edge]:
@@ -164,7 +161,7 @@ def spanning_forest(g: Graph) -> frozenset[Edge]:
     tree of an unweighted connected graph."""
     uf = _UnionFind(g.n)
     chosen = set()
-    for u, v in g.sorted_edges:
+    for u, v in g.edges:
         if uf.union(u, v):
             chosen.add((u, v))
     return frozenset(chosen)
@@ -172,18 +169,17 @@ def spanning_forest(g: Graph) -> frozenset[Edge]:
 
 def validate_spanning_tree(g: Graph, es: Iterable[Sequence[int]]) -> bool:
     """True iff es is a subset of g's edges, acyclic, and induces exactly the
-    same component partition as g (hence has cardinality n - c)."""
+    same component partition as g. A subset's partition refines g's, so the
+    two are equal when their counts are, and n - c edges that leave c
+    components hold no cycle."""
     candidate = {(int(u), int(v)) if int(u) < int(v) else (int(v), int(u)) for u, v in es}
-    if not candidate <= g.edges:
+    if not candidate.issubset(g.edges):
         return False
     uf = _UnionFind(g.n)
-    for u, v in sorted(candidate):
-        if not uf.union(u, v):
-            return False  # cycle inside the candidate set
-    if len(candidate) != g.n - connected_components(g):
-        return False
-    # Same partition: every graph edge must not bridge two candidate components.
-    return all(uf.find(u) == uf.find(v) for u, v in g.edges)
+    for u, v in candidate:
+        uf.union(u, v)
+    components = connected_components(g)
+    return len(candidate) == g.n - components and uf.count == components
 
 
 def shortest_path_length(g: Graph, u: int, v: int) -> int:

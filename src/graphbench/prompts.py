@@ -221,7 +221,7 @@ def encode_edge_list(g: Graph, label_base: int = 0) -> str:
     """Deterministic edge-list encoding; directed graphs state the direction."""
     _check_label_base(label_base)
     lo, hi = label_base, g.n - 1 + label_base
-    pairs = ", ".join(map(_PAIR_TEXT[label_base].__getitem__, g.sorted_edges))
+    pairs = ", ".join(map(_PAIR_TEXT[label_base].__getitem__, g.edges))
     pairs = pairs or "(none)"
     if g.directed:
         return (

@@ -381,7 +381,7 @@ def test_verify_accepts_alternate_valid_forest():
     g = inst.graph
     forest = set(inst.gold.value)
     alternate = None
-    for extra in sorted(g.edges - frozenset(forest)):
+    for extra in sorted(set(g.edges) - frozenset(forest)):
         for drop in sorted(forest):
             candidate = (forest - {drop}) | {extra}
             from graphbench import validate_spanning_tree
@@ -523,6 +523,26 @@ def test_load_rejects_an_edge_endpoint_that_is_not_an_int(tmp_path, endpoint):
             load_dataset(path, verify=verify)
 
 
+@pytest.mark.parametrize("key, value, fault", [
+    ("query", [2.0], "query .* not an int"), ("query", [True], "query .* not an int"),
+    ("query", ["2"], "query .* not an int"), ("id", 7, "id 7 is not a string"),
+], ids=["float-node", "bool-node", "str-node", "int-id"])
+def test_load_rejects_a_query_node_that_is_not_an_int_or_an_id_that_is_not_a_string(
+        tmp_path, key, value, fault):
+    _, instances = assemble_dataset(0, tasks=[Task.NODE_DEGREE], buckets=[SMALL],
+                                    graphs_per_cell=1)
+    path = tmp_path / "data.jsonl"
+    save_dataset(instances, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    row = json.loads(lines[1])
+    row[key] = value
+    lines[1] = json.dumps(row, sort_keys=True, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for verify in (True, False):
+        with pytest.raises(DatasetFormatError, match=f"^line 2: corrupt instance: {fault}"):
+            load_dataset(path, verify=verify)
+
+
 def _edge_count_file(path, graphs):
     """A hand-written edge_count dataset, one line per stored ``"graph"`` object.
     Each edge list must hold no pair twice, in either order."""
@@ -548,7 +568,7 @@ def test_load_builds_equal_graphs_apart_unless_their_lines_are_adjacent_and_equa
     path = _edge_count_file(tmp_path / "data.jsonl", [a, b, a, *twins, directed, a])
     graphs = [i.graph for i in load_dataset(path)]
     assert graphs[0] == graphs[2] == graphs[3] == graphs[4] == graphs[6]
-    assert graphs[5] != graphs[0] and graphs[5].edges == {(1, 0), (3, 1)}
+    assert graphs[5] != graphs[0] and graphs[5].edges == ((1, 0), (3, 1))
     assert len({id(g) for g in graphs}) == len(graphs)
     assert _shares_each_equal_pair(graphs)
 

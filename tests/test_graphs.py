@@ -64,32 +64,36 @@ def test_graph_rejects_empty():
         Graph(0, frozenset())
 
 
+def test_graph_rejects_repeated_pair():
+    for directed in (False, True):
+        with pytest.raises(ValueError, match="repeated"):
+            Graph(3, [(0, 1), (1, 2), (0, 1)], directed=directed)
+
+
+def test_graph_sorts_any_edge_collection():
+    pairs = [(1, 3), (0, 2), (0, 1)]
+    for edges in (frozenset(pairs), pairs, tuple(pairs)):
+        assert Graph(4, edges).edges == ((0, 1), (0, 2), (1, 3))
+
+
 def test_from_edges_canonicalizes_and_dedups():
     g = Graph.from_edges(4, [(2, 0), (0, 2), (3, 1)])
-    assert g.edges == frozenset({(0, 2), (1, 3)})
-    assert g.sorted_edges == ((0, 2), (1, 3))
+    assert g.edges == ((0, 2), (1, 3))
     assert g.edge_count == 2
 
 
-def test_sorted_edges_leave_equality_and_hash_alone():
+def test_from_edges_ignores_input_order():
     used = Graph.from_edges(4, [(2, 0), (3, 1), (0, 1)])
-    assert used.sorted_edges == ((0, 1), (0, 2), (1, 3))
+    assert used.edges == ((0, 1), (0, 2), (1, 3))
     fresh = Graph.from_edges(4, [(0, 1), (0, 2), (1, 3)])
     assert used == fresh and fresh == used
     assert hash(used) == hash(fresh)
     assert len({used, fresh}) == 1
 
 
-def test_sorted_edges_sorted_once():
-    g = Graph.from_edges(5, [(3, 4), (0, 2), (1, 4)])
-    first = g.sorted_edges
-    assert first == ((0, 2), (1, 4), (3, 4))
-    assert g.sorted_edges is first
-
-
 def test_directed_edges_kept_as_given():
     g = Graph.from_edges(3, [(2, 0)], directed=True)
-    assert g.edges == frozenset({(2, 0)})
+    assert g.edges == ((2, 0),)
 
 
 @pytest.mark.parametrize("edge", [(0.9, 2), (0, 2.0), (True, 2), (0, False), ("0", 2), (None, 1)])
@@ -237,6 +241,33 @@ def test_gen_er_dag_matches_er_skeleton():
     cfg = GeneratorConfig(bucket=SMALL)
     seed = derive_seed(4, "skeleton")
     assert gen_er_dag(cfg, seed).edges == gen_er(cfg, seed).edges
+
+
+# --- canonical edge form ------------------------------------------------------------
+
+
+def _generated_graphs(gen):
+    for bucket in ALL_BUCKETS:
+        cfg = GeneratorConfig(bucket=bucket)
+        for seed in range(200):
+            yield gen(cfg, derive_seed(5, "canonical", bucket.name, seed))
+
+
+@pytest.mark.parametrize("gen", [gen_er, gen_er_dag, gen_random_bipartite])
+def test_generated_edges_are_a_strictly_increasing_tuple(gen):
+    for g in _generated_graphs(gen):
+        assert type(g.edges) is tuple
+        assert all(a < b for a, b in zip(g.edges, g.edges[1:]))
+
+
+@pytest.mark.parametrize("gen", [gen_er, gen_er_dag, gen_random_bipartite])
+def test_from_edges_rebuilds_a_generated_graph_from_shuffled_flipped_pairs(gen):
+    rng = random.Random(9)
+    for g in _generated_graphs(gen):
+        pairs = [(u, v) if g.directed else (v, u) for u, v in g.edges]
+        rng.shuffle(pairs)
+        h = Graph.from_edges(g.n, pairs, g.directed)
+        assert h == g and hash(h) == hash(g)
 
 
 # --- bipartite generator -------------------------------------------------------------

@@ -201,7 +201,7 @@ def test_validate_spanning_tree_exhaustive_small():
         if g.edge_count > 10:
             continue
         checked_graphs += 1
-        edges = g.sorted_edges
+        edges = g.edges
         for mask in range(2 ** len(edges)):
             subset = [e for i, e in enumerate(edges) if mask >> i & 1]
             assert validate_spanning_tree(g, subset) == bf_is_spanning_forest(g, subset)

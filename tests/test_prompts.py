@@ -333,7 +333,7 @@ def test_encode_edge_list_pair_table_matches_formatting_each_pair():
               for inst in build_instances(task, bucket, master_seed=5, graph_count=3)}
     for g in graphs:
         for base in (0, 1):
-            pairs = ", ".join(f"({u + base}, {v + base})" for u, v in g.sorted_edges)
+            pairs = ", ".join(f"({u + base}, {v + base})" for u, v in g.edges)
             assert encode_edge_list(g, base).endswith(": " + (pairs or "(none)"))
     n_max = max(bucket.n_max for bucket in ALL_BUCKETS)
     for base, table in enumerate(prompts._PAIR_TEXT):
