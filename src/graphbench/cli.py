@@ -162,8 +162,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     tasks = _parse_selection(args.tasks, _task, ALL_TASKS)
     buckets = _parse_selection(args.buckets, _bucket, ALL_BUCKETS)
     out = Path(args.out)
-    manifest, _ = ds.assemble_dataset(
-        args.seed, tasks=tasks, buckets=buckets, graphs_per_cell=args.graphs_per_cell, out=out
+    manifest = ds.write_dataset(
+        out, args.seed, tasks=tasks, buckets=buckets, graphs_per_cell=args.graphs_per_cell
     )
     manifest_path = Path(args.manifest) if args.manifest else out.with_suffix(".manifest.json")
     ds.save_manifest(manifest, manifest_path)

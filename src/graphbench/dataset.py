@@ -7,8 +7,10 @@ path adds 3 x 100 x 5 = 1,500; 6,600 in total.
 Persistence: ``_instance_line`` is the one serializer and ``content_digest``
 the one loop that hashes its lines. ``save_dataset`` writes each line from
 that loop as it is hashed, so a saved dataset is serialized once and its
-digest describes the bytes on disk. Each distinct graph's ``"graph"`` object
-is encoded once and joined into the lines of all its instances.
+digest describes the bytes on disk. ``write_dataset`` feeds it the cells as
+they are built, so generating holds one cell's instances at a time. Each
+distinct graph's ``"graph"`` object is encoded once and joined into the lines
+of all its instances.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ import json
 import random
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from . import oracles
 from .graphs import (
@@ -231,38 +233,59 @@ def build_instances(
     return instances
 
 
+def _dataset(
+    master_seed: int, tasks: Sequence[Task], buckets: Sequence[SizeBucket], graphs_per_cell: int
+) -> tuple[DatasetManifest, Iterator[TaskInstance]]:
+    """The manifest, without its digest, and the loop that yields the dataset
+    one (task, bucket) cell at a time; each cell's count and cycle-check prior
+    enter the manifest as the cell is built, and only that cell is held."""
+    manifest = DatasetManifest(master_seed=master_seed, generator_version=GENERATOR_VERSION,
+                               counts={}, total=0, content_digest="")
+
+    def cells() -> Iterator[TaskInstance]:
+        for task in tasks:
+            counts = manifest.counts[task.value] = {}
+            for bucket in buckets:
+                cell = build_instances(task, bucket, master_seed, graphs_per_cell)
+                counts[bucket.name] = len(cell)
+                manifest.total += len(cell)
+                if task is Task.CYCLE_CHECK:
+                    yes = sum(1 for inst in cell if inst.gold.value)
+                    manifest.cycle_check_prior[bucket.name] = {
+                        "true": yes, "false": len(cell) - yes}
+                yield from cell
+
+    return manifest, cells()
+
+
+def write_dataset(
+    path: str | Path,
+    master_seed: int,
+    tasks: Sequence[Task] = ALL_TASKS,
+    buckets: Sequence[SizeBucket] = ALL_BUCKETS,
+    graphs_per_cell: int = GRAPHS_PER_CELL,
+) -> DatasetManifest:
+    """Generate the benchmark for a master seed and save it to ``path``.
+
+    Each cell is built, written and hashed before the next is built, so no
+    more than one cell's instances are held; the manifest's digest is taken
+    from the lines as they are written."""
+    manifest, cells = _dataset(master_seed, tasks, buckets, graphs_per_cell)
+    manifest.content_digest = save_dataset(cells, path)
+    return manifest
+
+
 def assemble_dataset(
     master_seed: int,
     tasks: Sequence[Task] = ALL_TASKS,
     buckets: Sequence[SizeBucket] = ALL_BUCKETS,
     graphs_per_cell: int = GRAPHS_PER_CELL,
-    out: str | Path | None = None,
 ) -> tuple[DatasetManifest, list[TaskInstance]]:
-    """Generate the whole benchmark for a master seed; fully deterministic.
-
-    With ``out``, the dataset is also saved there, and the manifest's digest is
-    taken from the lines as they are written.
-    """
-    instances: list[TaskInstance] = []
-    counts: dict[str, dict[str, int]] = {}
-    prior: dict[str, dict[str, int]] = {}
-    for task in tasks:
-        counts[task.value] = {}
-        for bucket in buckets:
-            cell = build_instances(task, bucket, master_seed, graphs_per_cell)
-            counts[task.value][bucket.name] = len(cell)
-            instances.extend(cell)
-            if task is Task.CYCLE_CHECK:
-                yes = sum(1 for inst in cell if inst.gold.value)
-                prior[bucket.name] = {"true": yes, "false": len(cell) - yes}
-    manifest = DatasetManifest(
-        master_seed=master_seed,
-        generator_version=GENERATOR_VERSION,
-        counts=counts,
-        total=len(instances),
-        content_digest=content_digest(instances) if out is None else save_dataset(instances, out),
-        cycle_check_prior=prior,
-    )
+    """Generate the whole benchmark for a master seed, in memory; fully
+    deterministic, and the same manifest as ``write_dataset``'s."""
+    manifest, cells = _dataset(master_seed, tasks, buckets, graphs_per_cell)
+    instances = list(cells)
+    manifest.content_digest = content_digest(instances)
     return manifest, instances
 
 

@@ -24,8 +24,9 @@ class Graph:
     """An unweighted graph over nodes 0..n-1.
 
     ``edges`` is sorted ascending with no pair twice; the constructor sorts
-    the pairs it is given. Undirected pairs are stored as (u, v) with u < v,
-    directed ones as given (the DAG generator orients each edge low -> high).
+    the pairs it is given, each of which must be a tuple. Undirected pairs are
+    stored as (u, v) with u < v, directed ones as given (the DAG generator
+    orients each edge low -> high).
     """
 
     n: int
@@ -35,6 +36,9 @@ class Graph:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"node count must be positive, got {self.n}")
+        for pair in self.edges:
+            if type(pair) is not tuple:
+                raise TypeError(f"edge {pair!r} is not a tuple")
         edges = tuple(sorted(self.edges))
         for i, (u, v) in enumerate(edges):
             if u == v:
@@ -67,6 +71,19 @@ class Graph:
             pair = (u, v)
             canon.add(pairs.setdefault(pair, pair))
         return cls(n=n, edges=canon, directed=directed)
+
+    @classmethod
+    def _built(cls, n: int, edges: tuple[Edge, ...], directed: bool) -> "Graph":
+        """A generator's graph, stored without the constructor's checks.
+
+        Only the generators below call this: their ``edges`` are a tuple of
+        distinct int pairs, in range, canonical and sorted by construction.
+        The tests run the full check over every graph they build."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "n", n)
+        object.__setattr__(graph, "edges", edges)
+        object.__setattr__(graph, "directed", directed)
+        return graph
 
     @property
     def edge_count(self) -> int:
@@ -186,14 +203,14 @@ def gen_er(cfg: GeneratorConfig, seed: int) -> Graph:
         for v in range(u + 1, n):
             if rng.random() < p:
                 edges.append((u, v))
-    return Graph(n=n, edges=edges, directed=False)
+    return Graph._built(n, tuple(edges), False)
 
 
 def gen_er_dag(cfg: GeneratorConfig, seed: int) -> Graph:
     """ER graph with every edge oriented from the lower label to the higher
     one, which makes the result acyclic by construction."""
     base = gen_er(cfg, seed)
-    return Graph(n=base.n, edges=base.edges, directed=True)
+    return Graph._built(base.n, base.edges, True)
 
 
 def gen_random_bipartite(cfg: GeneratorConfig, seed: int) -> Graph:
@@ -211,4 +228,4 @@ def gen_random_bipartite(cfg: GeneratorConfig, seed: int) -> Graph:
         (min(u, v), max(u, v)) for u in left for v in range(n) if v not in left
     )
     edges = [pair for pair in candidates if rng.random() < p]
-    return Graph(n=n, edges=edges, directed=False)
+    return Graph._built(n, tuple(edges), False)

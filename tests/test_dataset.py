@@ -1,4 +1,6 @@
+import dataclasses
 import gc
+import hashlib
 import json
 import tracemalloc
 import weakref
@@ -28,6 +30,7 @@ from graphbench import (
     save_manifest,
     topo_order,
     verify_gold_answers,
+    write_dataset,
 )
 import graphbench.dataset as ds
 from graphbench.dataset import TaskInstance, _graph_for_instance, answer_to_json
@@ -165,8 +168,6 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_digest_matches_file_lines(tmp_path):
-    import hashlib
-
     _, instances = assemble_dataset(0, tasks=[Task.NODE_COUNT], buckets=[SMALL],
                                     graphs_per_cell=3)
     path = tmp_path / "data.jsonl"
@@ -174,6 +175,42 @@ def test_digest_matches_file_lines(tmp_path):
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)[1:]
     digest = hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
     assert returned == digest == content_digest(instances)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("tasks, buckets", [
+    ([Task.CYCLE_CHECK, Task.SHORTEST_PATH, Task.NODE_COUNT], [MEDIUM, SMALL]),
+    (ALL_TASKS, ALL_BUCKETS),
+])
+def test_write_dataset_agrees_with_assemble_dataset(tmp_path, seed, tasks, buckets):
+    path = tmp_path / "data.jsonl"
+    written = write_dataset(path, seed, tasks=tasks, buckets=buckets, graphs_per_cell=2)
+    assembled, instances = assemble_dataset(seed, tasks=tasks, buckets=buckets,
+                                            graphs_per_cell=2)
+    for field in dataclasses.fields(ds.DatasetManifest):
+        assert getattr(written, field.name) == getattr(assembled, field.name), field.name
+    assert written.total == len(instances)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)[1:]
+    assert len(lines) == written.total
+    assert hashlib.sha256("".join(lines).encode("utf-8")).hexdigest() == written.content_digest
+
+
+def test_write_dataset_holds_one_cell_at_a_time(tmp_path, monkeypatch):
+    """While a cell is built, no instance of a cell two or more back is alive."""
+    cells: list[list[weakref.ref]] = []
+    build = ds.build_instances
+
+    def tracked(*args, **kwargs):
+        for older in cells[:-1]:
+            assert all(ref() is None for ref in older), f"cell {cells.index(older)} still alive"
+        result = build(*args, **kwargs)
+        cells.append([weakref.ref(inst) for inst in result])
+        return result
+
+    monkeypatch.setattr(ds, "build_instances", tracked)
+    manifest = write_dataset(tmp_path / "data.jsonl", 0, graphs_per_cell=3)
+    assert len(cells) == len(ALL_TASKS) * len(ALL_BUCKETS)
+    assert manifest.total == sum(len(refs) for refs in cells)
 
 
 def test_load_reports_corrupt_line(tmp_path):
@@ -604,7 +641,7 @@ def test_load_peak_memory_per_stored_edge(tmp_path):
     """Load holds each distinct edge pair once, builds one graph per run of
     equal stored graphs, and builds no second copy of the edges while it parses."""
     path = tmp_path / "data.jsonl"
-    assemble_dataset(0, graphs_per_cell=10, out=path)
+    write_dataset(path, 0, graphs_per_cell=10)
     tracemalloc.start()
     try:
         loaded = load_dataset(path, verify=False)

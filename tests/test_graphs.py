@@ -70,6 +70,14 @@ def test_graph_rejects_repeated_pair():
             Graph(3, [(0, 1), (1, 2), (0, 1)], directed=directed)
 
 
+@pytest.mark.parametrize("edges", [[[0, 1], [1, 2]], [[0, 1], [0, 1]], [(0, 1), [1, 2]]])
+def test_graph_rejects_a_pair_that_is_not_a_tuple(edges):
+    # A list pair would make the graph unhashable, and a repeated list pair
+    # never equals the tuple it is compared with.
+    with pytest.raises(TypeError, match=r"edge \[.*\] is not a tuple"):
+        Graph(3, edges)
+
+
 def test_graph_sorts_any_edge_collection():
     pairs = [(1, 3), (0, 2), (0, 1)]
     for edges in (frozenset(pairs), pairs, tuple(pairs)):
@@ -255,9 +263,14 @@ def _generated_graphs(gen):
 
 @pytest.mark.parametrize("gen", [gen_er, gen_er_dag, gen_random_bipartite])
 def test_generated_edges_are_a_strictly_increasing_tuple(gen):
+    """The generators skip the constructor's checks; this runs them on
+    every graph they build here."""
     for g in _generated_graphs(gen):
         assert type(g.edges) is tuple
         assert all(a < b for a, b in zip(g.edges, g.edges[1:]))
+        assert all(type(pair) is tuple and len(pair) == 2
+                   and type(pair[0]) is int and type(pair[1]) is int for pair in g.edges)
+        assert Graph(g.n, g.edges, g.directed) == g
 
 
 @pytest.mark.parametrize("gen", [gen_er, gen_er_dag, gen_random_bipartite])
