@@ -10,7 +10,8 @@ that loop as it is hashed, so a saved dataset is serialized once and its
 digest describes the bytes on disk. ``write_dataset`` feeds it the cells as
 they are built, so generating holds one cell's instances at a time. Each
 distinct graph's ``"graph"`` object is encoded once and joined into the lines
-of all its instances.
+of all its instances. ``load_dataset`` undoes that join (``_split_line``): it
+parses and builds a run of identical ``"graph"`` texts once.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 from . import oracles
 from .graphs import (
     ALL_BUCKETS,
+    BUCKETS,
     GeneratorConfig,
     Graph,
     SizeBucket,
@@ -86,12 +88,22 @@ class TaskInstance:
         return cls(
             id=obj["id"],
             task=task,
-            bucket=SizeBucket(bucket["name"], bucket["n_min"], bucket["n_max"]),
+            bucket=_stored_bucket(bucket),
             graph=graph,
             query=query,
             gold=answer_from_json(obj["gold"]),
             seed=obj["seed"],
         )
+
+
+def _stored_bucket(stored: dict) -> SizeBucket:
+    """The bucket a line stores: the standard bucket of that name when the
+    bounds match it, so the loaded instances share it, or else a new one."""
+    name, n_min, n_max = stored["name"], stored["n_min"], stored["n_max"]
+    standard = BUCKETS.get(name) if type(name) is str else None
+    if standard is not None and standard.n_min == n_min and standard.n_max == n_max:
+        return standard
+    return SizeBucket(name, n_min, n_max)
 
 
 def answer_to_json(answer: Answer) -> dict:
@@ -336,6 +348,38 @@ def save_dataset(instances: Iterable[TaskInstance], path: str | Path) -> str:
         return content_digest(instances, f)
 
 
+_GRAPH_MEMBER = ',"graph":{'
+_SAME_GRAPH = object()
+
+
+def _split_line(line: str, last_text: str | None) -> tuple[dict, str, object] | None:
+    """The line's members other than ``"graph"``, the text of its ``"graph"``
+    object, and that object parsed (``_SAME_GRAPH`` when the text is
+    ``last_text``); None unless the line is laid out as ``_instance_line``
+    writes it.
+
+    The cut is at the first ``,"graph":{`` and the first ``}`` after it, which
+    closes a stored graph, since it holds only lists and numbers. The parts
+    on either side parse as objects with exactly ``_instance_line``'s members
+    only when the cut is the line's top-level ``"graph"`` member, and then a
+    whole-line parse gives the same object."""
+    i = line.find(_GRAPH_MEMBER)
+    j = line.find("}", i + len(_GRAPH_MEMBER))
+    if i < 0 or j < 0 or line[j + 1 : j + 2] != ",":
+        return None
+    text = line[i + len(_GRAPH_MEMBER) - 1 : j + 1]
+    try:
+        obj = json.loads(line[:i] + "}")
+        tail = json.loads("{" + line[j + 2 :])
+        stored = _SAME_GRAPH if text == last_text else json.loads(text)
+    except json.JSONDecodeError:
+        return None
+    if obj.keys() != {"bucket", "gold"} or tail.keys() != {"id", "query", "seed", "task"}:
+        return None
+    obj.update(tail)
+    return obj, text, stored
+
+
 def load_dataset(path: str | Path, verify: bool = True) -> list[TaskInstance]:
     """Load a saved dataset.
 
@@ -343,11 +387,16 @@ def load_dataset(path: str | Path, verify: bool = True) -> list[TaskInstance]:
     naming the line, for a header that is not a JSON object or a corrupt line.
     verify: re-check every gold answer by the scoring rule, ``is_right_answer``.
 
-    A line whose ``"graph"`` object equals the previous line's reuses that
-    line's ``Graph`` unchecked, so a graph's adjacent instances share one
-    ``Graph``, as they do straight after ``build_instances``. Any other line
-    builds its own, and each distinct edge pair, once its endpoints are
-    checked to be ints, is one tuple shared by every graph of this load.
+    A line laid out as ``_instance_line`` writes it is parsed around its
+    ``"graph"`` text (``_split_line``), which is parsed and built only when it
+    differs from the previous line's: a byte-identical text reuses the
+    previous line's ``Graph``, so a graph's adjacent instances share one, as
+    after ``build_instances``. Any other line is parsed whole and builds its
+    own graph. Either way a line loads to the same instance or fails with the
+    same error, and every text is checked, so an endpoint spelled ``true`` is
+    rejected even next to a line that stores the int. Each distinct edge
+    pair, once its endpoints are checked to be ints, is one tuple shared by
+    every graph of this load.
 
     The parse makes hundreds of thousands of objects and no reference cycles,
     yet every later cyclic collection would walk them all. So when the
@@ -364,7 +413,7 @@ def load_dataset(path: str | Path, verify: bool = True) -> list[TaskInstance]:
     path = Path(path)
     instances: list[TaskInstance] = []
     pairs: dict[tuple[int, int], tuple[int, int]] = {}
-    last_stored, graph = None, None
+    text, graph = None, None
     with path.open("r", encoding="utf-8") as f:
         header_line = f.readline()
         try:
@@ -387,12 +436,15 @@ def load_dataset(path: str | Path, verify: bool = True) -> list[TaskInstance]:
                 if not line.strip():
                     continue
                 try:
-                    obj = json.loads(line)
-                    stored = obj["graph"]
-                    if graph is None or stored != last_stored:
+                    split = _split_line(line, text)
+                    if split is None:
+                        obj, text = json.loads(line), None
+                        stored = obj["graph"]
+                    else:
+                        obj, text, stored = split
+                    if stored is not _SAME_GRAPH:
                         graph = Graph.from_edges(stored["n"], stored["edges"], stored["directed"],
                                                  pairs)
-                        last_stored = stored
                     instances.append(TaskInstance.from_json_obj(obj, graph))
                 except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                     raise DatasetFormatError(f"line {lineno}: corrupt instance: {exc}") from exc

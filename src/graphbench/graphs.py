@@ -59,26 +59,44 @@ class Graph:
         Endpoints must be ``int`` (not ``bool`` or ``float``); nothing is coerced.
         ``pairs`` interns edges: each pair, once checked and canonical, is
         replaced by the equal tuple already in ``pairs`` or added to it, so
-        graphs built with one table share their equal pairs."""
+        graphs built with one table share their equal pairs.
+
+        One loop checks each edge. Pairs that arrive strictly ascending, as a
+        saved dataset stores them, are kept in that order without a sort. A
+        self-loop, an out-of-range endpoint or a node count that is not a
+        positive int is left to the constructor, which names the fault."""
         if pairs is None:
             pairs = {}
-        canon: set[Edge] = set()
+        out: list[Edge] = []
+        hi = n if type(n) is int and n >= 1 else 0
+        ok = hi > 0
+        ascending = True
+        last = (-1, -1)
         for u, v in edges:
             if type(u) is not int or type(v) is not int:
                 raise TypeError(f"edge ({u!r}, {v!r}) has an endpoint that is not an int")
             if not directed and u > v:
                 u, v = v, u
+            if u == v or not (0 <= u < hi and 0 <= v < hi):
+                ok = False
             pair = (u, v)
-            canon.add(pairs.setdefault(pair, pair))
-        return cls(n=n, edges=canon, directed=directed)
+            pair = pairs.setdefault(pair, pair)
+            if pair <= last:
+                ascending = False
+            last = pair
+            out.append(pair)
+        if not ok:
+            return cls(n=n, edges=set(out), directed=directed)
+        return cls._built(n, tuple(out) if ascending else tuple(sorted(set(out))), directed)
 
     @classmethod
     def _built(cls, n: int, edges: tuple[Edge, ...], directed: bool) -> "Graph":
-        """A generator's graph, stored without the constructor's checks.
+        """A graph stored without the constructor's checks.
 
-        Only the generators below call this: their ``edges`` are a tuple of
-        distinct int pairs, in range, canonical and sorted by construction.
-        The tests run the full check over every graph they build."""
+        Only ``from_edges``, once its loop has checked every pair, and the
+        generators below call this: their ``edges`` are a tuple of distinct
+        int pairs, in range, canonical and sorted by construction. The tests
+        run the full check over every graph the generators build."""
         graph = object.__new__(cls)
         object.__setattr__(graph, "n", n)
         object.__setattr__(graph, "edges", edges)

@@ -2,6 +2,8 @@ import dataclasses
 import gc
 import hashlib
 import json
+import random
+import re
 import tracemalloc
 import weakref
 
@@ -651,3 +653,213 @@ def test_load_peak_memory_per_stored_edge(tmp_path):
     stored_edges = sum(g.edge_count for g in {i.graph for i in loaded})
     assert stored_edges > 30_000
     assert peak / stored_edges < 100
+
+
+@pytest.mark.parametrize("spelling, shown", [("true", "True"), ("1.0", "1.0")])
+def test_load_checks_a_graph_whose_text_differs_from_the_line_before(tmp_path, spelling, shown):
+    # Line 3 stores line 2's graph, equal in value but with an endpoint 1
+    # spelled otherwise: its text differs, so it is parsed and checked.
+    _, instances = assemble_dataset(0, tasks=[Task.NODE_DEGREE], buckets=[SMALL],
+                                    graphs_per_cell=1)
+    assert instances[0].graph.edges[0] == (1, 3)
+    path = tmp_path / "data.jsonl"
+    save_dataset(instances, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[2] = lines[2].replace('"edges":[[1,3]', f'"edges":[[{spelling},3]', 1)
+    assert lines[2] != lines[3]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for verify in (True, False):
+        with pytest.raises(DatasetFormatError, match=rf"^line 3: corrupt instance: edge "
+                           rf"\({shown}, 3\) has an endpoint that is not an int"):
+            load_dataset(path, verify=verify)
+
+
+def _compact(obj):
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def _spaced(row):
+    return json.dumps(row)
+
+
+def _keys_reversed(row):
+    return _compact(dict(reversed(row.items())))
+
+
+def _graph_keys_reversed(row):
+    row["graph"] = dict(reversed(row["graph"].items()))
+    return _compact(row)
+
+
+def _edges_reversed(row):
+    row["graph"]["edges"].reverse()
+    return _compact(row)
+
+
+def _edges_shuffled_and_flipped(row):
+    edges = [pair[::-1] for pair in row["graph"]["edges"]]
+    random.Random(row["seed"]).shuffle(edges)
+    row["graph"]["edges"] = edges
+    return _compact(row)
+
+
+def _edges_duplicated(row):
+    row["graph"]["edges"] += row["graph"]["edges"][:2]
+    return _compact(row)
+
+
+def _graph_also_in_gold(row):
+    row["gold"] = {"kind": row["gold"]["kind"], "graph": row["graph"], "value": row["gold"]["value"]}
+    return _compact(row)
+
+
+def _graph_only_in_gold(row):
+    graph = row.pop("graph")
+    row["gold"] = {"kind": row["gold"]["kind"], "graph": graph, "value": row["gold"]["value"]}
+    return _compact(row)
+
+
+def _second_graph_after(row):
+    # The later member is the one a whole-line parse keeps.
+    line = _compact(row)
+    return line[:-1] + ',"graph":{"directed":false,"edges":[[0,1]],"n":2}}'
+
+
+def _second_graph_before(row):
+    line = _compact(row)
+    return '{"graph":{"directed":false,"edges":[[0,1]],"n":2},' + line[1:]
+
+
+def _brace_in_bucket_name(row):
+    row["bucket"]["name"] = "S}"
+    return _compact(row)
+
+
+def _brace_in_graph_string(row):
+    row["graph"] = {"a": "}", **row["graph"]}
+    return _compact(row)
+
+
+def _brace_comma_in_graph_string(row):
+    row["graph"] = {"a": "},", **row["graph"]}
+    return _compact(row)
+
+
+def _junk_after_graph(row):
+    line = _compact(row)
+    i = line.index(',"id":')
+    return line[:i] + "!" + line[i + 1 :]
+
+
+def _graph_null(row):
+    row["graph"] = None
+    return _compact(row)
+
+
+def _endpoint_true(row):
+    row["graph"]["edges"].insert(0, [True, 1])
+    return _compact(row)
+
+
+def _n_as_string(row):
+    row["graph"]["n"] = str(row["graph"]["n"])
+    return _compact(row)
+
+
+def _self_loop(row):
+    row["graph"]["edges"].append([2, 2])
+    return _compact(row)
+
+
+def _unknown_member(row):
+    row["note"] = "x"
+    return _compact(row)
+
+
+_REWRITES = [_spaced, _keys_reversed, _graph_keys_reversed, _edges_reversed,
+             _edges_shuffled_and_flipped, _edges_duplicated, _graph_also_in_gold,
+             _graph_only_in_gold, _second_graph_after, _second_graph_before,
+             _brace_in_bucket_name, _brace_in_graph_string, _brace_comma_in_graph_string,
+             _junk_after_graph, _graph_null, _endpoint_true, _n_as_string, _self_loop, _unknown_member]
+
+
+def _load_or_error(path):
+    try:
+        return load_dataset(path, verify=False)
+    except DatasetFormatError as exc:
+        return str(exc)
+
+
+def _whole_line_load(path):
+    """What loading gives when every line is parsed whole and builds its own graph."""
+    instances = []
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            instances.append(TaskInstance.from_json_obj(json.loads(line)))
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            return f"line {lineno}: corrupt instance: {exc}"
+    return instances
+
+
+@pytest.mark.parametrize("which", ["all", "odd"])
+@pytest.mark.parametrize("rewrite", _REWRITES, ids=lambda f: f.__name__.strip("_"))
+def test_load_gives_what_a_whole_line_parse_gives(tmp_path, rewrite, which):
+    _, instances = assemble_dataset(0, tasks=[Task.NODE_DEGREE, Task.EDGE_COUNT],
+                                    buckets=[SMALL], graphs_per_cell=2)
+    path = tmp_path / "data.jsonl"
+    save_dataset(instances, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for k in range(1, len(lines), 1 if which == "all" else 2):
+        lines[k] = rewrite(json.loads(lines[k]))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    expected = _whole_line_load(path)
+    assert _load_or_error(path) == expected
+    if isinstance(expected, list) and rewrite in (_spaced, _keys_reversed, _edges_reversed):
+        assert expected == instances
+
+
+def _graph_texts(path):
+    return [re.search(r',"graph":(\{[^}]*\})', line).group(1)
+            for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+
+
+def test_load_builds_each_run_of_identical_graph_texts_once(small_saved, monkeypatch):
+    instances, path = small_saved
+    built = []
+    from_edges = Graph.from_edges
+
+    def spy(cls, *args, **kwargs):
+        built.append(args)
+        return from_edges(*args, **kwargs)
+
+    monkeypatch.setattr(Graph, "from_edges", classmethod(spy))
+    assert load_dataset(path) == instances
+    texts = _graph_texts(path)
+    runs = 1 + sum(a != b for a, b in zip(texts, texts[1:]))
+    assert len(built) == runs < len(texts)
+
+
+def test_load_shares_the_standard_buckets(small_saved):
+    _, path = small_saved
+    standard = {id(b) for b in ALL_BUCKETS}
+    assert {id(inst.bucket) for inst in load_dataset(path)} == standard
+
+
+@pytest.mark.parametrize("stored, shared", [
+    ({"name": "M", "n_min": 11, "n_max": 21}, MEDIUM),
+    ({"name": "M", "n_min": 11, "n_max": 22}, None),
+    ({"name": "S", "n_min": 4, "n_max": 11}, None),
+    ({"name": "XL", "n_min": 51, "n_max": 101}, None),
+])
+def test_from_json_obj_shares_a_standard_bucket_only_with_its_bounds(stored, shared):
+    inst = small_cell(Task.NODE_COUNT, 1)[0]
+    row = json.loads(ds._instance_line(inst))
+    row["bucket"] = stored
+    bucket = TaskInstance.from_json_obj(row).bucket
+    assert (bucket.name, bucket.n_min, bucket.n_max) == (stored["name"], stored["n_min"],
+                                                         stored["n_max"])
+    if shared is None:
+        assert all(bucket is not b for b in ALL_BUCKETS)
+    else:
+        assert bucket is shared

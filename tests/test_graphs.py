@@ -111,6 +111,48 @@ def test_from_edges_rejects_endpoints_that_are_not_ints(edge):
             Graph.from_edges(3, [(0, 1), edge], directed=directed)
 
 
+@pytest.mark.parametrize("n, edges, message", [
+    (3, [(0, 1), (2, 2)], r"self-loop \(2, 2\) not allowed"),
+    (3, [(0, 1), (1, 3)], r"edge \(1, 3\) out of range for n=3"),
+    (3, [(-1, 2), (0, 1)], r"edge \(-1, 2\) out of range for n=3"),
+    (0, [], "node count must be positive, got 0"),
+    (0, [(0, 1)], "node count must be positive, got 0"),
+    (4, [(3, 3), (2, 9), (1, 1)], r"self-loop \(1, 1\) not allowed"),
+])
+def test_from_edges_rejects_what_the_constructor_rejects(n, edges, message):
+    for directed in (False, True):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Graph(n, edges, directed)
+        flipped = [] if directed else [[(v, u) for u, v in edges]]
+        for order in (edges, edges[::-1], *flipped):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                Graph.from_edges(n, order, directed)
+
+
+def test_from_edges_gives_one_graph_for_any_order():
+    ascending = [(0, 1), (0, 3), (1, 2), (2, 3)]
+    g = Graph.from_edges(4, ascending)
+    assert type(g.edges) is tuple and g.edges == tuple(ascending)
+    rng = random.Random(3)
+    for _ in range(5):
+        pairs = [[v, u] if rng.random() < 0.5 else [u, v] for u, v in ascending]
+        rng.shuffle(pairs)
+        h = Graph.from_edges(4, pairs + pairs[:1])
+        assert h == g and hash(h) == hash(g) and h.edges == g.edges
+    d = Graph.from_edges(4, [(3, 2), (1, 0), (2, 0)], directed=True)
+    assert d.edges == ((1, 0), (2, 0), (3, 2))
+    assert Graph.from_edges(4, [(0, 1), (0, 1), (1, 2)]).edges == ((0, 1), (1, 2))
+
+
+def test_from_edges_shares_pairs_through_the_table():
+    pairs = {}
+    a = Graph.from_edges(4, [(0, 1), (1, 2)], pairs=pairs)
+    b = Graph.from_edges(4, [[2, 1], [3, 0]], pairs=pairs)
+    assert b.edges == ((0, 3), (1, 2)) and b.edges[1] is a.edges[1]
+    assert set(pairs) == {(0, 1), (1, 2), (0, 3)}
+    assert Graph.from_edges(4, [(0, 1)]).edges[0] is not a.edges[0]
+
+
 # --- seed splitting ---------------------------------------------------------------
 
 

@@ -20,6 +20,7 @@ from graphbench import (
     standard_strategies,
 )
 from graphbench.cli import main
+import graphbench.dataset as ds
 
 SEED0_CONTENT_DIGEST = "db99ee3cea99b9d71dd5738de9ce23a0aa0cb94081f0f7157c16d1c5f926eb41"
 SEED0_PROMPTS_SHA256 = {
@@ -52,12 +53,34 @@ def seed0():
 
 
 @pytest.fixture(scope="module")
-def seed0_loaded(seed0, tmp_path_factory):
-    """The seed-0 instances after a save/load round trip through JSONL."""
+def seed0_path(seed0, tmp_path_factory):
+    """The seed-0 instances saved as JSONL."""
     _, instances = seed0
     path = tmp_path_factory.mktemp("pinned") / "dataset.jsonl"
     save_dataset(instances, path)
-    return load_dataset(path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def seed0_loaded(seed0_path):
+    """The seed-0 instances after a save/load round trip through JSONL."""
+    return load_dataset(seed0_path)
+
+
+def test_seed0_file_loads_without_a_whole_line_parse(seed0_path, monkeypatch):
+    """Every line the writer lays out is parsed around its graph, so a change
+    to the serializer cannot turn that parse off unnoticed."""
+    split_line, missed = ds._split_line, []
+
+    def spy(line, last_text):
+        split = split_line(line, last_text)
+        if split is None:
+            missed.append(line)
+        return split
+
+    monkeypatch.setattr(ds, "_split_line", spy)
+    assert len(load_dataset(seed0_path, verify=False)) == 6600
+    assert missed == []
 
 
 def prompts_sha256(texts) -> str:
