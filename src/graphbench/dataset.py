@@ -44,6 +44,8 @@ from .tasks import ALL_TASKS, QUERIES_PER_GRAPH, Task, query_arity
 SCHEMA_VERSION = 1
 GENERATOR_VERSION = "1.0"
 DIGEST_ALGORITHM = "sha256 over newline-terminated instance JSON lines"
+#: The header's ``kind``: a file with another kind is not a dataset.
+DATASET_KIND = "graphbench-dataset"
 
 #: Default number of graphs generated per (task, bucket) cell.
 GRAPHS_PER_CELL = 100
@@ -82,6 +84,8 @@ class TaskInstance:
             raise TypeError(f"query {list(query)} has a node that is not an int")
         if type(obj["id"]) is not str:
             raise TypeError(f"id {obj['id']!r} is not a string")
+        if type(obj["seed"]) is not int:
+            raise TypeError(f"seed {obj['seed']!r} is not an int")
         if len(query) != query_arity(task):
             raise ValueError(f"{task.value} query {list(query)} has arity {len(query)}, "
                              f"expected {query_arity(task)}")
@@ -117,9 +121,30 @@ def answer_to_json(answer: Answer) -> dict:
     return {"kind": answer.kind.value, "value": value}
 
 
+def _int_list(value) -> bool:
+    return type(value) is list and all(type(u) is int for u in value)
+
+
+#: Whether a stored gold value has its kind's JSON type, and that type's name.
+_GOLD_TYPES = {
+    AnswerKind.INT: (lambda v: type(v) is int, "an int"),
+    AnswerKind.BOOL: (lambda v: type(v) is bool, "a bool"),
+    AnswerKind.NODE_SET: (_int_list, "a list of ints"),
+    AnswerKind.NODE_SEQ: (_int_list, "a list of ints"),
+    AnswerKind.EDGE_SET: (lambda v: type(v) is list and all(_int_list(e) and len(e) == 2
+                                                            for e in v),
+                          "a list of int pairs"),
+}
+
+
 def answer_from_json(obj: dict) -> Answer:
+    """Inverse of ``answer_to_json``. The value must be of its kind's JSON
+    type (an int is not a bool or a float); nothing is coerced."""
     kind = AnswerKind(obj["kind"])
     value = obj["value"]
+    is_typed, type_name = _GOLD_TYPES[kind]
+    if not is_typed(value):
+        raise TypeError(f"{kind.value} gold {value!r} is not {type_name}")
     if kind is AnswerKind.INT:
         return Answer.integer(value)
     if kind is AnswerKind.BOOL:
@@ -344,7 +369,7 @@ def save_dataset(instances: Iterable[TaskInstance], path: str | Path) -> str:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as f:
-        f.write(json.dumps({"schema_version": SCHEMA_VERSION, "kind": "graphbench-dataset"}) + "\n")
+        f.write(json.dumps({"schema_version": SCHEMA_VERSION, "kind": DATASET_KIND}) + "\n")
         return content_digest(instances, f)
 
 
@@ -384,7 +409,10 @@ def load_dataset(path: str | Path, verify: bool = True) -> list[TaskInstance]:
     """Load a saved dataset.
 
     Raises DatasetFormatError for a header of another schema version and,
-    naming the line, for a header that is not a JSON object or a corrupt line.
+    naming the line, for a header that is not a JSON object or not of
+    ``kind`` ``graphbench-dataset``, for a corrupt line (one whose values are
+    not all of their JSON types is corrupt too), and for an instance id that
+    repeats an earlier line's, naming both lines.
     verify: re-check every gold answer by the scoring rule, ``is_right_answer``.
 
     A line laid out as ``_instance_line`` writes it is parsed around its
@@ -412,6 +440,7 @@ def load_dataset(path: str | Path, verify: bool = True) -> list[TaskInstance]:
     """
     path = Path(path)
     instances: list[TaskInstance] = []
+    lines_by_id: dict[str, int] = {}
     pairs: dict[tuple[int, int], tuple[int, int]] = {}
     text, graph = None, None
     with path.open("r", encoding="utf-8") as f:
@@ -422,6 +451,9 @@ def load_dataset(path: str | Path, verify: bool = True) -> list[TaskInstance]:
             raise DatasetFormatError(f"line 1: unreadable header: {exc}") from exc
         if not isinstance(header, dict):
             raise DatasetFormatError("line 1: header is not a JSON object")
+        if header.get("kind") != DATASET_KIND:
+            raise DatasetFormatError(
+                f"line 1: header kind {header.get('kind')!r} is not {DATASET_KIND!r}")
         if header.get("schema_version") != SCHEMA_VERSION:
             raise DatasetFormatError(
                 f"schema version mismatch: file has {header.get('schema_version')!r}, "
@@ -445,9 +477,14 @@ def load_dataset(path: str | Path, verify: bool = True) -> list[TaskInstance]:
                     if stored is not _SAME_GRAPH:
                         graph = Graph.from_edges(stored["n"], stored["edges"], stored["directed"],
                                                  pairs)
-                    instances.append(TaskInstance.from_json_obj(obj, graph))
+                    inst = TaskInstance.from_json_obj(obj, graph)
                 except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                     raise DatasetFormatError(f"line {lineno}: corrupt instance: {exc}") from exc
+                first = lines_by_id.setdefault(inst.id, lineno)
+                if first != lineno:
+                    raise DatasetFormatError(
+                        f"line {lineno}: instance id {inst.id!r} repeats line {first}")
+                instances.append(inst)
             if gc_was_enabled:
                 # Before re-enabling: the freeze also resets the allocation
                 # count that would otherwise start a collection at once.

@@ -23,6 +23,7 @@ Edge = tuple[int, int]
 class Graph:
     """An unweighted graph over nodes 0..n-1.
 
+    ``n`` must be an ``int`` and ``directed`` a ``bool``; nothing is coerced.
     ``edges`` is sorted ascending with no pair twice; the constructor sorts
     the pairs it is given, each of which must be a tuple. Undirected pairs are
     stored as (u, v) with u < v, directed ones as given (the DAG generator
@@ -34,6 +35,10 @@ class Graph:
     directed: bool = False
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int:
+            raise TypeError(f"node count {self.n!r} is not an int")
+        if type(self.directed) is not bool:
+            raise TypeError(f"directed {self.directed!r} is not a bool")
         if self.n < 1:
             raise ValueError(f"node count must be positive, got {self.n}")
         for pair in self.edges:
@@ -63,13 +68,14 @@ class Graph:
 
         One loop checks each edge. Pairs that arrive strictly ascending, as a
         saved dataset stores them, are kept in that order without a sort. A
-        self-loop, an out-of-range endpoint or a node count that is not a
-        positive int is left to the constructor, which names the fault."""
+        self-loop, an out-of-range endpoint, a node count that is not a
+        positive int or a ``directed`` that is not a bool is left to the
+        constructor, which names the fault."""
         if pairs is None:
             pairs = {}
         out: list[Edge] = []
         hi = n if type(n) is int and n >= 1 else 0
-        ok = hi > 0
+        ok = hi > 0 and type(directed) is bool
         ascending = True
         last = (-1, -1)
         for u, v in edges:

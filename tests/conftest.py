@@ -11,6 +11,7 @@ sys.path.insert(0, str(Path(__file__).parent))  # for the bruteforce helpers
 
 import graphbench
 from graphbench import Graph
+from graphbench.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -22,6 +23,15 @@ def subprocess_env(*first: Path) -> dict[str, str]:
     src = Path(graphbench.__file__).resolve().parents[1]
     paths = [*map(str, first), str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
     return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+
+
+@pytest.fixture(scope="session")
+def seed0_dataset(tmp_path_factory) -> Path:
+    """The full seed-0 dataset as ``graphbench generate`` writes it, with its
+    manifest beside it: built once per session and shared, never modified."""
+    path = tmp_path_factory.mktemp("seed0") / "dataset.jsonl"
+    assert main(["generate", "--seed", "0", "--out", str(path)]) == 0
+    return path
 
 
 def make_graph(n, edges, directed=False):

@@ -71,19 +71,17 @@ def run_cli(*argv):
 # --- 1. dataset fidelity ---------------------------------------------------------------
 
 
-def test_primary_1_dataset_fidelity(tmp_path):
+def test_primary_1_dataset_fidelity(seed0_dataset, tmp_path):
     """Fixed seed yields exactly 6,600 instances, correctly partitioned and
     bounded; regeneration is byte-identical; generation takes < 1 minute."""
-    paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
-    elapsed = []
-    for path in paths:
-        start = time.monotonic()
-        assert run_cli("generate", "--seed", 0, "--out", path) == 0
-        elapsed.append(time.monotonic() - start)
-    assert paths[0].read_bytes() == paths[1].read_bytes(), "regeneration not byte-identical"
-    assert max(elapsed) < 60, f"generation took {max(elapsed):.1f}s"
+    again = tmp_path / "again.jsonl"
+    start = time.monotonic()
+    assert run_cli("generate", "--seed", 0, "--out", again) == 0
+    elapsed = time.monotonic() - start
+    assert again.read_bytes() == seed0_dataset.read_bytes(), "regeneration not byte-identical"
+    assert elapsed < 60, f"generation took {elapsed:.1f}s"
 
-    instances = load_dataset(paths[0], verify=False)
+    instances = load_dataset(seed0_dataset, verify=False)
     assert len(instances) == 6600
 
     graph_level = sum(1 for i in instances if i.task in GRAPH_LEVEL_TASKS)
@@ -98,7 +96,7 @@ def test_primary_1_dataset_fidelity(tmp_path):
         lo, hi = bounds[inst.bucket.name]
         assert lo <= inst.graph.n <= hi, inst.id
     print(f"\nPASS: dataset fidelity: 6600 = 2100+3000+1500, bounds ok, "
-          f"byte-identical, {max(elapsed):.1f}s < 60s")
+          f"byte-identical, {elapsed:.1f}s < 60s")
 
 
 # --- 2. oracle correctness --------------------------------------------------------------

@@ -9,6 +9,7 @@ import graphbench.dataset as ds
 from graphbench import (MEDIUM, SMALL, Answer, Graph, ModelConfig, PromptBundle, Strategy, Task,
                         cache_key, load_records, render_prompt)
 from graphbench.cli import main
+from graphbench.client import MockOracleBackend
 from graphbench.oracles import spanning_forest
 
 from conftest import FIXTURES, subprocess_env
@@ -292,12 +293,37 @@ def test_run_label_base_override(dataset, tmp_path):
     assert summary["accuracy"] == 1.0
 
 
-def test_run_rejects_repeated_instances(dataset, tmp_path, capsys):
+def _doubled(dataset, tmp_path):
+    """The dataset with its instance lines written twice: 12, then the same 12."""
     doubled = tmp_path / "doubled.jsonl"
     header, *lines = dataset.read_text().splitlines(keepends=True)
+    assert len(lines) == 12
     doubled.write_text(header + "".join(lines * 2))
-    assert run_cli("run", "--dataset", doubled, "--out", tmp_path / "r") == 1
-    assert "duplicate record" in capsys.readouterr().err
+    return doubled
+
+
+def test_run_rejects_repeated_instances(dataset, tmp_path, capsys):
+    assert run_cli("run", "--dataset", _doubled(dataset, tmp_path), "--out", tmp_path / "r") == 1
+    assert capsys.readouterr().err == \
+        "error: line 14: instance id 'edge_count-S-000-0' repeats line 2\n"
+    assert not (tmp_path / "r").exists()
+
+
+def test_run_sends_no_request_for_a_file_with_repeated_instances(dataset, tmp_path,
+                                                                 monkeypatch):
+    calls = []
+
+    class CountingBackend(MockOracleBackend):
+        def complete_text(self, bundle, cfg):
+            calls.append(bundle.instance_id)
+            return super().complete_text(bundle, cfg)
+
+    monkeypatch.setattr("graphbench.cli.make_backend", lambda *a, **k: CountingBackend())
+    assert run_cli("run", "--dataset", dataset, "--out", tmp_path / "once") == 0
+    assert len(calls) == 12
+    calls.clear()
+    assert run_cli("run", "--dataset", _doubled(dataset, tmp_path), "--out", tmp_path / "r") == 1
+    assert calls == []
 
 
 # --- score -----------------------------------------------------------------------
@@ -821,3 +847,45 @@ def test_http_backend_without_requests_is_one_error_line(dataset, no_requests_en
     assert proc.stderr == ("error: the http backend needs the requests package: "
                            "No module named 'requests'\n")
     assert not (tmp_path / "r").exists()
+
+
+# --- string-hash seed ----------------------------------------------------------------
+
+#: Run in one fresh interpreter per hash seed, in this order, from its own directory.
+HASHSEED_COMMANDS = [
+    ["generate", "--seed", "1", "--graphs-per-cell", "5", "--out", "dataset.jsonl"],
+    ["render", "--dataset", "dataset.jsonl", "--strategy", "pseudo+2-shot",
+     "--out", "prompts.jsonl"],
+    ["run", "--dataset", "dataset.jsonl", "--backend", "mock:adversary",
+     "--strategy", "pseudo+2-shot", "--out", "run"],
+    ["report", "--records", "run/records.jsonl", "--out", "report.md"],
+    ["score", "--dataset", "dataset.jsonl", "--transcripts", "run/transcripts.jsonl",
+     "--out", "rescored.jsonl"],
+]
+HASHSEED_OUTPUTS = ["dataset.jsonl", "dataset.manifest.json", "prompts.jsonl",
+                    "run/transcripts.jsonl", "run/records.jsonl", "rescored.jsonl", "report.md"]
+_RUN_COMMANDS = """
+import json, sys
+from graphbench.cli import main
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+"""
+
+
+def test_outputs_do_not_depend_on_the_string_hash_seed(tmp_path):
+    """Set or string-hash order must not reach an output: every file the
+    commands write is byte-identical under PYTHONHASHSEED 1 and 2."""
+    outputs = []
+    for hashseed in (1, 2):
+        cwd = tmp_path / f"hashseed-{hashseed}"
+        cwd.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", _RUN_COMMANDS, json.dumps(HASHSEED_COMMANDS)], cwd=cwd,
+            env={**subprocess_env(), "PYTHONHASHSEED": str(hashseed)},
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert (cwd / "rescored.jsonl").read_bytes() == (cwd / "run/records.jsonl").read_bytes()
+        outputs.append({name: (cwd / name).read_bytes() for name in HASHSEED_OUTPUTS})
+    for name in HASHSEED_OUTPUTS:
+        assert outputs[0][name] == outputs[1][name], name

@@ -562,24 +562,97 @@ def test_load_rejects_an_edge_endpoint_that_is_not_an_int(tmp_path, endpoint):
             load_dataset(path, verify=verify)
 
 
+def _tampered(tmp_path, task, tamper):
+    """A one-graph dataset of ``task`` whose line 2 is rewritten by ``tamper(row)``."""
+    _, instances = assemble_dataset(0, tasks=[task], buckets=[SMALL], graphs_per_cell=1)
+    path = tmp_path / "data.jsonl"
+    save_dataset(instances, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    row = json.loads(lines[1])
+    tamper(row)
+    lines[1] = json.dumps(row, sort_keys=True, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def _set_graph(key, value):
+    return lambda row: row["graph"].__setitem__(key, value)
+
+
+def _set_gold(value):
+    return lambda row: row["gold"].__setitem__("value", value)
+
+
+def _float_node_count(row):
+    """A node count and its gold stored as floats: before these checks, the
+    line loaded and its prompt read "The graph has 5.0 nodes, numbered 0..4.0"."""
+    row["graph"]["n"] = float(row["graph"]["n"])
+    row["gold"]["value"] = float(row["gold"]["value"])
+
+
+@pytest.mark.parametrize("task, tamper, fault", [
+    (Task.NODE_COUNT, _float_node_count, r"node count \d+\.0 is not an int"),
+    (Task.NODE_COUNT, _set_graph("n", True), "node count True is not an int"),
+    (Task.EDGE_COUNT, _set_graph("directed", 0), "directed 0 is not a bool"),
+    (Task.EDGE_COUNT, _set_graph("directed", "false"), "directed 'false' is not a bool"),
+    (Task.NODE_COUNT, _set_gold(7.0), r"int gold 7\.0 is not an int"),
+    (Task.NODE_COUNT, _set_gold(True), "int gold True is not an int"),
+    (Task.CYCLE_CHECK, _set_gold("yes"), "bool gold 'yes' is not a bool"),
+    (Task.CYCLE_CHECK, _set_gold(1), "bool gold 1 is not a bool"),
+    (Task.NEIGHBORS, _set_gold([1.0]), r"node_set gold \[1\.0\] is not a list of ints"),
+    (Task.NEIGHBORS, _set_gold("12"), "node_set gold '12' is not a list of ints"),
+    (Task.TOPOLOGICAL_SORT, _set_gold([0, "1"]),
+     r"node_seq gold \[0, '1'\] is not a list of ints"),
+    (Task.MST, _set_gold([[0, 1, 2]]), r"edge_set gold \[\[0, 1, 2\]\] is not a list of int pairs"),
+    (Task.MST, _set_gold([[0, True]]), r"edge_set gold \[\[0, True\]\] is not a list of int pairs"),
+    (Task.MST, _set_gold(["01"]), r"edge_set gold \['01'\] is not a list of int pairs"),
+    (Task.EDGE_COUNT, lambda row: row.__setitem__("seed", 1.5), "seed 1.5 is not an int"),
+    (Task.EDGE_COUNT, lambda row: row.__setitem__("seed", "7"), "seed '7' is not an int"),
+], ids=["float-n-and-gold", "bool-n", "int-directed", "str-directed", "float-int-gold",
+        "bool-int-gold", "str-bool-gold", "int-bool-gold", "float-node-set", "str-node-set",
+        "str-node-seq", "triple-edge", "bool-endpoint-edge", "str-edge", "float-seed", "str-seed"])
+def test_load_rejects_a_stored_value_of_the_wrong_json_type(tmp_path, task, tamper, fault):
+    path = _tampered(tmp_path, task, tamper)
+    with pytest.raises(DatasetFormatError, match=f"^line 2: corrupt instance: {fault}$"):
+        load_dataset(path)
+
+
 @pytest.mark.parametrize("key, value, fault", [
     ("query", [2.0], "query .* not an int"), ("query", [True], "query .* not an int"),
     ("query", ["2"], "query .* not an int"), ("id", 7, "id 7 is not a string"),
 ], ids=["float-node", "bool-node", "str-node", "int-id"])
 def test_load_rejects_a_query_node_that_is_not_an_int_or_an_id_that_is_not_a_string(
         tmp_path, key, value, fault):
+    path = _tampered(tmp_path, Task.NODE_DEGREE, lambda row: row.__setitem__(key, value))
+    for verify in (True, False):
+        with pytest.raises(DatasetFormatError, match=f"^line 2: corrupt instance: {fault}"):
+            load_dataset(path, verify=verify)
+
+
+def test_load_rejects_a_repeated_instance_id_naming_both_lines(tmp_path):
     _, instances = assemble_dataset(0, tasks=[Task.NODE_DEGREE], buckets=[SMALL],
                                     graphs_per_cell=1)
     path = tmp_path / "data.jsonl"
     save_dataset(instances, path)
     lines = path.read_text(encoding="utf-8").splitlines()
-    row = json.loads(lines[1])
-    row[key] = value
-    lines[1] = json.dumps(row, sort_keys=True, separators=(",", ":"))
+    lines[4] = lines[4].replace(instances[3].id, instances[1].id)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    for verify in (True, False):
-        with pytest.raises(DatasetFormatError, match=f"^line 2: corrupt instance: {fault}"):
-            load_dataset(path, verify=verify)
+    with pytest.raises(DatasetFormatError,
+                       match=rf"^line 5: instance id '{instances[1].id}' repeats line 3$"):
+        load_dataset(path, verify=False)
+
+
+@pytest.mark.parametrize("header, kind", [
+    ({"schema_version": ds.SCHEMA_VERSION, "kind": "not-a-dataset"}, "'not-a-dataset'"),
+    ({"schema_version": ds.SCHEMA_VERSION}, "None"),
+])
+def test_load_rejects_a_header_of_another_kind(small_saved, header, kind):
+    _, path = small_saved
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]), encoding="utf-8")
+    with pytest.raises(DatasetFormatError,
+                       match=f"^line 1: header kind {kind} is not 'graphbench-dataset'$"):
+        load_dataset(path)
 
 
 def _edge_count_file(path, graphs):

@@ -129,6 +129,21 @@ def test_from_edges_rejects_what_the_constructor_rejects(n, edges, message):
                 Graph.from_edges(n, order, directed)
 
 
+@pytest.mark.parametrize("n, directed, message", [
+    (5.0, False, "node count 5.0 is not an int"),
+    (True, False, "node count True is not an int"),
+    ("5", False, "node count '5' is not an int"),
+    (5, 0, "directed 0 is not a bool"),
+    (5, "yes", "directed 'yes' is not a bool"),
+])
+def test_graph_rejects_a_node_count_or_direction_of_the_wrong_type(n, directed, message):
+    for edges in ([], [(0, 1)]):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            Graph(n, edges, directed)
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            Graph.from_edges(n, edges, directed)
+
+
 def test_from_edges_gives_one_graph_for_any_order():
     ascending = [(0, 1), (0, 3), (1, 2), (2, 3)]
     g = Graph.from_edges(4, ascending)

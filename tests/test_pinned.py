@@ -2,35 +2,51 @@
 
 Same-process regeneration tests cannot catch a change to the generators, the
 JSON layout or the prompt surface text, because both sides of the comparison
-move together. These digests were measured once and are hard-coded; a change
-that alters them must bump ``GENERATOR_VERSION`` / ``SCHEMA_VERSION`` and
-update the values here in the same commit.
+move together. These tests compare with digests measured once, and each
+digest is written in one place:
+
+- ``perfbench/pinned.json``, under seed ``"0"``, holds what the benchmark
+  checks too: the dataset's content digest and byte count, the 0-shot and
+  Pseudo+5-shot prompt digests, and the report digests of the oracle runs at
+  those two strategies. These tests read that file and never write it; a
+  missing file or key fails them.
+- This module holds the pins the benchmark does not check: the other
+  strategies' and styles' prompt digests, and two transcripts digests.
+
+A change that alters a pin must bump ``GENERATOR_VERSION`` /
+``SCHEMA_VERSION`` and update the pin where it lives, in the same commit.
 """
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
 from graphbench import (
     PseudocodeStyle,
     Strategy,
-    assemble_dataset,
     load_dataset,
+    load_manifest,
     render_prompt,
-    save_dataset,
     standard_strategies,
 )
-from graphbench.cli import main
+from graphbench.cli import main, run_prompts
 import graphbench.dataset as ds
 
-SEED0_CONTENT_DIGEST = "db99ee3cea99b9d71dd5738de9ce23a0aa0cb94081f0f7157c16d1c5f926eb41"
+PINNED_JSON = Path(__file__).resolve().parents[1] / "perfbench" / "pinned.json"
+#: ``run``'s strategy flags in the benchmark workloads that ``pinned.json``
+#: pins prompt and report digests for (``RUN_ARGS`` in ``perfbench/workload.py``).
+RUN_WORKLOADS = {
+    "run-0shot": ["--strategy", "0-shot"],
+    "run-pseudo5shot": ["--strategy", "pseudo+5-shot", "--style", "plain"],
+}
+#: Prompt digests of the standard strategies that no benchmark workload runs.
 SEED0_PROMPTS_SHA256 = {
-    "0-shot": "1281fda9d2863a4aa5dec2e6fd3e9606bf6e5de5ced1d8afae39f6e326e79656",
     "1-shot": "737b70e52ece7c5816a84ca378a3c01630323ed50511f9e80a31b33e25cf96bf",
     "BaG": "6aab88b771128457945d5a3fe151f172e0c6b6de8d6c7f42ceac4a22bfd00485",
     "0-CoT": "992a4c428a031e74e479c5f7ad79dca89c99ed3240dbb6f29869a3cd9aefa0d2",
     "Pseudo": "c0923497961b27a9137557e7aa26b8f7dc64230215ebe059b15d8b8c82a7f7bc",
     "Pseudo+1-shot": "5a4ceef9f991de51af2a4f18fecee1d2c4a3015836122efdaa38c67aceecfbae",
-    "Pseudo+5-shot": "2bdaa58239075ff3e162f03bf6e55a946865fc8f9cde369c65fd1cb021a4cf7f",
 }
 #: ``display_name`` drops the style, so the other styles' Pseudo digests are
 #: keyed by style; the plain one is ``SEED0_PROMPTS_SHA256["Pseudo"]``.
@@ -44,43 +60,38 @@ TRANSCRIPTS_SHA256 = {
     "oracle": "e78c5106ba15a4a0e3a5a3d534232260301d6ee9510d72c0f8325968f923081c",
     "replay": "61f26cc281932eeb3795ebced135017bf8c9cd55b0e71244b778fc94e159a9f6",
 }
-PSEUDO_5_SHOT = Strategy.pseudo_k_shot(PseudocodeStyle.PLAIN, 5)
 
 
 @pytest.fixture(scope="module")
-def seed0():
-    return assemble_dataset(0)
+def pinned():
+    """Seed 0's pins in ``perfbench/pinned.json``."""
+    return json.loads(PINNED_JSON.read_text(encoding="utf-8"))["0"]
 
 
 @pytest.fixture(scope="module")
-def seed0_path(seed0, tmp_path_factory):
-    """The seed-0 instances saved as JSONL."""
-    _, instances = seed0
-    path = tmp_path_factory.mktemp("pinned") / "dataset.jsonl"
-    save_dataset(instances, path)
-    return path
-
-
-@pytest.fixture(scope="module")
-def seed0_loaded(seed0_path):
-    """The seed-0 instances after a save/load round trip through JSONL."""
-    return load_dataset(seed0_path)
-
-
-def test_seed0_file_loads_without_a_whole_line_parse(seed0_path, monkeypatch):
-    """Every line the writer lays out is parsed around its graph, so a change
-    to the serializer cannot turn that parse off unnoticed."""
-    split_line, missed = ds._split_line, []
+def seed0(seed0_dataset):
+    """The instances loaded from the seed-0 file, and the lines that load
+    parsed whole instead of around their graph."""
+    split_line, parsed_whole = ds._split_line, []
 
     def spy(line, last_text):
         split = split_line(line, last_text)
         if split is None:
-            missed.append(line)
+            parsed_whole.append(line)
         return split
 
-    monkeypatch.setattr(ds, "_split_line", spy)
-    assert len(load_dataset(seed0_path, verify=False)) == 6600
-    assert missed == []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ds, "_split_line", spy)
+        instances = load_dataset(seed0_dataset, verify=False)
+    return instances, parsed_whole
+
+
+def test_seed0_file_loads_without_a_whole_line_parse(seed0):
+    """Every line the writer lays out is parsed around its graph, so a change
+    to the serializer cannot turn that parse off unnoticed."""
+    instances, parsed_whole = seed0
+    assert len(instances) == 6600
+    assert parsed_whole == []
 
 
 def prompts_sha256(texts) -> str:
@@ -92,35 +103,55 @@ def prompts_sha256(texts) -> str:
     return h.hexdigest()
 
 
-def test_seed0_content_digest(seed0):
-    manifest, instances = seed0
-    assert len(instances) == 6600
-    assert manifest.content_digest == SEED0_CONTENT_DIGEST
+def test_seed0_content_digest(seed0_dataset, pinned):
+    """The file ``generate`` writes: its size, its instance lines' digest and
+    its manifest's digest."""
+    data = seed0_dataset.read_bytes()
+    assert len(data) == pinned["dataset_bytes"]
+    lines = data[data.index(b"\n") + 1 :]
+    assert hashlib.sha256(lines).hexdigest() == pinned["content_digest"]
+    manifest = load_manifest(seed0_dataset.with_suffix(".manifest.json"))
+    assert manifest.content_digest == pinned["content_digest"]
 
 
 @pytest.mark.parametrize(
     "strategy",
-    [*standard_strategies(PseudocodeStyle.PLAIN), PSEUDO_5_SHOT],
+    [s for s in standard_strategies(PseudocodeStyle.PLAIN)
+     if s.display_name in SEED0_PROMPTS_SHA256],
     ids=lambda s: s.display_name,
 )
 def test_seed0_prompts_sha256(seed0, strategy):
-    _, instances = seed0
+    instances, _ = seed0
     digest = prompts_sha256(render_prompt(inst, strategy).text for inst in instances)
     assert digest == SEED0_PROMPTS_SHA256[strategy.display_name]
 
 
-@pytest.mark.parametrize(
-    "strategy", [Strategy.zero_shot(), PSEUDO_5_SHOT], ids=lambda s: s.display_name
-)
-def test_seed0_loaded_prompts_sha256(seed0_loaded, strategy):
-    assert len(seed0_loaded) == 6600
-    digest = prompts_sha256(render_prompt(inst, strategy).text for inst in seed0_loaded)
-    assert digest == SEED0_PROMPTS_SHA256[strategy.display_name]
+@pytest.mark.parametrize("workload", sorted(RUN_WORKLOADS))
+def test_seed0_oracle_run_prompts_and_report_sha256(seed0_dataset, pinned, tmp_path,
+                                                   monkeypatch, workload):
+    """``run`` under the oracle with a cache, then ``report``, in process, as
+    the benchmark's run workloads call them: the prompts rendered from the
+    loaded file and the report written are the pinned bytes."""
+    sent = []
+
+    def capture(bundles, *args, **kwargs):
+        sent.extend(bundle.text for bundle in bundles)
+        return run_prompts(bundles, *args, **kwargs)
+
+    monkeypatch.setattr("graphbench.cli.run_prompts", capture)
+    out, report = tmp_path / "out", tmp_path / "report.md"
+    assert main(["run", "--dataset", str(seed0_dataset), "--backend", "mock:oracle",
+                 "--cache", str(tmp_path / "cache.jsonl"), "--out", str(out),
+                 *RUN_WORKLOADS[workload]]) == 0
+    assert main(["report", "--records", str(out / "records.jsonl"), "--out", str(report)]) == 0
+    assert len(sent) == 6600
+    assert prompts_sha256(sent) == pinned["prompts_sha256"][workload]
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == pinned["report_sha256"][workload]
 
 
 @pytest.mark.parametrize("style", sorted(SEED0_PSEUDO_STYLE_SHA256))
 def test_seed0_pseudo_style_prompts_sha256(seed0, style):
-    _, instances = seed0
+    instances, _ = seed0
     strategy = Strategy.pseudo(PseudocodeStyle(style))
     digest = prompts_sha256(render_prompt(inst, strategy).text for inst in instances)
     assert digest == SEED0_PSEUDO_STYLE_SHA256[style]
