@@ -74,14 +74,16 @@ def _bucket(name: str) -> SizeBucket:
 
 
 def _load_for_eval(args: argparse.Namespace) -> list[ds.TaskInstance]:
-    """Load the dataset's selected cells; --limit caps instances per (task, bucket) cell."""
+    """Load the dataset's selected cells; --limit caps instances per (task, bucket) cell.
+    Selecting every standard bucket keeps the buckets that only the file names too."""
     instances = ds.load_dataset(args.dataset, verify=not args.no_verify)
     tasks = set(_parse_selection(args.tasks, _task, ALL_TASKS))
     buckets = set(_parse_selection(args.buckets, _bucket, ALL_BUCKETS))
+    every_bucket = buckets == set(ALL_BUCKETS)
     kept = []
     per_cell: dict[tuple[Task, SizeBucket], int] = {}
     for inst in instances:
-        if inst.task not in tasks or inst.bucket not in buckets:
+        if inst.task not in tasks or not (every_bucket or inst.bucket in buckets):
             continue
         cell = (inst.task, inst.bucket)
         if args.limit is not None and per_cell.get(cell, 0) >= args.limit:

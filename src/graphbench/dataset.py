@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import gc
 import hashlib
+import itertools
 import json
 import random
 from dataclasses import asdict, dataclass, field
@@ -28,6 +29,7 @@ from . import oracles
 from .graphs import (
     ALL_BUCKETS,
     BUCKETS,
+    Edge,
     GeneratorConfig,
     Graph,
     SizeBucket,
@@ -101,13 +103,19 @@ class TaskInstance:
 
 
 def _stored_bucket(stored: dict) -> SizeBucket:
-    """The bucket a line stores: the standard bucket of that name when the
-    bounds match it, so the loaded instances share it, or else a new one."""
+    """The bucket a line stores, a str name and two int bounds. A standard
+    name (S, M, L) must come with its standard bounds, and the loaded
+    instances share that bucket; any other name is a new bucket."""
     name, n_min, n_max = stored["name"], stored["n_min"], stored["n_max"]
-    standard = BUCKETS.get(name) if type(name) is str else None
-    if standard is not None and standard.n_min == n_min and standard.n_max == n_max:
-        return standard
-    return SizeBucket(name, n_min, n_max)
+    if type(name) is not str or type(n_min) is not int or type(n_max) is not int:
+        raise TypeError(f"bucket {stored!r} is not a str name and two int bounds")
+    standard = BUCKETS.get(name)
+    if standard is None:
+        return SizeBucket(name, n_min, n_max)
+    if (standard.n_min, standard.n_max) != (n_min, n_max):
+        raise ValueError(f"bucket {name} has bounds [{n_min}, {n_max}], "
+                         f"not its standard [{standard.n_min}, {standard.n_max}]")
+    return standard
 
 
 def answer_to_json(answer: Answer) -> dict:
@@ -211,18 +219,16 @@ def _graph_for_instance(task: Task, bucket: SizeBucket, instance_seed: int) -> G
 @functools.lru_cache(maxsize=1)
 def _same_component_pairs(g: Graph) -> tuple[tuple[int, int], ...]:
     """All unordered pairs of distinct nodes in one component, sorted."""
-    uf = oracles._UnionFind(g.n)
-    for u, v in g.edges:
-        uf.union(u, v)
+    parent = list(range(g.n))
+    oracles._merge(parent, g.edges)
     members: dict[int, list[int]] = {}
     for x in range(g.n):
-        members.setdefault(uf.find(x), []).append(x)
-    pairs = []
-    for nodes in members.values():
-        for i, u in enumerate(nodes):
-            for v in nodes[i + 1 :]:
-                pairs.append((u, v))
-    return tuple(sorted(pairs))
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        members.setdefault(root, []).append(x)
+    return tuple(sorted(pair for nodes in members.values()
+                        for pair in itertools.combinations(nodes, 2)))
 
 
 def _queries_for_instance(task: Task, g: Graph, instance_seed: int) -> list[tuple[int, ...]]:
@@ -332,11 +338,36 @@ def assemble_dataset(
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
+class PairText(dict):
+    """Text of each edge pair (u, v), formatted as ``fmt % (u + base, v + base)``.
+
+    Filled on first use and kept for the process: every graph of every
+    bucket draws its pairs from the same n_max² node pairs, so the table stays
+    small while each edge list becomes lookups instead of formatting.
+    """
+
+    def __init__(self, fmt: str, base: int = 0):
+        super().__init__()
+        self.fmt, self.base = fmt, base
+
+    def __missing__(self, edge: Edge) -> str:
+        u, v = edge
+        text = self[edge] = self.fmt % (u + self.base, v + self.base)
+        return text
+
+
+_PAIR_JSON = PairText("[%d,%d]")
+
+
 # A graph's instances are adjacent in dataset order, so a small bound encodes
 # each distinct graph once while holding few graphs alive.
 @functools.lru_cache(maxsize=64)
 def _graph_json(graph: Graph) -> str:
-    return _encode({"n": graph.n, "edges": graph.edges, "directed": graph.directed})
+    """``_encode`` of the graph's ``directed``, ``edges`` and ``n``, joined
+    from the cached texts of its pairs."""
+    edges = ",".join(map(_PAIR_JSON.__getitem__, graph.edges))
+    directed = "true" if graph.directed else "false"
+    return f'{{"directed":{directed},"edges":[{edges}],"n":{graph.n}}}'
 
 
 def _instance_line(inst: TaskInstance) -> str:

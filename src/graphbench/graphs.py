@@ -8,7 +8,9 @@ independent of generation order.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -216,18 +218,25 @@ def sample_distinct(rng: random.Random, items: Sequence, k: int) -> list:
 # --- generators -------------------------------------------------------------
 
 
+#: One tuple per node pair, shared by every pair table and every generated graph.
+_PAIRS: dict[Edge, Edge] = {}
+
+
+@functools.cache
+def _pair_table(n: int) -> tuple[Edge, ...]:
+    """Every pair (u, v) with u < v < n, u ascending, then v: the order in
+    which the generators draw for each pair. Built once per n, on first use."""
+    return tuple(_PAIRS.setdefault(pair, pair) for pair in itertools.combinations(range(n), 2))
+
+
 def gen_er(cfg: GeneratorConfig, seed: int) -> Graph:
     """Erdős–Rényi G(n, p): n uniform over the bucket, p uniform over p_range,
     each of the n(n-1)/2 candidate edges kept independently with probability p."""
     rng = random.Random(seed)
     n = _uniform_int(rng, cfg.bucket.n_min, cfg.bucket.n_max)
     p = _uniform_p(rng, cfg.p_range)
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                edges.append((u, v))
-    return Graph._built(n, tuple(edges), False)
+    draw = rng.random
+    return Graph._built(n, tuple([pair for pair in _pair_table(n) if draw() < p]), False)
 
 
 def gen_er_dag(cfg: GeneratorConfig, seed: int) -> Graph:
@@ -247,9 +256,9 @@ def gen_random_bipartite(cfg: GeneratorConfig, seed: int) -> Graph:
     p = _uniform_p(rng, cfg.p_range)
     left_size = _uniform_int(rng, 1, n - 1)
     labels = _shuffled(rng, range(n))
-    left = set(labels[:left_size])
-    candidates = sorted(
-        (min(u, v), max(u, v)) for u in left for v in range(n) if v not in left
-    )
-    edges = [pair for pair in candidates if rng.random() < p]
-    return Graph._built(n, tuple(edges), False)
+    left = [False] * n
+    for u in labels[:left_size]:
+        left[u] = True
+    cross = [pair for pair in _pair_table(n) if left[pair[0]] != left[pair[1]]]
+    draw = rng.random
+    return Graph._built(n, tuple([pair for pair in cross if draw() < p]), False)

@@ -1,7 +1,9 @@
 """Exact polynomial-time solvers for all ten tasks; the source of gold answers.
 
-Connected components uses union-find; the test suite cross-checks it
-against a brute-force reachability closure (``tests/bruteforce.py``).
+Components, cycle check and spanning forests share one union-find loop over
+a parent list (``_merge``); the test suite cross-checks it against a
+brute-force reachability closure (``tests/bruteforce.py``). The traversals
+share ``adjacency``, which keeps the last graph's adjacency tuples.
 """
 from __future__ import annotations
 
@@ -83,38 +85,52 @@ TASK_ANSWER_KINDS: dict[Task, AnswerKind] = {
 }
 
 
-class _UnionFind:
-    """Array-based union-find with path compression."""
+def _merge(parent: list[int], edges: Iterable[Edge]) -> list[Edge]:
+    """Union-find over a parent list: join the trees of each edge's endpoints
+    (direction ignored) and return, in order, the edges that joined two trees.
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.count = n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge the sets of a and b; False if they were already together."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        self.count -= 1
-        return True
+    ``parent`` starts as ``list(range(n))`` and is updated in place; a node's
+    root, found by following it, names the node's component. No edge can join
+    two trees once one tree remains, so the loop stops there."""
+    joined: list[Edge] = []
+    joins_left = len(parent) - 1
+    for edge in edges:
+        u, v = edge
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]  # path halving
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
+            joined.append(edge)
+            joins_left -= 1
+            if not joins_left:
+                break
+    return joined
 
 
-def adjacency(g: Graph) -> list[list[int]]:
-    """Adjacency lists; for directed graphs, successors only."""
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        if not g.directed:
-            adj[v].append(u)
+# A graph's queries come in a row, in generation and in dataset order, so one
+# entry serves them all; it holds the graph, so the identity check is sound.
+_last_adjacency: tuple[Graph | None, tuple[tuple[int, ...], ...]] = (None, ())
+
+
+def adjacency(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Adjacency tuples, in edge order; for directed graphs, successors only.
+    The last graph's are kept and returned again for the same graph object."""
+    global _last_adjacency
+    last, adj = _last_adjacency
+    if last is g:
+        return adj
+    lists: list[list[int]] = [[] for _ in range(g.n)]
+    if g.directed:
+        for u, v in g.edges:
+            lists[u].append(v)
+    else:
+        for u, v in g.edges:
+            lists[u].append(v)
+            lists[v].append(u)
+    adj = tuple(map(tuple, lists))
+    _last_adjacency = (g, adj)
     return adj
 
 
@@ -132,21 +148,25 @@ def edge_count(g: Graph) -> int:
 
 
 def degree(g: Graph, u: int) -> int:
+    """Edges at u; for a directed graph, in-edges plus out-edges."""
     _check_node(g, u)
-    return sum(1 for e in g.edges if u in e)
+    if g.directed:
+        return sum(1 for e in g.edges if u in e)
+    return len(adjacency(g)[u])
 
 
 def neighbors(g: Graph, u: int) -> frozenset[int]:
+    """Nodes that share an edge with u, in either direction."""
     _check_node(g, u)
-    return frozenset(b if a == u else a for a, b in g.edges if u in (a, b))
+    if g.directed:
+        return frozenset(b if a == u else a for a, b in g.edges if u in (a, b))
+    return frozenset(adjacency(g)[u])
 
 
 def connected_components(g: Graph) -> int:
-    """Component count by union-find (edge direction ignored)."""
-    uf = _UnionFind(g.n)
-    for u, v in g.edges:
-        uf.union(u, v)
-    return uf.count
+    """Component count (edge direction ignored): each join of two trees
+    leaves one component fewer."""
+    return g.n - len(_merge(list(range(g.n)), g.edges))
 
 
 def has_cycle(g: Graph) -> bool:
@@ -159,27 +179,19 @@ def spanning_forest(g: Graph) -> frozenset[Edge]:
     """A spanning forest (Kruskal without weights): acyclic, touches every
     component, exactly n - c edges. Any such subset is a minimum spanning
     tree of an unweighted connected graph."""
-    uf = _UnionFind(g.n)
-    chosen = set()
-    for u, v in g.edges:
-        if uf.union(u, v):
-            chosen.add((u, v))
-    return frozenset(chosen)
+    return frozenset(_merge(list(range(g.n)), g.edges))
 
 
 def validate_spanning_tree(g: Graph, es: Iterable[Sequence[int]]) -> bool:
     """True iff es is a subset of g's edges, acyclic, and induces exactly the
     same component partition as g. A subset's partition refines g's, so the
-    two are equal when their counts are, and n - c edges that leave c
-    components hold no cycle."""
+    two are equal when their counts are; and n - c edges hold no cycle when
+    each of them joins two trees."""
     candidate = {(int(u), int(v)) if int(u) < int(v) else (int(v), int(u)) for u, v in es}
     if not candidate.issubset(g.edges):
         return False
-    uf = _UnionFind(g.n)
-    for u, v in candidate:
-        uf.union(u, v)
-    components = connected_components(g)
-    return len(candidate) == g.n - components and uf.count == components
+    return (len(candidate) == g.n - connected_components(g)
+            and len(_merge(list(range(g.n)), candidate)) == len(candidate))
 
 
 def shortest_path_length(g: Graph, u: int, v: int) -> int:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 
-from .dataset import TaskInstance, build_instances
-from .graphs import Edge, Graph, SizeBucket
+from .dataset import PairText, TaskInstance, build_instances
+from .graphs import Graph, SizeBucket
 from .oracles import Answer, AnswerKind, TASK_ANSWER_KINDS
 from .tasks import Task, default_label_base
 
@@ -196,25 +196,7 @@ def _check_label_base(label_base: int) -> None:
         raise ValueError(f"label_base must be 0 or 1, not {label_base!r}")
 
 
-class _PairText(dict):
-    """Text of each edge pair ``(u + base, v + base)`` at one label base.
-
-    Filled on first use and kept for the process: every graph of every
-    bucket draws its pairs from the same n_max² node pairs, so the table stays
-    small while each edge list becomes lookups instead of formatting.
-    """
-
-    def __init__(self, base: int):
-        super().__init__()
-        self.base = base
-
-    def __missing__(self, edge: Edge) -> str:
-        u, v = edge
-        text = self[edge] = f"({u + self.base}, {v + self.base})"
-        return text
-
-
-_PAIR_TEXT = (_PairText(0), _PairText(1))
+_PAIR_TEXT = (PairText("(%d, %d)", 0), PairText("(%d, %d)", 1))
 
 
 def encode_edge_list(g: Graph, label_base: int = 0) -> str:

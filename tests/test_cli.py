@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -768,6 +769,48 @@ def test_run_rejects_a_query_of_the_wrong_arity(tmp_path, capsys, no_verify):
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: line 2: corrupt instance: node_degree query [] has arity 0, expected 1"]
     assert not (out / "summary.json").exists()
+
+
+def _node_count_file(tmp_path, bucket):
+    """A two-graph node_count dataset whose line 2 stores ``bucket``."""
+    path = tmp_path / "data.jsonl"
+    assert run_cli("generate", "--seed", 0, "--out", path, "--tasks", "node_count",
+                   "--buckets", "S", "--graphs-per-cell", 2) == 0
+    header, *rows = [json.loads(line) for line in path.read_text().splitlines()]
+    rows[0]["bucket"] = bucket
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in [header, *rows]))
+    return path
+
+
+@pytest.mark.parametrize("bucket, fault", [
+    ({"name": "S", "n_min": 5, "n_max": 12}, r"bucket S has bounds \[5, 12\], not its standard \[5, 11\]"),
+    ({"name": 7, "n_min": 5.5, "n_max": 11}, "bucket .* is not a str name and two int bounds"),
+], ids=["standard-name-other-bounds", "wrong-types"])
+def test_run_rejects_a_bad_bucket_naming_the_line(tmp_path, capsys, bucket, fault):
+    """Both loaded before: the first ran as "1/1 correct", line 2 dropped
+    unseen, and the second gave a bucket whose ``str()`` raised."""
+    path = _node_count_file(tmp_path, bucket)
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert run_cli("run", "--dataset", path, "--backend", "mock:oracle", "--out", out) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert re.fullmatch(f"error: line 2: corrupt instance: {fault}", err[0])
+    assert not (out / "summary.json").exists()
+
+
+def test_run_and_render_keep_a_bucket_only_the_file_names(tmp_path, capsys):
+    path = _node_count_file(tmp_path, {"name": "XS", "n_min": 5, "n_max": 12})
+    out = tmp_path / "run"
+    assert run_cli("run", "--dataset", path, "--backend", "mock:oracle", "--out", out) == 0
+    assert "2/2 correct" in capsys.readouterr().out
+    assert [r.bucket for r in load_records(out / "records.jsonl")] == ["XS", "S"]
+    assert run_cli("run", "--dataset", path, "--backend", "mock:oracle", "--out", out,
+                   "--buckets", "S") == 0
+    assert "1/1 correct" in capsys.readouterr().out
+    prompts = tmp_path / "prompts.jsonl"
+    assert run_cli("render", "--dataset", path, "--out", prompts) == 0
+    assert "rendered 2 prompts" in capsys.readouterr().out
 
 
 def test_run_rejects_a_header_that_is_not_an_object(tmp_path, capsys):

@@ -537,13 +537,14 @@ def test_instance_line_holds_across_cache_eviction_and_repeats():
 
 def test_shortest_path_pairs_computed_once_per_graph(monkeypatch):
     ds._same_component_pairs.cache_clear()
-    generated, union_finds = [], []
-    gen_er, union_find = ds.gen_er, ds.oracles._UnionFind
+    generated, merged = [], []
+    gen_er, merge = ds.gen_er, ds.oracles._merge
     monkeypatch.setattr(ds, "gen_er", lambda *a: generated.append(gen_er(*a)) or generated[-1])
-    monkeypatch.setattr(ds.oracles, "_UnionFind",
-                        lambda n: union_finds.append(n) or union_find(n))
+    monkeypatch.setattr(ds.oracles, "_merge",
+                        lambda parent, edges: merged.append(edges) or merge(parent, edges))
     small_cell(Task.SHORTEST_PATH, 20)
-    assert len(union_finds) == len(generated) > 20
+    assert len(merged) == len(generated) > 20
+    assert merged == [g.edges for g in generated]
 
 
 @pytest.mark.parametrize("endpoint", [0.9, 1.0, True, "1"])
@@ -614,6 +615,30 @@ def _float_node_count(row):
 def test_load_rejects_a_stored_value_of_the_wrong_json_type(tmp_path, task, tamper, fault):
     path = _tampered(tmp_path, task, tamper)
     with pytest.raises(DatasetFormatError, match=f"^line 2: corrupt instance: {fault}$"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("bucket, fault", [
+    ({"name": 7, "n_min": 5, "n_max": 11}, "name"),
+    ({"name": "S", "n_min": 5.5, "n_max": 11}, "float-bound"),
+    ({"name": "XS", "n_min": 5, "n_max": True}, "bool-bound"),
+    ({"name": 7, "n_min": 5.5, "n_max": 11}, "all"),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_load_rejects_a_bucket_that_is_not_a_str_and_two_ints(tmp_path, bucket, fault):
+    path = _tampered(tmp_path, Task.NODE_COUNT, lambda row: row.__setitem__("bucket", bucket))
+    for verify in (True, False):
+        with pytest.raises(DatasetFormatError, match="^line 2: corrupt instance: bucket .* is "
+                                                     "not a str name and two int bounds$"):
+            load_dataset(path, verify=verify)
+
+
+@pytest.mark.parametrize("bounds", [(5, 12), (4, 11), (11, 21)])
+def test_load_rejects_a_standard_bucket_name_with_other_bounds(tmp_path, bounds):
+    bucket = {"name": "S", "n_min": bounds[0], "n_max": bounds[1]}
+    path = _tampered(tmp_path, Task.NODE_COUNT, lambda row: row.__setitem__("bucket", bucket))
+    with pytest.raises(DatasetFormatError, match=r"^line 2: corrupt instance: bucket S has "
+                                                 rf"bounds \[{bounds[0]}, {bounds[1]}\], not "
+                                                 r"its standard \[5, 11\]$"):
         load_dataset(path)
 
 
@@ -921,14 +946,19 @@ def test_load_shares_the_standard_buckets(small_saved):
 
 @pytest.mark.parametrize("stored, shared", [
     ({"name": "M", "n_min": 11, "n_max": 21}, MEDIUM),
-    ({"name": "M", "n_min": 11, "n_max": 22}, None),
-    ({"name": "S", "n_min": 4, "n_max": 11}, None),
+    ({"name": "M", "n_min": 11, "n_max": 22}, ValueError),
+    ({"name": "S", "n_min": 4, "n_max": 11}, ValueError),
     ({"name": "XL", "n_min": 51, "n_max": 101}, None),
 ])
 def test_from_json_obj_shares_a_standard_bucket_only_with_its_bounds(stored, shared):
+    """A standard name with other bounds is rejected; any other name is a new bucket."""
     inst = small_cell(Task.NODE_COUNT, 1)[0]
     row = json.loads(ds._instance_line(inst))
     row["bucket"] = stored
+    if shared is ValueError:
+        with pytest.raises(ValueError, match=f"bucket {stored['name']} has bounds"):
+            TaskInstance.from_json_obj(row)
+        return
     bucket = TaskInstance.from_json_obj(row).bucket
     assert (bucket.name, bucket.n_min, bucket.n_max) == (stored["name"], stored["n_min"],
                                                          stored["n_max"])

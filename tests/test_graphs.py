@@ -21,6 +21,7 @@ from graphbench import (
     topo_order,
 )
 from graphbench.graphs import _shuffled, _uniform_int, sample_distinct
+from reference_generators import reference_gen_er, reference_gen_random_bipartite
 
 # 99.9th percentile of chi-squared with 6 degrees of freedom (7 size bins).
 CHI2_CRIT_DF6 = 22.458
@@ -338,6 +339,26 @@ def test_from_edges_rebuilds_a_generated_graph_from_shuffled_flipped_pairs(gen):
         rng.shuffle(pairs)
         h = Graph.from_edges(g.n, pairs, g.directed)
         assert h == g and hash(h) == hash(g)
+
+
+# --- the generators against nested-loop copies --------------------------------------
+
+
+@pytest.mark.parametrize("p_range", [(0.0, 1.0), (0.0, 0.0), (1.0, 1.0), (0.3, 0.3)])
+@pytest.mark.parametrize("bucket", [*ALL_BUCKETS, SizeBucket("T", 1, 3)], ids=str)
+@pytest.mark.parametrize("gen, reference", [(gen_er, reference_gen_er),
+                                            (gen_random_bipartite, reference_gen_random_bipartite)],
+                         ids=["er", "bipartite"])
+def test_generators_equal_their_nested_loop_copies(gen, reference, bucket, p_range):
+    """Same draws in the same order, so the same pairs, for every seed."""
+    if gen is gen_random_bipartite and bucket.n_min < 2:
+        bucket = SizeBucket("T", 2, 3)
+    cfg = GeneratorConfig(bucket=bucket, p_range=p_range)
+    for i in range(60):
+        seed = derive_seed(8, "reference", bucket.name, p_range, i)
+        g = gen(cfg, seed)
+        assert g == reference(cfg, seed)
+        assert type(g.edges) is tuple and not g.directed
 
 
 # --- bipartite generator -------------------------------------------------------------

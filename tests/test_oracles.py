@@ -13,6 +13,7 @@ from bruteforce import (
     bf_is_bipartite,
     bf_is_spanning_forest,
     bf_neighbors,
+    bf_partition,
     bf_valid_topo_orders,
 )
 from conftest import make_graph
@@ -42,6 +43,7 @@ from graphbench import (
     validate_spanning_tree,
     validate_topo_order,
 )
+from graphbench.oracles import _merge, adjacency
 
 TINY = SizeBucket("T", 2, 8)
 
@@ -262,3 +264,140 @@ def test_gold_answer_kinds():
     assert gold_answer(Task.NEIGHBORS, g, (1,)).kind is AnswerKind.NODE_SET
     dag = make_graph(3, [(0, 2)], directed=True)
     assert gold_answer(Task.TOPOLOGICAL_SORT, dag).kind is AnswerKind.NODE_SEQ
+
+
+# --- the union-find kernel and the adjacency memo ------------------------------------
+
+
+def _kernel_partition(n, edges):
+    """The components that ``_merge`` leaves in its parent list, as node sets."""
+    parent = list(range(n))
+    _merge(parent, edges)
+    members = {}
+    for x in range(n):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        members.setdefault(root, set()).add(x)
+    return frozenset(frozenset(nodes) for nodes in members.values())
+
+
+def _random_pairs(rng, n, p):
+    """Ordered pairs of distinct nodes, each kept with probability p: both
+    orientations occur, and some pairs in both."""
+    return [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p]
+
+
+def test_union_find_ignores_direction():
+    rng = random.Random(31)
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        g = Graph.from_edges(n, _random_pairs(rng, n, rng.random() * 0.4), directed=True)
+        assert connected_components(g) == bf_components(g)
+        assert _kernel_partition(g.n, g.edges) == bf_partition(g.n, g.edges)
+        forest = spanning_forest(g)
+        assert len(forest) == g.n - bf_components(g)
+        assert forest <= set(g.edges)
+        assert has_cycle(g) == (len(g.edges) > len(forest))
+
+
+def _random_tree(rng, n):
+    """Each node after the first hangs from an earlier one, at random."""
+    return [(rng.randrange(v), v) for v in range(1, n)]
+
+
+def test_union_find_on_forests():
+    rng = random.Random(32)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        cut = set(rng.sample(range(1, n), rng.randint(0, n - 1))) if n > 1 else set()
+        g = make_graph(n, [e for e in _random_tree(rng, n) if e[1] not in cut])
+        assert connected_components(g) == bf_components(g) == len(cut) + 1
+        assert not has_cycle(g) and acyclic_by_leaf_pruning(g.n, g.edges)
+        assert spanning_forest(g) == set(g.edges)
+        assert validate_spanning_tree(g, g.edges)
+        assert _kernel_partition(g.n, g.edges) == bf_partition(g.n, g.edges)
+
+
+def test_union_find_stops_once_one_tree_remains():
+    """A graph that is one tree before its last edges: the kernel joins n - 1
+    edges and reads no edge after the one that made the tree."""
+    rng = random.Random(33)
+    for _ in range(100):
+        n = rng.randint(2, 12)
+        tree = _random_tree(rng, n)
+        rng.shuffle(tree)
+        extra = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if (u, v) not in set(tree) and rng.random() < 0.5]
+        edges = iter(tree + extra)
+        joined = _merge(list(range(n)), edges)
+        assert joined == tree
+        assert list(edges) == extra
+        g = make_graph(n, tree + extra)
+        assert connected_components(g) == bf_components(g) == 1
+        assert has_cycle(g) == (not acyclic_by_leaf_pruning(g.n, g.edges)) == bool(extra)
+        assert len(spanning_forest(g)) == n - 1
+        assert bf_is_spanning_forest(g, spanning_forest(g))
+
+
+def test_validate_spanning_tree_rejects_bad_candidates_like_brute_force():
+    """Candidates that hold a cycle, miss a component or use an edge outside
+    the graph, each judged as the brute force judges it."""
+    rng = random.Random(34)
+    kinds = {"cycle": 0, "missing": 0, "outside": 0}
+    for g in random_graphs(300, "bad-forests", p_range=(0.2, 0.8)):
+        forest = sorted(spanning_forest(g))
+        spare = sorted(set(g.edges) - set(forest))
+        absent = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                  if (u, v) not in set(g.edges)]
+        candidates = []
+        if spare:  # a forest edge swapped for a spare one can close a cycle
+            swapped = forest[:]
+            swapped[rng.randrange(len(swapped))] = rng.choice(spare)
+            candidates.append(("cycle", forest + [rng.choice(spare)]))
+            candidates.append(("cycle", swapped))
+        if forest:
+            candidates.append(("missing", forest[1:]))
+        if absent:
+            candidates.append(("outside", forest + [rng.choice(absent)]))
+            candidates.append(("outside", forest[1:] + [rng.choice(absent)]))
+        for kind, candidate in candidates:
+            kinds[kind] += 1
+            assert validate_spanning_tree(g, candidate) == bf_is_spanning_forest(g, candidate)
+            if kind != "cycle":
+                assert not validate_spanning_tree(g, candidate)
+    assert min(kinds.values()) > 100
+
+
+def test_adjacency_memo_cannot_be_changed_by_a_caller(path4, triangle):
+    adj = adjacency(path4)
+    assert adj == ((1,), (0, 2), (1, 3), (2,))
+    with pytest.raises(TypeError):
+        adj[0] = (3,)
+    with pytest.raises(AttributeError):
+        adj[1].append(3)
+    assert adjacency(path4) is adj  # served from the memo, unchanged
+    assert degree(path4, 1) == 2 and neighbors(path4, 1) == frozenset({0, 2})
+    assert adjacency(triangle) == ((1, 2), (0, 2), (0, 1))
+    assert adjacency(path4) == ((1,), (0, 2), (1, 3), (2,))
+
+
+def test_adjacency_memo_serves_only_its_own_graph():
+    """Equal graphs, and graphs that alternate, each get their own answers."""
+    graphs = random_graphs(40, "memo")
+    for g, h in zip(graphs, graphs[1:]):
+        for x in (g, h, g, Graph.from_edges(g.n, g.edges)):
+            for u in range(x.n):
+                assert degree(x, u) == bf_degree(x, u)
+                assert neighbors(x, u) == bf_neighbors(x, u)
+
+
+def test_directed_degree_and_neighbors_count_both_directions():
+    rng = random.Random(35)
+    for _ in range(100):
+        n = rng.randint(1, 9)
+        g = Graph.from_edges(n, _random_pairs(rng, n, rng.random() * 0.5), directed=True)
+        for u in range(n):
+            assert degree(g, u) == bf_degree(g, u)
+            assert neighbors(g, u) == bf_neighbors(g, u)
+            assert adjacency(g)[u] == tuple(v for a, v in g.edges if a == u)

@@ -11,7 +11,8 @@ digest is written in one place:
   those two strategies. These tests read that file and never write it; a
   missing file or key fails them.
 - This module holds the pins the benchmark does not check: the other
-  strategies' and styles' prompt digests, and two transcripts digests.
+  strategies' and styles' prompt digests, two transcripts digests, and a
+  second dataset's digest, at seed 13 and 10 graphs per cell.
 
 A change that alters a pin must bump ``GENERATOR_VERSION`` /
 ``SCHEMA_VERSION`` and update the pin where it lives, in the same commit.
@@ -59,6 +60,13 @@ SEED0_PSEUDO_STYLE_SHA256 = {
 TRANSCRIPTS_SHA256 = {
     "oracle": "e78c5106ba15a4a0e3a5a3d534232260301d6ee9510d72c0f8325968f923081c",
     "replay": "61f26cc281932eeb3795ebced135017bf8c9cd55b0e71244b778fc94e159a9f6",
+}
+
+#: ``generate --seed 13 --graphs-per-cell 10``: byte count of the file and
+#: sha256 of its instance lines, a second seed for the generators and oracles.
+SEED13_DATASET = {
+    "bytes": 762324,
+    "content_digest": "99789e9c55ef0636af140a3ac236deb2df41136abe7ac8c9cc1bb180bef62e1a",
 }
 
 
@@ -112,6 +120,17 @@ def test_seed0_content_digest(seed0_dataset, pinned):
     assert hashlib.sha256(lines).hexdigest() == pinned["content_digest"]
     manifest = load_manifest(seed0_dataset.with_suffix(".manifest.json"))
     assert manifest.content_digest == pinned["content_digest"]
+
+
+def test_seed13_content_digest(tmp_path):
+    path = tmp_path / "dataset.jsonl"
+    assert main(["generate", "--seed", "13", "--graphs-per-cell", "10", "--out", str(path)]) == 0
+    data = path.read_bytes()
+    assert len(data) == SEED13_DATASET["bytes"]
+    lines = data[data.index(b"\n") + 1 :]
+    assert hashlib.sha256(lines).hexdigest() == SEED13_DATASET["content_digest"]
+    manifest = load_manifest(path.with_suffix(".manifest.json"))
+    assert manifest.content_digest == SEED13_DATASET["content_digest"]
 
 
 @pytest.mark.parametrize(
