@@ -53,9 +53,9 @@ def _parse_selection(tokens: Sequence[str], lookup: Callable[[str], T],
     return list(dict.fromkeys(map(lookup, names)))
 
 
-def _count(text: str) -> int:
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a count of 0 or more, got {text!r}")
+def _count(text: str, least: int = 0) -> int:
+    if not text.isdecimal() or int(text) < least:
+        raise argparse.ArgumentTypeError(f"expected a count of {least} or more, got {text!r}")
     return int(text)
 
 
@@ -257,6 +257,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     records: list[EvalRecord] = []
     for path in args.records:
         records.extend(load_records(path))
+    if not records:
+        raise ValueError(f"no records in {' '.join(args.records)}")
     report = aggregate_report(records)
     text = emit_report(report, fmt=args.format, flag_best=not args.no_flag_best)
     if args.out:
@@ -331,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--max-tokens", type=int, default=4096)
     p_run.add_argument("--cache", default=None,
                        help="response cache JSONL (replay reads it; other backends append)")
-    p_run.add_argument("--parallel", type=int, default=1)
+    p_run.add_argument("--parallel", type=partial(_count, least=1), default=1)
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.set_defaults(func=cmd_run)
 

@@ -10,8 +10,9 @@ that loop as it is hashed, so a saved dataset is serialized once and its
 digest describes the bytes on disk. ``write_dataset`` feeds it the cells as
 they are built, so generating holds one cell's instances at a time. Each
 distinct graph's ``"graph"`` object is encoded once and joined into the lines
-of all its instances. ``load_dataset`` undoes that join (``_split_line``): it
-parses and builds a run of identical ``"graph"`` texts once.
+of all its instances. ``load_dataset`` reads only that layout and undoes the
+join (``_split_line``): it parses and builds a run of identical ``"graph"``
+texts once.
 """
 from __future__ import annotations
 
@@ -70,16 +71,9 @@ class TaskInstance:
     seed: int
 
     @classmethod
-    def from_json_obj(cls, obj: dict, graph: Graph | None = None) -> "TaskInstance":
-        """Inverse of ``_instance_line``, given the parsed line.
-
-        ``graph`` is the instance's ``Graph``, already built from the line's
-        ``"graph"`` object; without it, that object is built here.
-        """
-        bucket = obj["bucket"]
-        if graph is None:
-            stored = obj["graph"]
-            graph = Graph.from_edges(stored["n"], stored["edges"], stored["directed"])
+    def from_json_obj(cls, obj: dict, graph: Graph) -> "TaskInstance":
+        """Inverse of ``_instance_line``, given the line's members other than
+        ``"graph"`` and the ``Graph`` built from its ``"graph"`` object."""
         task = Task(obj["task"])
         query = tuple(obj["query"])
         if any(type(node) is not int for node in query):
@@ -94,7 +88,7 @@ class TaskInstance:
         return cls(
             id=obj["id"],
             task=task,
-            bucket=_stored_bucket(bucket),
+            bucket=_stored_bucket(obj["bucket"]),
             graph=graph,
             query=query,
             gold=answer_from_json(obj["gold"]),
@@ -405,35 +399,30 @@ def save_dataset(instances: Iterable[TaskInstance], path: str | Path) -> str:
 
 
 _GRAPH_MEMBER = ',"graph":{'
-_SAME_GRAPH = object()
 
 
-def _split_line(line: str, last_text: str | None) -> tuple[dict, str, object] | None:
-    """The line's members other than ``"graph"``, the text of its ``"graph"``
-    object, and that object parsed (``_SAME_GRAPH`` when the text is
-    ``last_text``); None unless the line is laid out as ``_instance_line``
-    writes it.
+def _split_line(line: str) -> tuple[dict, str]:
+    """The line's members other than ``"graph"``, and the text of its
+    ``"graph"`` object; ``ValueError`` unless the line is laid out as
+    ``_instance_line`` writes it.
 
     The cut is at the first ``,"graph":{`` and the first ``}`` after it, which
     closes a stored graph, since it holds only lists and numbers. The parts
-    on either side parse as objects with exactly ``_instance_line``'s members
-    only when the cut is the line's top-level ``"graph"`` member, and then a
-    whole-line parse gives the same object."""
+    on either side must parse as objects with exactly ``_instance_line``'s
+    other members."""
     i = line.find(_GRAPH_MEMBER)
     j = line.find("}", i + len(_GRAPH_MEMBER))
-    if i < 0 or j < 0 or line[j + 1 : j + 2] != ",":
-        return None
-    text = line[i + len(_GRAPH_MEMBER) - 1 : j + 1]
-    try:
-        obj = json.loads(line[:i] + "}")
-        tail = json.loads("{" + line[j + 2 :])
-        stored = _SAME_GRAPH if text == last_text else json.loads(text)
-    except json.JSONDecodeError:
-        return None
-    if obj.keys() != {"bucket", "gold"} or tail.keys() != {"id", "query", "seed", "task"}:
-        return None
-    obj.update(tail)
-    return obj, text, stored
+    if i >= 0 and j >= 0 and line[j + 1 : j + 2] == ",":
+        try:
+            obj = json.loads(line[:i] + "}")
+            tail = json.loads("{" + line[j + 2 :])
+        except json.JSONDecodeError:
+            pass
+        else:
+            if obj.keys() == {"bucket", "gold"} and tail.keys() == {"id", "query", "seed", "task"}:
+                obj.update(tail)
+                return obj, line[i + len(_GRAPH_MEMBER) - 1 : j + 1]
+    raise ValueError("not laid out as save_dataset writes an instance")
 
 
 def load_dataset(path: str | Path, verify: bool = True) -> list[TaskInstance]:
@@ -441,21 +430,19 @@ def load_dataset(path: str | Path, verify: bool = True) -> list[TaskInstance]:
 
     Raises DatasetFormatError for a header of another schema version and,
     naming the line, for a header that is not a JSON object or not of
-    ``kind`` ``graphbench-dataset``, for a corrupt line (one whose values are
-    not all of their JSON types is corrupt too), and for an instance id that
-    repeats an earlier line's, naming both lines.
+    ``kind`` ``graphbench-dataset``, for a corrupt line (one not laid out as
+    ``_instance_line`` writes it, or whose values are not all of their JSON
+    types, is corrupt too), and for an instance id that repeats an earlier
+    line's, naming both lines.
     verify: re-check every gold answer by the scoring rule, ``is_right_answer``.
 
-    A line laid out as ``_instance_line`` writes it is parsed around its
-    ``"graph"`` text (``_split_line``), which is parsed and built only when it
-    differs from the previous line's: a byte-identical text reuses the
-    previous line's ``Graph``, so a graph's adjacent instances share one, as
-    after ``build_instances``. Any other line is parsed whole and builds its
-    own graph. Either way a line loads to the same instance or fails with the
-    same error, and every text is checked, so an endpoint spelled ``true`` is
-    rejected even next to a line that stores the int. Each distinct edge
-    pair, once its endpoints are checked to be ints, is one tuple shared by
-    every graph of this load.
+    Each line is parsed around its ``"graph"`` text (``_split_line``), which
+    is parsed and built only when it differs from the previous line's: a
+    byte-identical text reuses the previous line's ``Graph``, so a graph's
+    adjacent instances share one, as after ``build_instances``. An endpoint
+    spelled ``true`` is another text, so it is rejected even next to a line
+    that stores the int. Each distinct edge pair, once its endpoints are
+    checked to be ints, is one tuple shared by every graph of this load.
 
     The parse makes hundreds of thousands of objects and no reference cycles,
     yet every later cyclic collection would walk them all. So when the
@@ -499,17 +486,18 @@ def load_dataset(path: str | Path, verify: bool = True) -> list[TaskInstance]:
                 if not line.strip():
                     continue
                 try:
-                    split = _split_line(line, text)
-                    if split is None:
-                        obj, text = json.loads(line), None
-                        stored = obj["graph"]
-                    else:
-                        obj, text, stored = split
-                    if stored is not _SAME_GRAPH:
+                    obj, graph_text = _split_line(line)
+                    if graph_text != text:
+                        text, stored = graph_text, json.loads(graph_text)
                         graph = Graph.from_edges(stored["n"], stored["edges"], stored["directed"],
                                                  pairs)
                     inst = TaskInstance.from_json_obj(obj, graph)
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                except json.JSONDecodeError as exc:
+                    # Only the graph text is parsed here: count from the line's start.
+                    at = line.find(_GRAPH_MEMBER) + len(_GRAPH_MEMBER) - 1 + exc.pos
+                    raise DatasetFormatError(f"line {lineno}: corrupt instance: "
+                                             f"{json.JSONDecodeError(exc.msg, line, at)}") from exc
+                except (KeyError, TypeError, ValueError) as exc:
                     raise DatasetFormatError(f"line {lineno}: corrupt instance: {exc}") from exc
                 first = lines_by_id.setdefault(inst.id, lineno)
                 if first != lineno:

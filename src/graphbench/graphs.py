@@ -25,11 +25,11 @@ Edge = tuple[int, int]
 class Graph:
     """An unweighted graph over nodes 0..n-1.
 
-    ``n`` must be an ``int`` and ``directed`` a ``bool``; nothing is coerced.
-    ``edges`` is sorted ascending with no pair twice; the constructor sorts
-    the pairs it is given, each of which must be a tuple. Undirected pairs are
-    stored as (u, v) with u < v, directed ones as given (the DAG generator
-    orients each edge low -> high).
+    ``n`` must be an ``int``, ``directed`` a ``bool`` and each endpoint an
+    ``int``; nothing is coerced. ``edges`` is sorted ascending with no pair
+    twice; the constructor sorts the pairs it is given, each of which must be
+    a tuple. Undirected pairs are stored as (u, v) with u < v, directed ones
+    as given (the DAG generator orients each edge low -> high).
     """
 
     n: int
@@ -46,6 +46,8 @@ class Graph:
         for pair in self.edges:
             if type(pair) is not tuple:
                 raise TypeError(f"edge {pair!r} is not a tuple")
+            if any(type(x) is not int for x in pair):
+                raise TypeError(f"edge {pair!r} has an endpoint that is not an int")
         edges = tuple(sorted(self.edges))
         for i, (u, v) in enumerate(edges):
             if u == v:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import json
 import os
 import sys
 from pathlib import Path
@@ -32,6 +33,12 @@ def seed0_dataset(tmp_path_factory) -> Path:
     path = tmp_path_factory.mktemp("seed0") / "dataset.jsonl"
     assert main(["generate", "--seed", "0", "--out", str(path)]) == 0
     return path
+
+
+def instance_line(row: dict) -> str:
+    """A dataset's instance row in the layout ``save_dataset`` writes, the
+    only one load reads: sorted keys and no spaces."""
+    return json.dumps(row, sort_keys=True, separators=(",", ":"))
 
 
 def make_graph(n, edges, directed=False):

@@ -13,7 +13,7 @@ from graphbench.cli import main
 from graphbench.client import MockOracleBackend
 from graphbench.oracles import spanning_forest
 
-from conftest import FIXTURES, subprocess_env
+from conftest import FIXTURES, instance_line, subprocess_env
 
 
 def run_cli(*argv):
@@ -538,6 +538,16 @@ def test_report_merges_multiple_record_files(dataset, tmp_path, capsys):
     assert "| BaG | S |" in table
 
 
+def test_report_refuses_empty_input(tmp_path, capsys):
+    empty, blank = tmp_path / "empty.jsonl", tmp_path / "blank.jsonl"
+    empty.write_text("")
+    blank.write_text("\n")
+    out = tmp_path / "report.md"
+    assert run_cli("report", "--records", empty, blank, "--out", out) == 1
+    assert capsys.readouterr() == ("", f"error: no records in {empty} {blank}\n")
+    assert not out.exists()
+
+
 def test_report_duplicate_records_fail(dataset, tmp_path, capsys):
     run_dir = tmp_path / "run"
     run_cli("run", "--dataset", dataset, "--backend", "mock:oracle", "--out", run_dir)
@@ -729,6 +739,20 @@ def test_negative_count_in_config_is_rejected(tmp_path, capsys):
     assert not (tmp_path / "d.jsonl").exists()
 
 
+@pytest.mark.parametrize("parallel", [0, -1])
+def test_run_parallel_below_one_fails_before_the_dataset_loads(dataset, tmp_path, capsys,
+                                                               monkeypatch, parallel):
+    loads = []
+    monkeypatch.setattr(ds, "load_dataset", lambda *args, **kwargs: loads.append(args))
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "--dataset", dataset, "--parallel", parallel, "--out", tmp_path / "r")
+    assert exc.value.code == 2
+    assert (f"argument --parallel: expected a count of 1 or more, got '{parallel}'"
+            in capsys.readouterr().err)
+    assert loads == []
+    assert not (tmp_path / "r").exists()
+
+
 def test_missing_dataset_is_reported(tmp_path, capsys):
     code = run_cli("run", "--dataset", tmp_path / "missing.jsonl", "--out", tmp_path / "r")
     assert code == 1
@@ -745,7 +769,7 @@ def test_run_rejects_a_gold_of_the_wrong_kind(tmp_path, capsys):
     rows[0]["gold"] = {"kind": "node_seq", "value": list(range(rows[0]["graph"]["n"]))}
     forest = spanning_forest(Graph.from_edges(rows[1]["graph"]["n"], rows[1]["graph"]["edges"]))
     rows[1]["gold"] = ds.answer_to_json(Answer.edge_set(forest))
-    path.write_text("".join(json.dumps(obj) + "\n" for obj in [header, *rows]))
+    path.write_text(json.dumps(header) + "\n" + "".join(instance_line(row) + "\n" for row in rows))
     capsys.readouterr()
     out = tmp_path / "run"
     assert run_cli("run", "--dataset", path, "--backend", "mock:oracle", "--out", out) == 1
@@ -761,7 +785,7 @@ def test_run_rejects_a_query_of_the_wrong_arity(tmp_path, capsys, no_verify):
                    "--buckets", "S", "--graphs-per-cell", 1) == 0
     header, *rows = [json.loads(line) for line in path.read_text().splitlines()]
     rows[0]["query"] = []
-    path.write_text("".join(json.dumps(obj) + "\n" for obj in [header, *rows]))
+    path.write_text(json.dumps(header) + "\n" + "".join(instance_line(row) + "\n" for row in rows))
     capsys.readouterr()
     out = tmp_path / "run"
     assert run_cli("run", "--dataset", path, "--backend", "mock:oracle", "--out", out,
@@ -778,7 +802,7 @@ def _node_count_file(tmp_path, bucket):
                    "--buckets", "S", "--graphs-per-cell", 2) == 0
     header, *rows = [json.loads(line) for line in path.read_text().splitlines()]
     rows[0]["bucket"] = bucket
-    path.write_text("".join(json.dumps(obj) + "\n" for obj in [header, *rows]))
+    path.write_text(json.dumps(header) + "\n" + "".join(instance_line(row) + "\n" for row in rows))
     return path
 
 
@@ -856,6 +880,8 @@ def test_every_command_but_http_runs_without_requests(no_requests_env, tmp_path,
         ["report", "--records", "run/records.jsonl"],
         ["score", "--dataset", "data/dataset.jsonl", "--transcripts", "run/transcripts.jsonl",
          "--out", "scored.jsonl"],
+        ["score", "--dataset", "data/dataset.jsonl", "--transcripts", "replay/transcripts.jsonl",
+         "--out", "replay-scored.jsonl"],
         ["render", "--dataset", "data/dataset.jsonl", "--strategy", "pseudo+2-shot",
          "--out", "prompts.jsonl"],
     ]
@@ -871,15 +897,17 @@ def test_every_command_but_http_runs_without_requests(no_requests_env, tmp_path,
 
     files = sorted(p.relative_to(plain) for p in plain.rglob("*") if p.is_file())
     assert files == sorted(p.relative_to(shimmed) for p in shimmed.rglob("*") if p.is_file())
-    assert len(files) == 11
+    assert len(files) == 12
     for name in files:
         got, want = (shimmed / name).read_bytes(), (plain / name).read_bytes()
         if name.name == "summary.json":  # stamped with the time of the run
             got, want = ({k: v for k, v in json.loads(b).items() if k != "generated_at"}
                          for b in (got, want))
         assert got == want, name
-    assert (shimmed / "run/records.jsonl").read_bytes() == \
-        (shimmed / "replay/records.jsonl").read_bytes()
+    records = (shimmed / "run/records.jsonl").read_bytes()
+    assert (shimmed / "replay/records.jsonl").read_bytes() == records
+    assert (shimmed / "scored.jsonl").read_bytes() == records
+    assert (shimmed / "replay-scored.jsonl").read_bytes() == records
 
 
 def test_http_backend_without_requests_is_one_error_line(dataset, no_requests_env, tmp_path):

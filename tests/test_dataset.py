@@ -39,6 +39,8 @@ from graphbench.dataset import TaskInstance, _graph_for_instance, answer_to_json
 from graphbench.graphs import derive_instance_seed
 from graphbench.oracles import Answer, spanning_forest
 
+from conftest import instance_line
+
 
 def small_cell(task, graphs=10, seed=0):
     return build_instances(task, SMALL, master_seed=seed, graph_count=graphs)
@@ -268,7 +270,7 @@ def test_load_restores_gc_state(small_saved, monkeypatch, enabled, corrupt):
     parse_states, verify_states = [], []
     parse = TaskInstance.from_json_obj
 
-    def spying_parse(cls, obj, graph=None):
+    def spying_parse(cls, obj, graph):
         parse_states.append(gc.isenabled())
         return parse(obj, graph)
 
@@ -357,7 +359,7 @@ def test_load_rejects_a_query_of_the_wrong_arity(tmp_path, task, query):
     lines = path.read_text(encoding="utf-8").splitlines()
     row = json.loads(lines[1])
     row["query"] = query
-    lines[1] = json.dumps(row)
+    lines[1] = instance_line(row)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     for verify in (True, False):
         with pytest.raises(DatasetFormatError,
@@ -398,7 +400,7 @@ def test_verify_catches_tampered_gold(tmp_path, task, tamper, error):
     lines = path.read_text(encoding="utf-8").splitlines()
     row = json.loads(lines[1])
     tamper(row)
-    lines[1] = json.dumps(row, sort_keys=True, separators=(",", ":"))
+    lines[1] = instance_line(row)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(DatasetFormatError, match=f"^instance {row['id']}: {error}"):
         load_dataset(path, verify=True)
@@ -462,7 +464,10 @@ def test_instances_by_id():
 def test_instance_json_round_trip():
     for task in (Task.MST, Task.TOPOLOGICAL_SORT, Task.NEIGHBORS, Task.SHORTEST_PATH):
         for inst in small_cell(task, 2):
-            assert TaskInstance.from_json_obj(json.loads(ds._instance_line(inst))) == inst
+            row = json.loads(ds._instance_line(inst))
+            stored = row.pop("graph")
+            graph = Graph.from_edges(stored["n"], stored["edges"], stored["directed"])
+            assert TaskInstance.from_json_obj(row, graph) == inst
 
 
 def test_gold_answers_match_oracles_direct():
@@ -478,7 +483,7 @@ def test_gold_answers_match_oracles_direct():
 
 def _reference_line(inst):
     """The instance line as one ``json.dumps`` of the whole object."""
-    return json.dumps({
+    return instance_line({
         "id": inst.id,
         "task": inst.task.value,
         "bucket": {"name": inst.bucket.name, "n_min": inst.bucket.n_min,
@@ -488,7 +493,7 @@ def _reference_line(inst):
         "query": list(inst.query),
         "gold": answer_to_json(inst.gold),
         "seed": inst.seed,
-    }, sort_keys=True, separators=(",", ":"))
+    })
 
 
 def _edgeless_instance():
@@ -556,7 +561,7 @@ def test_load_rejects_an_edge_endpoint_that_is_not_an_int(tmp_path, endpoint):
     lines = path.read_text(encoding="utf-8").splitlines()
     row = json.loads(lines[1])
     row["graph"]["edges"][0][0] = endpoint
-    lines[1] = json.dumps(row, sort_keys=True, separators=(",", ":"))
+    lines[1] = instance_line(row)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     for verify in (True, False):
         with pytest.raises(DatasetFormatError, match="^line 2: corrupt instance: edge .* not an int"):
@@ -571,7 +576,7 @@ def _tampered(tmp_path, task, tamper):
     lines = path.read_text(encoding="utf-8").splitlines()
     row = json.loads(lines[1])
     tamper(row)
-    lines[1] = json.dumps(row, sort_keys=True, separators=(",", ":"))
+    lines[1] = instance_line(row)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
@@ -685,7 +690,7 @@ def _edge_count_file(path, graphs):
     Each edge list must hold no pair twice, in either order."""
     lines = [json.dumps({"schema_version": ds.SCHEMA_VERSION, "kind": "graphbench-dataset"})]
     for i, graph in enumerate(graphs):
-        lines.append(json.dumps({
+        lines.append(instance_line({
             "bucket": {"name": "S", "n_min": 5, "n_max": 11},
             "gold": {"kind": "int", "value": len(graph["edges"])},
             "graph": graph, "id": f"edge_count-S-{i:03d}-0", "query": [], "seed": i,
@@ -818,7 +823,6 @@ def _graph_only_in_gold(row):
 
 
 def _second_graph_after(row):
-    # The later member is the one a whole-line parse keeps.
     line = _compact(row)
     return line[:-1] + ',"graph":{"directed":false,"edges":[[0,1]],"n":2}}'
 
@@ -874,47 +878,68 @@ def _unknown_member(row):
     return _compact(row)
 
 
-_REWRITES = [_spaced, _keys_reversed, _graph_keys_reversed, _edges_reversed,
-             _edges_shuffled_and_flipped, _edges_duplicated, _graph_also_in_gold,
-             _graph_only_in_gold, _second_graph_after, _second_graph_before,
-             _brace_in_bucket_name, _brace_in_graph_string, _brace_comma_in_graph_string,
-             _junk_after_graph, _graph_null, _endpoint_true, _n_as_string, _self_loop, _unknown_member]
+#: The message for a line not laid out as ``_instance_line`` writes it.
+_LAYOUT = "not laid out as save_dataset writes an instance"
+
+#: Each rewrite of a line, and what loading a file with it gives: the fault
+#: named for the first rewritten line, or None when it loads what was saved.
+_REWRITES = [
+    (_spaced, _LAYOUT),
+    (_keys_reversed, _LAYOUT),
+    (_graph_keys_reversed, None),
+    (_edges_reversed, None),
+    (_edges_shuffled_and_flipped, None),
+    (_edges_duplicated, None),
+    (_graph_also_in_gold, _LAYOUT),
+    (_graph_only_in_gold, _LAYOUT),
+    (_second_graph_after, _LAYOUT),
+    (_second_graph_before, _LAYOUT),
+    (_brace_in_bucket_name, None),
+    (_brace_in_graph_string, _LAYOUT),
+    (_brace_comma_in_graph_string, _LAYOUT),
+    (_junk_after_graph, _LAYOUT),
+    (_graph_null, _LAYOUT),
+    (_endpoint_true, r"edge \(True, 1\) has an endpoint that is not an int"),
+    (_n_as_string, "node count '7' is not an int"),
+    (_self_loop, r"self-loop \(2, 2\) not allowed"),
+    (_unknown_member, _LAYOUT),
+]
 
 
-def _load_or_error(path):
-    try:
-        return load_dataset(path, verify=False)
-    except DatasetFormatError as exc:
-        return str(exc)
-
-
-def _whole_line_load(path):
-    """What loading gives when every line is parsed whole and builds its own graph."""
-    instances = []
-    lines = path.read_text(encoding="utf-8").splitlines()
-    for lineno, line in enumerate(lines[1:], start=2):
-        try:
-            instances.append(TaskInstance.from_json_obj(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            return f"line {lineno}: corrupt instance: {exc}"
-    return instances
-
-
-@pytest.mark.parametrize("which", ["all", "odd"])
-@pytest.mark.parametrize("rewrite", _REWRITES, ids=lambda f: f.__name__.strip("_"))
-def test_load_gives_what_a_whole_line_parse_gives(tmp_path, rewrite, which):
+@pytest.mark.parametrize("rewrite, fault", _REWRITES,
+                         ids=[rewrite.__name__.strip("_") for rewrite, _ in _REWRITES])
+def test_load_reads_only_the_writers_layout(tmp_path, rewrite, fault):
+    """Every other line is rewritten, from line 3 on, so each rewritten line
+    follows one that loads and whose graph it may or may not share."""
     _, instances = assemble_dataset(0, tasks=[Task.NODE_DEGREE, Task.EDGE_COUNT],
                                     buckets=[SMALL], graphs_per_cell=2)
     path = tmp_path / "data.jsonl"
     save_dataset(instances, path)
     lines = path.read_text(encoding="utf-8").splitlines()
-    for k in range(1, len(lines), 1 if which == "all" else 2):
+    for k in range(2, len(lines), 2):
         lines[k] = rewrite(json.loads(lines[k]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    expected = _whole_line_load(path)
-    assert _load_or_error(path) == expected
-    if isinstance(expected, list) and rewrite in (_spaced, _keys_reversed, _edges_reversed):
-        assert expected == instances
+    if fault is not None:
+        with pytest.raises(DatasetFormatError, match=f"^line 3: corrupt instance: {fault}$"):
+            load_dataset(path)
+        return
+    loaded = load_dataset(path)
+    if rewrite is _brace_in_bucket_name:
+        assert [inst.bucket.name for inst in loaded] == ["S", "S}"] * 6
+        loaded = [dataclasses.replace(inst, bucket=SMALL) for inst in loaded]
+    assert loaded == instances
+
+
+def test_load_names_the_line_column_of_a_graph_that_is_not_json(small_saved):
+    _, path = small_saved
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[2] = lines[2].replace('"n":', '"n":+', 1)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(json.JSONDecodeError) as whole:
+        json.loads(lines[2])
+    with pytest.raises(DatasetFormatError) as exc:
+        load_dataset(path)
+    assert str(exc.value) == f"line 3: corrupt instance: {whole.value}"
 
 
 def _graph_texts(path):
@@ -957,9 +982,9 @@ def test_from_json_obj_shares_a_standard_bucket_only_with_its_bounds(stored, sha
     row["bucket"] = stored
     if shared is ValueError:
         with pytest.raises(ValueError, match=f"bucket {stored['name']} has bounds"):
-            TaskInstance.from_json_obj(row)
+            TaskInstance.from_json_obj(row, inst.graph)
         return
-    bucket = TaskInstance.from_json_obj(row).bucket
+    bucket = TaskInstance.from_json_obj(row, inst.graph).bucket
     assert (bucket.name, bucket.n_min, bucket.n_max) == (stored["name"], stored["n_min"],
                                                          stored["n_max"])
     if shared is None:

@@ -112,6 +112,17 @@ def test_from_edges_rejects_endpoints_that_are_not_ints(edge):
             Graph.from_edges(3, [(0, 1), edge], directed=directed)
 
 
+@pytest.mark.parametrize("endpoint", [True, False, 1.0])
+def test_graph_rejects_an_endpoint_that_is_not_an_int(endpoint):
+    # True == 1 and hash(1.0) == hash(1): such a graph would pass for the int one.
+    message = rf"^edge \(0, {endpoint}\) has an endpoint that is not an int$"
+    for directed in (False, True):
+        with pytest.raises(TypeError, match=message):
+            Graph(3, ((0, endpoint),), directed)
+        with pytest.raises(TypeError, match=message):
+            Graph.from_edges(3, ((0, endpoint),), directed)
+
+
 @pytest.mark.parametrize("n, edges, message", [
     (3, [(0, 1), (2, 2)], r"self-loop \(2, 2\) not allowed"),
     (3, [(0, 1), (1, 3)], r"edge \(1, 3\) out of range for n=3"),

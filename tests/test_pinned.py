@@ -26,13 +26,13 @@ import pytest
 from graphbench import (
     PseudocodeStyle,
     Strategy,
+    assemble_dataset,
     load_dataset,
     load_manifest,
     render_prompt,
     standard_strategies,
 )
 from graphbench.cli import main, run_prompts
-import graphbench.dataset as ds
 
 PINNED_JSON = Path(__file__).resolve().parents[1] / "perfbench" / "pinned.json"
 #: ``run``'s strategy flags in the benchmark workloads that ``pinned.json``
@@ -78,28 +78,17 @@ def pinned():
 
 @pytest.fixture(scope="module")
 def seed0(seed0_dataset):
-    """The instances loaded from the seed-0 file, and the lines that load
-    parsed whole instead of around their graph."""
-    split_line, parsed_whole = ds._split_line, []
-
-    def spy(line, last_text):
-        split = split_line(line, last_text)
-        if split is None:
-            parsed_whole.append(line)
-        return split
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ds, "_split_line", spy)
-        instances = load_dataset(seed0_dataset, verify=False)
-    return instances, parsed_whole
+    """The instances loaded from the seed-0 file."""
+    return load_dataset(seed0_dataset, verify=False)
 
 
-def test_seed0_file_loads_without_a_whole_line_parse(seed0):
-    """Every line the writer lays out is parsed around its graph, so a change
-    to the serializer cannot turn that parse off unnoticed."""
-    instances, parsed_whole = seed0
-    assert len(instances) == 6600
-    assert parsed_whole == []
+def test_seed0_file_loads_to_the_generated_instances(seed0):
+    """Load reads every line the writer lays out, so a change to the
+    serializer's layout cannot pass unnoticed, and it builds one graph per
+    generated graph, since each one's lines are adjacent and identical."""
+    assert seed0 == assemble_dataset(0)[1]
+    assert len(seed0) == 6600
+    assert len({id(inst.graph) for inst in seed0}) == 3000
 
 
 def prompts_sha256(texts) -> str:
@@ -140,7 +129,7 @@ def test_seed13_content_digest(tmp_path):
     ids=lambda s: s.display_name,
 )
 def test_seed0_prompts_sha256(seed0, strategy):
-    instances, _ = seed0
+    instances = seed0
     digest = prompts_sha256(render_prompt(inst, strategy).text for inst in instances)
     assert digest == SEED0_PROMPTS_SHA256[strategy.display_name]
 
@@ -170,7 +159,7 @@ def test_seed0_oracle_run_prompts_and_report_sha256(seed0_dataset, pinned, tmp_p
 
 @pytest.mark.parametrize("style", sorted(SEED0_PSEUDO_STYLE_SHA256))
 def test_seed0_pseudo_style_prompts_sha256(seed0, style):
-    instances, _ = seed0
+    instances = seed0
     strategy = Strategy.pseudo(PseudocodeStyle(style))
     digest = prompts_sha256(render_prompt(inst, strategy).text for inst in instances)
     assert digest == SEED0_PSEUDO_STYLE_SHA256[style]
