@@ -906,26 +906,31 @@ _REWRITES = [
 ]
 
 
+@pytest.mark.parametrize("which", ["all", "odd"])
 @pytest.mark.parametrize("rewrite, fault", _REWRITES,
                          ids=[rewrite.__name__.strip("_") for rewrite, _ in _REWRITES])
-def test_load_reads_only_the_writers_layout(tmp_path, rewrite, fault):
-    """Every other line is rewritten, from line 3 on, so each rewritten line
-    follows one that loads and whose graph it may or may not share."""
+def test_load_reads_only_the_writers_layout(tmp_path, rewrite, fault, which):
+    """``all`` rewrites every instance line, so each rewritten line follows
+    another rewritten one; ``odd`` rewrites every other line from line 3 on,
+    so each follows one that loads and whose graph it may or may not share."""
     _, instances = assemble_dataset(0, tasks=[Task.NODE_DEGREE, Task.EDGE_COUNT],
                                     buckets=[SMALL], graphs_per_cell=2)
     path = tmp_path / "data.jsonl"
     save_dataset(instances, path)
     lines = path.read_text(encoding="utf-8").splitlines()
-    for k in range(2, len(lines), 2):
+    first, step = (1, 1) if which == "all" else (2, 2)
+    for k in range(first, len(lines), step):
         lines[k] = rewrite(json.loads(lines[k]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     if fault is not None:
-        with pytest.raises(DatasetFormatError, match=f"^line 3: corrupt instance: {fault}$"):
+        with pytest.raises(DatasetFormatError,
+                           match=f"^line {first + 1}: corrupt instance: {fault}$"):
             load_dataset(path)
         return
     loaded = load_dataset(path)
     if rewrite is _brace_in_bucket_name:
-        assert [inst.bucket.name for inst in loaded] == ["S", "S}"] * 6
+        names = ["S}"] * 12 if which == "all" else ["S", "S}"] * 6
+        assert [inst.bucket.name for inst in loaded] == names
         loaded = [dataclasses.replace(inst, bucket=SMALL) for inst in loaded]
     assert loaded == instances
 
