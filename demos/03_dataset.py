@@ -11,8 +11,7 @@ from collections import Counter
 from pathlib import Path
 
 from graphbench import (
-    GRAPH_LEVEL_TASKS,
-    Task,
+    TASK_SPECS,
     assemble_dataset,
     content_digest,
     load_dataset,
@@ -25,12 +24,8 @@ def main():
     manifest, instances = assemble_dataset(master_seed=0)
     print(f"assembled {len(instances)} instances in {time.monotonic() - start:.1f}s")
 
-    by_level = Counter(
-        "graph-level" if i.task in GRAPH_LEVEL_TASKS
-        else "pair-level" if i.task is Task.SHORTEST_PATH
-        else "node-level"
-        for i in instances
-    )
+    levels = ("graph-level", "node-level", "pair-level")  # by query arity
+    by_level = Counter(levels[TASK_SPECS[i.task].arity] for i in instances)
     for level, count in sorted(by_level.items()):
         print(f"  {level:<12} {count}")
 

@@ -41,8 +41,8 @@ from .graphs import (
     gen_random_bipartite,
     sample_distinct,
 )
-from .oracles import Answer, AnswerKind
-from .tasks import ALL_TASKS, QUERIES_PER_GRAPH, Task, query_arity
+from .oracles import Answer
+from .tasks import ALL_TASKS, QUERIES_PER_GRAPH, TASK_SPECS, AnswerKind, Task
 
 SCHEMA_VERSION = 1
 GENERATOR_VERSION = "1.0"
@@ -82,9 +82,9 @@ class TaskInstance:
             raise TypeError(f"id {obj['id']!r} is not a string")
         if type(obj["seed"]) is not int:
             raise TypeError(f"seed {obj['seed']!r} is not an int")
-        if len(query) != query_arity(task):
+        if len(query) != TASK_SPECS[task].arity:
             raise ValueError(f"{task.value} query {list(query)} has arity {len(query)}, "
-                             f"expected {query_arity(task)}")
+                             f"expected {TASK_SPECS[task].arity}")
         return cls(
             id=obj["id"],
             task=task,
@@ -228,7 +228,7 @@ def _same_component_pairs(g: Graph) -> tuple[tuple[int, int], ...]:
 def _queries_for_instance(task: Task, g: Graph, instance_seed: int) -> list[tuple[int, ...]]:
     """Query arguments drawn from the graph: none, 5 distinct nodes, or 5
     distinct same-component pairs (endpoints always distinct)."""
-    arity = query_arity(task)
+    arity = TASK_SPECS[task].arity
     if arity == 0:
         return [()]
     rng = random.Random(derive_seed(instance_seed, "query"))

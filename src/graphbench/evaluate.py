@@ -12,9 +12,9 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, TypeVar
 
 from .dataset import TaskInstance, answer_to_json
 from .graphs import ALL_BUCKETS
-from .oracles import Answer, AnswerKind, TASK_ANSWER_KINDS, is_right_answer
+from .oracles import Answer, is_right_answer
 from .prompts import Strategy
-from .tasks import ALL_TASKS, DISPLAY_NAMES, Task, default_label_base
+from .tasks import ALL_TASKS, TASK_SPECS, AnswerKind, Task
 
 
 class ExtractionFailed(ValueError):
@@ -203,7 +203,7 @@ def extract_answer(task: Task, text: str) -> Answer:
     """
     if not isinstance(text, str) or not text.strip():
         raise ExtractionFailed("empty response")
-    kind = TASK_ANSWER_KINDS[task]
+    kind = TASK_SPECS[task].answer_kind
     find = _bool_finder(task) if kind is AnswerKind.BOOL else _FINDERS[kind]
     for region, is_tail in _regions(text):
         value = find(region, is_tail)
@@ -235,8 +235,8 @@ def score_instance(
     spanning tree or topological order is accepted, not just the oracle's.
     """
     if label_base is None:
-        label_base = default_label_base(inst.task)
-    if answer.kind is not TASK_ANSWER_KINDS[inst.task]:
+        label_base = TASK_SPECS[inst.task].label_base
+    if answer.kind is not TASK_SPECS[inst.task].answer_kind:
         raise ValueError(f"answer kind {answer.kind} does not match task {inst.task}")
     shifted = _shift_answer(answer, label_base)
     return is_right_answer(inst.task, inst.graph, inst.query, shifted, inst.gold)
@@ -415,7 +415,7 @@ def render_markdown(report: Report, flag_best: bool = True) -> str:
 
     The best cell in each task column is bolded; ties are all bolded.
     """
-    headers = ["strategy", "bucket"] + [DISPLAY_NAMES[t] for t in report.tasks]
+    headers = ["strategy", "bucket"] + [TASK_SPECS[t].display_name for t in report.tasks]
     lines = ["| " + " | ".join(headers) + " |",
              "| " + " | ".join("---" for _ in headers) + " |"]
     best = {t: _best_rows(report, t) if flag_best else set() for t in report.tasks}

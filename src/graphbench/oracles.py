@@ -10,11 +10,10 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Sequence
 
 from .graphs import Edge, Graph
-from .tasks import Task
+from .tasks import TASK_SPECS, AnswerKind, Task
 
 
 class OracleError(ValueError):
@@ -31,14 +30,6 @@ class UnreachableError(OracleError):
 
 class CycleDetectedError(OracleError):
     """Topological order asked for a directed graph that has a cycle."""
-
-
-class AnswerKind(str, Enum):
-    INT = "int"
-    BOOL = "bool"
-    NODE_SET = "node_set"
-    NODE_SEQ = "node_seq"
-    EDGE_SET = "edge_set"
 
 
 @dataclass(frozen=True)
@@ -68,21 +59,6 @@ class Answer:
     @classmethod
     def edge_set(cls, edges: Iterable[Sequence[int]]) -> "Answer":
         return cls(AnswerKind.EDGE_SET, frozenset((int(u), int(v)) for u, v in edges))
-
-
-#: Answer shape produced by each task.
-TASK_ANSWER_KINDS: dict[Task, AnswerKind] = {
-    Task.NODE_COUNT: AnswerKind.INT,
-    Task.EDGE_COUNT: AnswerKind.INT,
-    Task.NODE_DEGREE: AnswerKind.INT,
-    Task.NEIGHBORS: AnswerKind.NODE_SET,
-    Task.CONNECTED_COMPONENTS: AnswerKind.INT,
-    Task.CYCLE_CHECK: AnswerKind.BOOL,
-    Task.MST: AnswerKind.EDGE_SET,
-    Task.SHORTEST_PATH: AnswerKind.INT,
-    Task.BIPARTITE_CHECK: AnswerKind.BOOL,
-    Task.TOPOLOGICAL_SORT: AnswerKind.NODE_SEQ,
-}
 
 
 def _merge(parent: list[int], edges: Iterable[Edge]) -> list[Edge]:
@@ -266,29 +242,25 @@ def validate_topo_order(g: Graph, seq: Sequence[int]) -> bool:
     return all(position[u] < position[v] for u, v in g.edges)
 
 
+#: Each task's solver. Each returns its task's answer kind's value type:
+#: int, bool, frozenset or tuple.
+_ORACLES = {
+    Task.NODE_COUNT: node_count,
+    Task.EDGE_COUNT: edge_count,
+    Task.NODE_DEGREE: degree,
+    Task.NEIGHBORS: neighbors,
+    Task.CONNECTED_COMPONENTS: connected_components,
+    Task.CYCLE_CHECK: has_cycle,
+    Task.MST: spanning_forest,
+    Task.SHORTEST_PATH: shortest_path_length,
+    Task.BIPARTITE_CHECK: is_bipartite,
+    Task.TOPOLOGICAL_SORT: topo_order,
+}
+
+
 def gold_answer(task: Task, g: Graph, query: Sequence[int] = ()) -> Answer:
     """Compute the typed gold answer for one task instance."""
-    if task is Task.NODE_COUNT:
-        return Answer.integer(node_count(g))
-    if task is Task.EDGE_COUNT:
-        return Answer.integer(edge_count(g))
-    if task is Task.NODE_DEGREE:
-        return Answer.integer(degree(g, query[0]))
-    if task is Task.NEIGHBORS:
-        return Answer.node_set(neighbors(g, query[0]))
-    if task is Task.CONNECTED_COMPONENTS:
-        return Answer.integer(connected_components(g))
-    if task is Task.CYCLE_CHECK:
-        return Answer.boolean(has_cycle(g))
-    if task is Task.MST:
-        return Answer.edge_set(spanning_forest(g))
-    if task is Task.SHORTEST_PATH:
-        return Answer.integer(shortest_path_length(g, query[0], query[1]))
-    if task is Task.BIPARTITE_CHECK:
-        return Answer.boolean(is_bipartite(g))
-    if task is Task.TOPOLOGICAL_SORT:
-        return Answer.node_seq(topo_order(g))
-    raise ValueError(f"unknown task {task!r}")
+    return Answer(TASK_SPECS[task].answer_kind, _ORACLES[task](g, *query))
 
 
 def is_right_answer(
@@ -300,7 +272,7 @@ def is_right_answer(
     topological order is right; any other answer must equal ``gold``, which
     is computed by the oracle when not given.
     """
-    if answer.kind is not TASK_ANSWER_KINDS[task]:
+    if answer.kind is not TASK_SPECS[task].answer_kind:
         return False
     if task is Task.MST:
         return validate_spanning_tree(g, answer.value)

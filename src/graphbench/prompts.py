@@ -20,8 +20,8 @@ from importlib import resources
 
 from .dataset import PairText, TaskInstance, build_instances
 from .graphs import Graph, SizeBucket
-from .oracles import Answer, AnswerKind, TASK_ANSWER_KINDS
-from .tasks import Task, default_label_base
+from .oracles import Answer
+from .tasks import TASK_SPECS, AnswerKind, Task
 
 #: Appended verbatim by the graph-reconstruction strategy.
 BAG_SENTENCE = "Let's construct a graph with the nodes and edges first"
@@ -147,26 +147,6 @@ def standard_strategies(style: PseudocodeStyle = PseudocodeStyle.PLAIN) -> tuple
 
 # --- surface text --------------------------------------------------------------
 
-_TASK_DESCRIPTIONS: dict[Task, str] = {
-    Task.NODE_COUNT: "Your task is to count the number of nodes in an undirected graph.",
-    Task.EDGE_COUNT: "Your task is to count the number of edges in an undirected graph.",
-    Task.NODE_DEGREE: "Your task is to compute the degree of a given node in an undirected graph.",
-    Task.NEIGHBORS: "Your task is to find all nodes adjacent to a given node in an undirected graph.",
-    Task.CONNECTED_COMPONENTS: "Your task is to count the number of connected components in an undirected graph.",
-    Task.CYCLE_CHECK: "Your task is to decide whether an undirected graph contains a cycle.",
-    Task.MST: (
-        "Your task is to find a minimum spanning tree of a connected undirected graph: "
-        "a subset of edges with as few edges as possible that connects all the nodes "
-        "and contains no cycle."
-    ),
-    Task.SHORTEST_PATH: "Your task is to compute the length of the shortest path between two nodes in an undirected graph.",
-    Task.BIPARTITE_CHECK: "Your task is to decide whether an undirected graph is bipartite.",
-    Task.TOPOLOGICAL_SORT: (
-        "Your task is to produce a topological ordering of a directed acyclic graph: "
-        "for every directed edge (u, v), node u must come before node v."
-    ),
-}
-
 _ANSWER_FORMAT_LINES: dict[AnswerKind, str] = {
     AnswerKind.INT: 'When you are done, write the final line as "Answer: <number>".',
     AnswerKind.BOOL: 'When you are done, write the final line as "Answer: Yes" or "Answer: No".',
@@ -182,12 +162,8 @@ _ANSWER_FORMAT_LINES: dict[AnswerKind, str] = {
 }
 
 
-def task_description(task: Task) -> str:
-    return _TASK_DESCRIPTIONS[task]
-
-
 def answer_format_line(task: Task) -> str:
-    return _ANSWER_FORMAT_LINES[TASK_ANSWER_KINDS[task]]
+    return _ANSWER_FORMAT_LINES[TASK_SPECS[task].answer_kind]
 
 
 def _check_label_base(label_base: int) -> None:
@@ -214,28 +190,7 @@ def encode_edge_list(g: Graph, label_base: int = 0) -> str:
 
 
 def question_for(task: Task, query: tuple[int, ...], label_base: int = 0) -> str:
-    shifted = tuple(q + label_base for q in query)
-    if task is Task.NODE_COUNT:
-        return "Question: How many nodes are in the graph?"
-    if task is Task.EDGE_COUNT:
-        return "Question: How many edges are in the graph?"
-    if task is Task.NODE_DEGREE:
-        return f"Question: What is the degree of node {shifted[0]}?"
-    if task is Task.NEIGHBORS:
-        return f"Question: Which nodes are adjacent to node {shifted[0]}?"
-    if task is Task.CONNECTED_COMPONENTS:
-        return "Question: How many connected components are in the graph?"
-    if task is Task.CYCLE_CHECK:
-        return "Question: Does the graph contain a cycle?"
-    if task is Task.MST:
-        return "Question: Which edges form a minimum spanning tree of the graph?"
-    if task is Task.SHORTEST_PATH:
-        return f"Question: What is the length of the shortest path from node {shifted[0]} to node {shifted[1]}?"
-    if task is Task.BIPARTITE_CHECK:
-        return "Question: Is the graph bipartite?"
-    if task is Task.TOPOLOGICAL_SORT:
-        return "Question: What is a valid topological ordering of the nodes?"
-    raise ValueError(f"unknown task {task!r}")
+    return TASK_SPECS[task].question.format(*(q + label_base for q in query))
 
 
 def format_answer(answer: Answer, label_base: int = 0) -> str:
@@ -295,7 +250,7 @@ def build_exemplars(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    base = default_label_base(task) if label_base is None else label_base
+    base = TASK_SPECS[task].label_base if label_base is None else label_base
     exemplars = []
     for inst in build_instances(task, bucket, exemplar_seed, graph_count=k, stream="exemplar"):
         if inst.id.endswith("-0"):  # each exemplar graph's first query
@@ -323,7 +278,7 @@ def _pseudocode_section(task: Task, style: PseudocodeStyle) -> str:
 def _head(
     task: Task, bucket: SizeBucket, strategy: Strategy, exemplar_seed: int, label_base: int
 ) -> str:
-    description = task_description(task)
+    description = TASK_SPECS[task].description
     if strategy.kind is StrategyKind.BAG:
         description += f" {BAG_SENTENCE}."
     elif strategy.kind is StrategyKind.ZERO_COT:
@@ -388,7 +343,7 @@ def render_prompt(
     label_base: int | None = None,
 ) -> PromptBundle:
     """Compose the prompt for one instance under one strategy."""
-    base = default_label_base(inst.task) if label_base is None else label_base
+    base = TASK_SPECS[inst.task].label_base if label_base is None else label_base
     _check_label_base(base)
     head = _head(inst.task, inst.bucket, strategy, exemplar_seed, base)
     return PromptBundle(head=head, instance=inst, strategy=strategy, label_base=base)

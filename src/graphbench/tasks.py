@@ -1,6 +1,7 @@
-"""The ten graph questions the benchmark asks, plus their per-task metadata."""
+"""The ten graph questions the benchmark asks, and one table of their facts."""
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -20,56 +21,77 @@ class Task(str, Enum):
         return self.value
 
 
-#: Tasks whose answer is a property of the whole graph (one question per graph).
-GRAPH_LEVEL_TASKS: tuple[Task, ...] = (
-    Task.NODE_COUNT,
-    Task.EDGE_COUNT,
-    Task.CONNECTED_COMPONENTS,
-    Task.CYCLE_CHECK,
-    Task.MST,
-    Task.BIPARTITE_CHECK,
-    Task.TOPOLOGICAL_SORT,
-)
+class AnswerKind(str, Enum):
+    INT = "int"
+    BOOL = "bool"
+    NODE_SET = "node_set"
+    NODE_SEQ = "node_seq"
+    EDGE_SET = "edge_set"
 
-#: Tasks asked about a single node (several questions per graph).
-NODE_LEVEL_TASKS: tuple[Task, ...] = (Task.NODE_DEGREE, Task.NEIGHBORS)
 
-#: Tasks asked about a pair of nodes (several questions per graph).
-PAIR_LEVEL_TASKS: tuple[Task, ...] = (Task.SHORTEST_PATH,)
+@dataclass(frozen=True)
+class TaskSpec:
+    """One task's fixed facts. ``arity`` counts the query nodes: 0 for a
+    whole-graph question, 1 for a node, 2 for a pair. ``question`` formats the
+    query nodes, numbered as in the prompt, into ``{0}`` and ``{1}``.
+    ``label_base`` is the prompt's default numbering: 1 for topological
+    sorting only, whose instances are conventionally described over 1..n."""
+
+    display_name: str
+    arity: int
+    answer_kind: AnswerKind
+    description: str
+    question: str
+    label_base: int = 0
+
+
+TASK_SPECS: dict[Task, TaskSpec] = {
+    Task.NODE_COUNT: TaskSpec(
+        "Node count", 0, AnswerKind.INT,
+        "Your task is to count the number of nodes in an undirected graph.",
+        "Question: How many nodes are in the graph?"),
+    Task.EDGE_COUNT: TaskSpec(
+        "Edge count", 0, AnswerKind.INT,
+        "Your task is to count the number of edges in an undirected graph.",
+        "Question: How many edges are in the graph?"),
+    Task.NODE_DEGREE: TaskSpec(
+        "Node degree", 1, AnswerKind.INT,
+        "Your task is to compute the degree of a given node in an undirected graph.",
+        "Question: What is the degree of node {0}?"),
+    Task.NEIGHBORS: TaskSpec(
+        "Neighbors", 1, AnswerKind.NODE_SET,
+        "Your task is to find all nodes adjacent to a given node in an undirected graph.",
+        "Question: Which nodes are adjacent to node {0}?"),
+    Task.CONNECTED_COMPONENTS: TaskSpec(
+        "Connected components", 0, AnswerKind.INT,
+        "Your task is to count the number of connected components in an undirected graph.",
+        "Question: How many connected components are in the graph?"),
+    Task.CYCLE_CHECK: TaskSpec(
+        "Cycle check", 0, AnswerKind.BOOL,
+        "Your task is to decide whether an undirected graph contains a cycle.",
+        "Question: Does the graph contain a cycle?"),
+    Task.MST: TaskSpec(
+        "MST", 0, AnswerKind.EDGE_SET,
+        "Your task is to find a minimum spanning tree of a connected undirected graph: "
+        "a subset of edges with as few edges as possible that connects all the nodes "
+        "and contains no cycle.",
+        "Question: Which edges form a minimum spanning tree of the graph?"),
+    Task.SHORTEST_PATH: TaskSpec(
+        "Shortest path", 2, AnswerKind.INT,
+        "Your task is to compute the length of the shortest path between two nodes in an undirected graph.",
+        "Question: What is the length of the shortest path from node {0} to node {1}?"),
+    Task.BIPARTITE_CHECK: TaskSpec(
+        "Bipartite check", 0, AnswerKind.BOOL,
+        "Your task is to decide whether an undirected graph is bipartite.",
+        "Question: Is the graph bipartite?"),
+    Task.TOPOLOGICAL_SORT: TaskSpec(
+        "Topological sorting", 0, AnswerKind.NODE_SEQ,
+        "Your task is to produce a topological ordering of a directed acyclic graph: "
+        "for every directed edge (u, v), node u must come before node v.",
+        "Question: What is a valid topological ordering of the nodes?", label_base=1),
+}
 
 ALL_TASKS: tuple[Task, ...] = tuple(Task)
 
 #: How many node / node-pair questions are drawn from each graph.
 QUERIES_PER_GRAPH = 5
-
-
-def query_arity(task: Task) -> int:
-    """Number of node arguments a question of this task carries (0, 1 or 2)."""
-    if task in NODE_LEVEL_TASKS:
-        return 1
-    if task in PAIR_LEVEL_TASKS:
-        return 2
-    return 0
-
-
-def default_label_base(task: Task) -> int:
-    """Node numbering used on the prompt surface for this task.
-
-    Everything is 0-based except topological sorting, whose instances are
-    conventionally described over nodes 1..n.
-    """
-    return 1 if task is Task.TOPOLOGICAL_SORT else 0
-
-
-DISPLAY_NAMES: dict[Task, str] = {
-    Task.NODE_COUNT: "Node count",
-    Task.EDGE_COUNT: "Edge count",
-    Task.NODE_DEGREE: "Node degree",
-    Task.NEIGHBORS: "Neighbors",
-    Task.CONNECTED_COMPONENTS: "Connected components",
-    Task.CYCLE_CHECK: "Cycle check",
-    Task.MST: "MST",
-    Task.SHORTEST_PATH: "Shortest path",
-    Task.BIPARTITE_CHECK: "Bipartite check",
-    Task.TOPOLOGICAL_SORT: "Topological sorting",
-}

@@ -30,14 +30,13 @@ from graphbench import (
     BAG_SENTENCE,
     ExtractionFailed,
     GeneratorConfig,
-    GRAPH_LEVEL_TASKS,
     LARGE,
     MEDIUM,
-    NODE_LEVEL_TASKS,
     PseudocodeStyle,
     SMALL,
     SizeBucket,
     Strategy,
+    TASK_SPECS,
     Task,
     ZERO_COT_SENTENCE,
     build_instances,
@@ -84,8 +83,8 @@ def test_primary_1_dataset_fidelity(seed0_dataset, tmp_path):
     instances = load_dataset(seed0_dataset, verify=False)
     assert len(instances) == 6600
 
-    graph_level = sum(1 for i in instances if i.task in GRAPH_LEVEL_TASKS)
-    node_level = sum(1 for i in instances if i.task in NODE_LEVEL_TASKS)
+    graph_level = sum(1 for i in instances if TASK_SPECS[i.task].arity == 0)
+    node_level = sum(1 for i in instances if TASK_SPECS[i.task].arity == 1)
     pair_level = sum(1 for i in instances if i.task is Task.SHORTEST_PATH)
     assert graph_level == 2100
     assert node_level == 3000

@@ -13,11 +13,10 @@ from graphbench import (
     ALL_BUCKETS,
     ALL_TASKS,
     DatasetFormatError,
-    GRAPH_LEVEL_TASKS,
     Graph,
     MEDIUM,
-    NODE_LEVEL_TASKS,
     SMALL,
+    TASK_SPECS,
     Task,
     assemble_dataset,
     build_instances,
@@ -57,8 +56,8 @@ def test_cell_sizes():
 
 def test_full_partition_small_scale():
     manifest, instances = assemble_dataset(0, graphs_per_cell=5)
-    graph_level = sum(1 for i in instances if i.task in GRAPH_LEVEL_TASKS)
-    node_level = sum(1 for i in instances if i.task in NODE_LEVEL_TASKS)
+    graph_level = sum(1 for i in instances if TASK_SPECS[i.task].arity == 0)
+    node_level = sum(1 for i in instances if TASK_SPECS[i.task].arity == 1)
     pair_level = sum(1 for i in instances if i.task is Task.SHORTEST_PATH)
     assert graph_level == 7 * 3 * 5
     assert node_level == 2 * 3 * 5 * 5
@@ -146,7 +145,7 @@ def test_bipartite_cell_mixes_constructions():
 
 
 def test_graph_level_tasks_have_empty_query():
-    for task in GRAPH_LEVEL_TASKS:
+    for task in (t for t in ALL_TASKS if TASK_SPECS[t].arity == 0):
         for inst in small_cell(task, 3):
             assert inst.query == ()
 

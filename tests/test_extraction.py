@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES
-from graphbench import ALL_TASKS, AnswerKind, ExtractionFailed, Task, extract_answer
-from graphbench.oracles import TASK_ANSWER_KINDS
+from graphbench import ALL_TASKS, TASK_SPECS, AnswerKind, ExtractionFailed, Task, extract_answer
 
 
 def load_corpus():
@@ -65,7 +64,7 @@ def test_answer_kind_matches_task():
         if row["expect"] is None:
             continue
         task = Task(row["task"])
-        assert TASK_ANSWER_KINDS[task].value == row["expect"]["kind"]
+        assert TASK_SPECS[task].answer_kind.value == row["expect"]["kind"]
 
 
 # --- fuzzing: anything in, Answer or ExtractionFailed out -----------------------------
@@ -78,7 +77,7 @@ def test_fuzz_never_crashes(text, task):
         answer = extract_answer(task, text)
     except ExtractionFailed:
         return
-    assert answer.kind is TASK_ANSWER_KINDS[task]
+    assert answer.kind is TASK_SPECS[task].answer_kind
 
 
 @settings(max_examples=100, deadline=None)
@@ -152,7 +151,7 @@ PRECEDENCE = [
 )
 def test_region_precedence(task, text, expected):
     answer = extract_answer(task, text)
-    assert answer.kind is TASK_ANSWER_KINDS[task]
+    assert answer.kind is TASK_SPECS[task].answer_kind
     assert answer.value == expected_value(answer.kind.value, expected)
 
 

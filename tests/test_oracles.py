@@ -24,10 +24,13 @@ from graphbench import (
     GeneratorConfig,
     Graph,
     OracleError,
+    SMALL,
     SizeBucket,
+    TASK_SPECS,
     Task,
     UnknownNodeError,
     UnreachableError,
+    build_instances,
     connected_components,
     degree,
     derive_seed,
@@ -264,6 +267,17 @@ def test_gold_answer_kinds():
     assert gold_answer(Task.NEIGHBORS, g, (1,)).kind is AnswerKind.NODE_SET
     dag = make_graph(3, [(0, 2)], directed=True)
     assert gold_answer(Task.TOPOLOGICAL_SORT, dag).kind is AnswerKind.NODE_SEQ
+    # Every task's oracle gives its spec's kind, and a value its kind's
+    # normalising constructor leaves as it is.
+    normalise = {AnswerKind.INT: Answer.integer, AnswerKind.BOOL: Answer.boolean,
+                 AnswerKind.NODE_SET: Answer.node_set, AnswerKind.NODE_SEQ: Answer.node_seq,
+                 AnswerKind.EDGE_SET: Answer.edge_set}
+    for task, spec in TASK_SPECS.items():
+        inst = build_instances(task, SMALL, master_seed=0, graph_count=1)[0]
+        gold = gold_answer(task, inst.graph, inst.query)
+        assert gold.kind is spec.answer_kind
+        normal = normalise[spec.answer_kind](gold.value)
+        assert normal == gold and type(normal.value) is type(gold.value)
 
 
 # --- the union-find kernel and the adjacency memo ------------------------------------

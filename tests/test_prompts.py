@@ -28,7 +28,7 @@ from graphbench import (
 )
 from graphbench import prompts
 from graphbench.oracles import Answer
-from graphbench.tasks import default_label_base
+from graphbench.tasks import TASK_SPECS
 
 
 def first_instance(task, seed=0):
@@ -192,8 +192,8 @@ def test_build_exemplars_rejects_bad_k():
 
 def reference_prompt(inst, strategy, exemplar_seed, label_base):
     """render_prompt rebuilt from direct build_exemplars / pseudocode_for calls."""
-    base = default_label_base(inst.task) if label_base is None else label_base
-    sections = [prompts.task_description(inst.task)]
+    base = TASK_SPECS[inst.task].label_base if label_base is None else label_base
+    sections = [TASK_SPECS[inst.task].description]
     if strategy.uses_pseudocode:
         code = pseudocode_for(inst.task, strategy.style).rstrip("\n")
         sections.append(f"You can follow this pseudo-code to solve the problem:\n{code}")
@@ -360,6 +360,44 @@ def test_label_base_override():
     bundle = render_prompt(inst, Strategy.zero_shot(), label_base=1)
     assert bundle.label_base == 1
     assert f"numbered 1..{inst.graph.n}" in bundle.text
+
+
+# Every task's question at both label bases, one fixed query per arity. The
+# golden files and the pinned digests render each task at its default base
+# only, so this is the one pin on a question shifted to the other base.
+QUESTION_TEXT = [
+    (Task.NODE_COUNT, (), 0, "Question: How many nodes are in the graph?"),
+    (Task.NODE_COUNT, (), 1, "Question: How many nodes are in the graph?"),
+    (Task.EDGE_COUNT, (), 0, "Question: How many edges are in the graph?"),
+    (Task.EDGE_COUNT, (), 1, "Question: How many edges are in the graph?"),
+    (Task.NODE_DEGREE, (3,), 0, "Question: What is the degree of node 3?"),
+    (Task.NODE_DEGREE, (3,), 1, "Question: What is the degree of node 4?"),
+    (Task.NEIGHBORS, (3,), 0, "Question: Which nodes are adjacent to node 3?"),
+    (Task.NEIGHBORS, (3,), 1, "Question: Which nodes are adjacent to node 4?"),
+    (Task.CONNECTED_COMPONENTS, (), 0, "Question: How many connected components are in the graph?"),
+    (Task.CONNECTED_COMPONENTS, (), 1, "Question: How many connected components are in the graph?"),
+    (Task.CYCLE_CHECK, (), 0, "Question: Does the graph contain a cycle?"),
+    (Task.CYCLE_CHECK, (), 1, "Question: Does the graph contain a cycle?"),
+    (Task.MST, (), 0, "Question: Which edges form a minimum spanning tree of the graph?"),
+    (Task.MST, (), 1, "Question: Which edges form a minimum spanning tree of the graph?"),
+    (Task.SHORTEST_PATH, (2, 5), 0,
+     "Question: What is the length of the shortest path from node 2 to node 5?"),
+    (Task.SHORTEST_PATH, (2, 5), 1,
+     "Question: What is the length of the shortest path from node 3 to node 6?"),
+    (Task.BIPARTITE_CHECK, (), 0, "Question: Is the graph bipartite?"),
+    (Task.BIPARTITE_CHECK, (), 1, "Question: Is the graph bipartite?"),
+    (Task.TOPOLOGICAL_SORT, (), 0, "Question: What is a valid topological ordering of the nodes?"),
+    (Task.TOPOLOGICAL_SORT, (), 1, "Question: What is a valid topological ordering of the nodes?"),
+]
+
+
+@pytest.mark.parametrize(
+    "task,query,base,expected",
+    QUESTION_TEXT,
+    ids=[f"{task.value}-base{base}" for task, _, base, _ in QUESTION_TEXT],
+)
+def test_question_text_at_both_label_bases(task, query, base, expected):
+    assert prompts.question_for(task, query, base) == expected
 
 
 def test_format_answer_shifts_labels():

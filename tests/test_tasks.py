@@ -1,13 +1,6 @@
-from graphbench import (
-    ALL_TASKS,
-    GRAPH_LEVEL_TASKS,
-    NODE_LEVEL_TASKS,
-    PAIR_LEVEL_TASKS,
-    QUERIES_PER_GRAPH,
-    Task,
-    default_label_base,
-    query_arity,
-)
+import string
+
+from graphbench import ALL_TASKS, QUERIES_PER_GRAPH, TASK_SPECS, Task
 
 
 def test_ten_tasks():
@@ -15,20 +8,22 @@ def test_ten_tasks():
     assert len(set(ALL_TASKS)) == 10
 
 
+def _tasks_of_arity(arity):
+    return {task for task, spec in TASK_SPECS.items() if spec.arity == arity}
+
+
 def test_levels_partition_tasks():
-    combined = set(GRAPH_LEVEL_TASKS) | set(NODE_LEVEL_TASKS) | set(PAIR_LEVEL_TASKS)
+    combined = _tasks_of_arity(0) | _tasks_of_arity(1) | _tasks_of_arity(2)
     assert combined == set(ALL_TASKS)
-    assert len(GRAPH_LEVEL_TASKS) == 7
-    assert set(NODE_LEVEL_TASKS) == {Task.NODE_DEGREE, Task.NEIGHBORS}
-    assert set(PAIR_LEVEL_TASKS) == {Task.SHORTEST_PATH}
+    assert len(_tasks_of_arity(0)) == 7
+    assert _tasks_of_arity(1) == {Task.NODE_DEGREE, Task.NEIGHBORS}
+    assert _tasks_of_arity(2) == {Task.SHORTEST_PATH}
 
 
 def test_query_arity():
-    for task in GRAPH_LEVEL_TASKS:
-        assert query_arity(task) == 0
-    for task in NODE_LEVEL_TASKS:
-        assert query_arity(task) == 1
-    assert query_arity(Task.SHORTEST_PATH) == 2
+    for task in ALL_TASKS:
+        expected = {Task.NODE_DEGREE: 1, Task.NEIGHBORS: 1, Task.SHORTEST_PATH: 2}.get(task, 0)
+        assert TASK_SPECS[task].arity == expected
 
 
 def test_queries_per_graph():
@@ -39,9 +34,18 @@ def test_label_base_defaults():
     # Only topological sorting renders 1-based labels.
     for task in ALL_TASKS:
         expected = 1 if task is Task.TOPOLOGICAL_SORT else 0
-        assert default_label_base(task) == expected
+        assert TASK_SPECS[task].label_base == expected
 
 
 def test_task_string_round_trip():
     for task in ALL_TASKS:
         assert Task(str(task)) is task
+
+
+def test_task_specs_table():
+    assert set(TASK_SPECS) == set(Task)
+    for spec in TASK_SPECS.values():
+        fields = [name for _, name, _, _ in string.Formatter().parse(spec.question)
+                  if name is not None]
+        assert fields == [str(i) for i in range(spec.arity)]
+        assert spec.label_base in (0, 1)
