@@ -448,6 +448,11 @@ def complete(
                       cfg.model, backend.name, key, text, latency_ms=latency_ms, cached=cached)
 
 
+#: How often the calling thread of a parallel run wakes while its workers run;
+#: it bounds how late that thread sees a signal delivered to a worker thread.
+_WAIT_PERIOD_S = 0.05
+
+
 def run_prompts(
     bundles: Sequence[PromptBundle],
     backend: Backend,
@@ -458,8 +463,14 @@ def run_prompts(
     """Resolve many prompts, preserving input order.
 
     Returns one (transcript, error) pair per bundle. ``error`` is set exactly
-    when the prompt failed, and then the transcript carries its message. A
-    failing prompt never aborts the batch.
+    when the prompt failed with a ``ClientError``, and then the transcript
+    carries its message; such a failure never aborts the batch.
+
+    With ``parallel > 1``, ``min(parallel, len(bundles))`` worker threads
+    each take the next bundle from one shared index, so at most ``parallel``
+    requests are in flight. Any other exception in a worker, or an interrupt
+    in the calling thread, stops every worker from starting another prompt;
+    all workers are joined, and the first such exception is raised.
     """
     if parallel < 1:
         raise ValueError("parallel must be at least 1")
@@ -474,6 +485,51 @@ def run_prompts(
 
     if parallel == 1 or len(bundles) <= 1:
         return [one(b) for b in bundles]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=parallel) as pool:
-        return list(pool.map(one, bundles))
+    results: list = [None] * len(bundles)
+    lock = threading.Lock()
+    done = threading.Condition(lock)  # notified as each worker returns
+    taken = 0  # bundles handed out
+    started = finished = 0  # workers started, and workers returned
+    raised: list[BaseException] = []  # non-empty stops every worker
+
+    def work() -> None:
+        nonlocal taken, finished
+        try:
+            while True:
+                with lock:
+                    if raised or taken == len(bundles):
+                        return
+                    i = taken
+                    taken += 1
+                results[i] = one(bundles[i])
+        except BaseException as exc:  # raised again in the calling thread
+            with lock:
+                raised.append(exc)
+        finally:
+            with done:
+                finished += 1
+                done.notify()
+
+    workers = [threading.Thread(target=work, name=f"run_prompts-{k}")
+               for k in range(min(parallel, len(bundles)))]
+    # The calling thread waits on ``done``, never in a join of a live worker:
+    # on Python 3.11 an interrupt inside ``Thread.join`` can mark the thread
+    # stopped while it still runs. The wait is timed, so a signal delivered to
+    # a worker thread (signal.raise_signal there) is handled within a period.
+    try:
+        with done:  # no prompt starts until every worker has
+            for worker in workers:
+                worker.start()
+                started += 1
+            while finished < started:
+                done.wait(_WAIT_PERIOD_S)
+    except BaseException as exc:
+        with done:
+            raised.append(exc)
+            while finished < started:
+                done.wait()
+    for worker in workers[:started]:
+        worker.join()
+    if raised:
+        raise raised[0]
+    return results

@@ -9,10 +9,10 @@ the one loop that hashes its lines. ``save_dataset`` writes each line from
 that loop as it is hashed, so a saved dataset is serialized once and its
 digest describes the bytes on disk. ``write_dataset`` feeds it the cells as
 they are built, so generating holds one cell's instances at a time. Each
-distinct graph's ``"graph"`` object is encoded once and joined into the lines
-of all its instances. ``load_dataset`` reads only that layout and undoes the
-join (``_split_line``): it parses and builds a run of identical ``"graph"``
-texts once.
+graph's ``"graph"`` object is encoded once for its run of adjacent instances
+and joined into each of their lines. ``load_dataset`` reads only that layout
+and undoes the join (``_split_line``): it parses and builds a run of
+identical ``"graph"`` texts once.
 """
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ import gc
 import hashlib
 import itertools
 import json
+import os
 import random
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -208,9 +209,27 @@ def _graph_for_instance(task: Task, bucket: SizeBucket, instance_seed: int) -> G
     return gen_er(cfg, derive_seed(instance_seed, "graph", 0))
 
 
+def _last_graph_memo(fn):
+    """``fn`` with a one-entry memo, ``.last``, keyed by the graph's identity
+    like ``oracles.adjacency``'s, so no call hashes an edge tuple. A graph's
+    instances are adjacent in generation and in dataset order, so one entry
+    serves them all; it holds the graph, so the identity check is sound."""
+
+    @functools.wraps(fn)
+    def memo(graph: Graph):
+        held, value = memo.last
+        if held is not graph:
+            value = fn(graph)
+            memo.last = (graph, value)
+        return value
+
+    memo.last = (None, None)
+    return memo
+
+
 # _graph_for_instance counts the pairs of the shortest-path graph it accepts,
 # and _queries_for_instance draws from them next; one entry serves both.
-@functools.lru_cache(maxsize=1)
+@_last_graph_memo
 def _same_component_pairs(g: Graph) -> tuple[tuple[int, int], ...]:
     """All unordered pairs of distinct nodes in one component, sorted."""
     parent = list(range(g.n))
@@ -329,7 +348,8 @@ def assemble_dataset(
 # --- persistence --------------------------------------------------------------
 
 
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+#: A JSON string literal, escaped as ``json.dumps`` escapes it by default.
+_escape = json.encoder.encode_basestring_ascii
 
 
 class PairText(dict):
@@ -353,28 +373,36 @@ class PairText(dict):
 _PAIR_JSON = PairText("[%d,%d]")
 
 
-# A graph's instances are adjacent in dataset order, so a small bound encodes
-# each distinct graph once while holding few graphs alive.
-@functools.lru_cache(maxsize=64)
+@_last_graph_memo
 def _graph_json(graph: Graph) -> str:
-    """``_encode`` of the graph's ``directed``, ``edges`` and ``n``, joined
-    from the cached texts of its pairs."""
+    """The graph's ``directed``, ``edges`` and ``n`` as a sorted-key, compact
+    JSON object, joined from the cached texts of its pairs."""
     edges = ",".join(map(_PAIR_JSON.__getitem__, graph.edges))
     directed = "true" if graph.directed else "false"
     return f'{{"directed":{directed},"edges":[{edges}],"n":{graph.n}}}'
 
 
+#: Each gold kind's value as compact JSON, the value ``answer_to_json`` gives.
+_GOLD_JSON = {
+    AnswerKind.INT: str,
+    AnswerKind.BOOL: lambda v: "true" if v else "false",
+    AnswerKind.NODE_SET: lambda v: f"[{','.join(map(str, sorted(v)))}]",
+    AnswerKind.NODE_SEQ: lambda v: f"[{','.join(map(str, v))}]",
+    AnswerKind.EDGE_SET: lambda v: f"[{','.join(map(_PAIR_JSON.__getitem__, sorted(v)))}]",
+}
+
+
 def _instance_line(inst: TaskInstance) -> str:
-    """The instance as one sorted-key, compact JSON object. Its keys sort as
-    ``bucket``, ``gold`` < ``graph`` < ``id``, ``query``, ``seed``, ``task``,
-    so the graph's cached fragment is joined between the two encoded halves."""
-    bucket = inst.bucket
-    head = _encode({
-        "bucket": {"name": bucket.name, "n_min": bucket.n_min, "n_max": bucket.n_max},
-        "gold": answer_to_json(inst.gold),
-    })
-    tail = _encode({"id": inst.id, "query": inst.query, "seed": inst.seed, "task": inst.task.value})
-    return f'{head[:-1]},"graph":{_graph_json(inst.graph)},{tail[1:]}'
+    """The instance as one sorted-key, compact JSON object, written member by
+    member: ``bucket``, ``gold``, ``graph``, ``id``, ``query``, ``seed`` and
+    ``task``. Only the bucket name and the id are free text; the task and
+    answer kind are fixed identifiers that need no escaping."""
+    bucket, gold = inst.bucket, inst.gold
+    return (f'{{"bucket":{{"n_max":{bucket.n_max},"n_min":{bucket.n_min},'
+            f'"name":{_escape(bucket.name)}}},"gold":{{"kind":"{gold.kind.value}",'
+            f'"value":{_GOLD_JSON[gold.kind](gold.value)}}},"graph":{_graph_json(inst.graph)},'
+            f'"id":{_escape(inst.id)},"query":[{",".join(map(str, inst.query))}],'
+            f'"seed":{inst.seed},"task":"{inst.task.value}"}}')
 
 
 def content_digest(instances: Iterable[TaskInstance], out: TextIO | None = None) -> str:
@@ -390,12 +418,24 @@ def content_digest(instances: Iterable[TaskInstance], out: TextIO | None = None)
 
 
 def save_dataset(instances: Iterable[TaskInstance], path: str | Path) -> str:
-    """Write header line plus one JSON line per instance; return the content digest."""
+    """Write header line plus one JSON line per instance; return the content digest.
+
+    The lines go to a temporary file beside ``path``, which replaces ``path``
+    only once every line is written. If anything raises first, such as the
+    generator feeding ``instances`` or an interrupt, the temporary file is
+    removed and a file already at ``path`` keeps its bytes."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as f:
-        f.write(json.dumps({"schema_version": SCHEMA_VERSION, "kind": DATASET_KIND}) + "\n")
-        return content_digest(instances, f)
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with partial.open("w", encoding="utf-8") as f:
+            f.write(json.dumps({"schema_version": SCHEMA_VERSION, "kind": DATASET_KIND}) + "\n")
+            digest = content_digest(instances, f)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    return digest
 
 
 _GRAPH_MEMBER = ',"graph":{'

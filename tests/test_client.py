@@ -1,9 +1,13 @@
 import dataclasses
 import hashlib
 import json
+import random
+import signal
 import subprocess
 import sys
 import threading
+import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 
@@ -448,7 +452,7 @@ def test_http_backend_without_requests_is_a_client_error(monkeypatch):
     assert backend.session.calls == []
 
 
-def test_requests_and_thread_pool_are_imported_only_when_used():
+def test_requests_is_imported_only_when_used_and_a_thread_pool_never():
     # A fresh interpreter, so no other test's imports count.
     script = """
 import sys
@@ -484,7 +488,7 @@ except KeyError:
 assert "requests" not in sys.modules and "concurrent.futures" not in sys.modules
 outcomes = client.run_prompts(bundles, backend, cfg, parallel=2)
 assert [t.text for t, _ in outcomes] == ["Answer: 1"] * 2
-assert "requests" not in sys.modules and "concurrent.futures" in sys.modules
+assert "requests" not in sys.modules and "concurrent.futures" not in sys.modules
 
 backend = client.make_backend("http")
 import requests
@@ -638,6 +642,107 @@ def test_run_prompts_isolates_failures(bundles):
 def test_run_prompts_rejects_bad_parallel(bundles):
     with pytest.raises(ValueError):
         run_prompts(bundles, CountingBackend(), parallel=0)
+
+
+def numbered(bundles, count):
+    """``count`` distinct bundles, the k-th with head ``str(k)``."""
+    return [dataclasses.replace(bundles[k % len(bundles)], head=str(k)) for k in range(count)]
+
+
+class ScriptedBackend:
+    """Answers each prompt with its head after ``delay(call)`` seconds, where
+    ``call`` is the 1-based order in which calls started; counts the calls
+    in flight at once, and the calls made for each head."""
+
+    name = "scripted"
+
+    def __init__(self, delay):
+        self.delay = delay
+        self.lock = threading.Lock()
+        self.started = self.in_flight = self.peak = 0
+        self.heads = []
+
+    def complete_text(self, bundle, cfg):
+        with self.lock:
+            self.started += 1
+            call = self.started
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+            self.heads.append(bundle.head)
+        try:
+            time.sleep(self.delay(call))
+            return bundle.head
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+
+@pytest.mark.parametrize("parallel", [2, 4, 8])
+def test_run_prompts_keeps_order_and_at_most_parallel_in_flight(bundles, parallel):
+    batch = numbered(bundles, 300)
+    rng = random.Random(parallel)
+    backend = ScriptedBackend(lambda call: rng.random() * 0.002)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # so a lost update of the shared index shows
+    try:
+        results = run_prompts(batch, backend, ModelConfig(), parallel=parallel)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [(t.text, error) for t, error in results] == [(b.head, None) for b in batch]
+    assert sorted(backend.heads, key=int) == [b.head for b in batch]  # each sent once
+    assert 1 < backend.peak <= parallel
+
+
+@pytest.mark.parametrize("parallel", [2, 4])
+def test_run_prompts_stops_dispatch_after_a_backend_bug(bundles, parallel):
+    before = set(threading.enumerate())
+
+    def delay(call):
+        if call == 10:
+            raise RuntimeError("backend bug")
+        return 0.002
+
+    backend = ScriptedBackend(delay)
+    with pytest.raises(RuntimeError, match="backend bug"):
+        run_prompts(numbered(bundles, 300), backend, ModelConfig(), parallel=parallel)
+    assert backend.started <= 10 + parallel
+    assert set(threading.enumerate()) <= before
+
+
+@pytest.mark.parametrize("parallel", [2, 4])
+def test_run_prompts_stops_dispatch_on_an_interrupt(bundles, parallel):
+    before = set(threading.enumerate())
+
+    def delay(call):
+        if call == 5:
+            signal.raise_signal(signal.SIGINT)
+        # Each later request outlasts the calling thread's wake period, so a
+        # worker can start at most one more before the interrupt is seen.
+        return 0.0 if call <= 5 else 0.25
+
+    backend = ScriptedBackend(delay)
+    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            run_prompts(numbered(bundles, 100), backend, ModelConfig(), parallel=parallel)
+    finally:
+        signal.signal(signal.SIGINT, handler)
+    assert 5 <= backend.started <= 5 + parallel
+    assert set(threading.enumerate()) <= before
+
+
+def test_run_prompts_dispatch_state_does_not_grow_with_the_batch(bundles):
+    batch = numbered(bundles, 2000)
+    backend = ScriptedBackend(lambda call: 0.0)
+    tracemalloc.start()
+    try:
+        results = run_prompts(batch, backend, ModelConfig(), parallel=4)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [t.text for t, _ in results] == [b.head for b in batch]
+    # About 1.4 KB per prompt when each prompt had its own future.
+    assert peak - retained < 500_000
 
 
 # --- make_backend --------------------------------------------------------------------

@@ -35,7 +35,7 @@ from graphbench import (
 )
 import graphbench.dataset as ds
 from graphbench.dataset import TaskInstance, _graph_for_instance, answer_to_json
-from graphbench.graphs import derive_instance_seed
+from graphbench.graphs import SizeBucket, derive_instance_seed
 from graphbench.oracles import Answer, spanning_forest
 
 from conftest import instance_line
@@ -214,6 +214,29 @@ def test_write_dataset_holds_one_cell_at_a_time(tmp_path, monkeypatch):
     manifest = write_dataset(tmp_path / "data.jsonl", 0, graphs_per_cell=3)
     assert len(cells) == len(ALL_TASKS) * len(ALL_BUCKETS)
     assert manifest.total == sum(len(refs) for refs in cells)
+
+
+@pytest.mark.parametrize("older", [True, False])
+def test_write_dataset_interrupted_partway_leaves_no_partial_file(tmp_path, monkeypatch, older):
+    path = tmp_path / "data.jsonl"
+    if older:
+        write_dataset(path, 1, graphs_per_cell=1)
+        before = path.read_bytes()
+    build = ds.build_instances
+    built = []
+
+    def interrupted(*args, **kwargs):
+        if len(built) == 4:  # after several cells' lines were written
+            raise KeyboardInterrupt
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(ds, "build_instances", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        write_dataset(path, 0, graphs_per_cell=3)
+    if older:
+        assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == (["data.jsonl"] if older else [])
 
 
 def test_load_reports_corrupt_line(tmp_path):
@@ -508,6 +531,9 @@ def test_instance_line_matches_one_dump_of_the_whole_object():
     assert {inst.bucket for inst in instances} == set(ALL_BUCKETS)
     assert any(inst.graph.directed for inst in instances)  # the DAGs of topological sort
     assert not instances[-1].graph.edges
+    # Free text that needs escapes: a quote, a backslash and non-ASCII.
+    instances.append(dataclasses.replace(instances[-1], id='edge_count "ü" \\ 𝔾',
+                                         bucket=SizeBucket('S "ü"', 3, 3)))
     for inst in instances:
         assert ds._instance_line(inst) == _reference_line(inst)
 
@@ -524,23 +550,24 @@ def test_directed_and_undirected_graphs_encode_apart():
     assert len(lines) == 2
 
 
-def test_instance_line_holds_across_cache_eviction_and_repeats():
-    ds._graph_json.cache_clear()
+def test_instance_line_holds_across_cache_eviction_and_repeats(monkeypatch):
+    monkeypatch.setattr(ds._graph_json, "last", (None, None))
     distinct = small_cell(Task.EDGE_COUNT, 70)
     assert len({inst.graph for inst in distinct}) > 64
     # Equal graphs far apart, as separate objects: the first ones come back
-    # after 64 others have evicted them.
+    # after many others have taken the memo's one entry.
     repeats = [TaskInstance(id=i.id, task=i.task, bucket=i.bucket,
                             graph=Graph.from_edges(i.graph.n, i.graph.edges), query=i.query,
                             gold=i.gold, seed=i.seed) for i in distinct[:5]]
     sequence = distinct + repeats + distinct[::-1]
     assert [ds._instance_line(i) for i in sequence] == [_reference_line(i) for i in sequence]
-    assert ds._graph_json.cache_info().currsize == 64
-    assert ds._graph_json.cache_info().misses > 70
+    # The entry is the last graph and its text, served again to that graph.
+    held, text = ds._graph_json.last
+    assert held is sequence[-1].graph and ds._graph_json(held) is text
 
 
 def test_shortest_path_pairs_computed_once_per_graph(monkeypatch):
-    ds._same_component_pairs.cache_clear()
+    monkeypatch.setattr(ds._same_component_pairs, "last", (None, None))
     generated, merged = [], []
     gen_er, merge = ds.gen_er, ds.oracles._merge
     monkeypatch.setattr(ds, "gen_er", lambda *a: generated.append(gen_er(*a)) or generated[-1])
