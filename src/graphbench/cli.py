@@ -164,10 +164,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
     tasks = _parse_selection(args.tasks, _task, ALL_TASKS)
     buckets = _parse_selection(args.buckets, _bucket, ALL_BUCKETS)
     out = Path(args.out)
+    manifest_path = Path(args.manifest) if args.manifest else out.with_suffix(".manifest.json")
+    # An older manifest goes before the new dataset replaces the older one, so
+    # an interrupt leaves either no manifest or one that names the dataset.
+    manifest_path.unlink(missing_ok=True)
     manifest = ds.write_dataset(
         out, args.seed, tasks=tasks, buckets=buckets, graphs_per_cell=args.graphs_per_cell
     )
-    manifest_path = Path(args.manifest) if args.manifest else out.with_suffix(".manifest.json")
     ds.save_manifest(manifest, manifest_path)
     for task in tasks:
         for bucket in buckets:

@@ -16,7 +16,7 @@ identical ``"graph"`` texts once.
 """
 from __future__ import annotations
 
-import functools
+import contextlib
 import gc
 import hashlib
 import itertools
@@ -35,6 +35,7 @@ from .graphs import (
     GeneratorConfig,
     Graph,
     SizeBucket,
+    _last_graph_memo,
     derive_instance_seed,
     derive_seed,
     gen_er,
@@ -43,7 +44,7 @@ from .graphs import (
     sample_distinct,
 )
 from .oracles import Answer
-from .tasks import ALL_TASKS, QUERIES_PER_GRAPH, TASK_SPECS, AnswerKind, Task
+from .tasks import ALL_TASKS, KIND_SPECS, QUERIES_PER_GRAPH, TASK_SPECS, AnswerKind, Task
 
 SCHEMA_VERSION = 1
 GENERATOR_VERSION = "1.0"
@@ -114,49 +115,25 @@ def _stored_bucket(stored: dict) -> SizeBucket:
 
 
 def answer_to_json(answer: Answer) -> dict:
-    value = answer.value
-    if answer.kind is AnswerKind.NODE_SET:
-        value = sorted(value)
-    elif answer.kind is AnswerKind.NODE_SEQ:
-        value = list(value)
-    elif answer.kind is AnswerKind.EDGE_SET:
-        value = [list(e) for e in sorted(value)]
-    return {"kind": answer.kind.value, "value": value}
-
-
-def _int_list(value) -> bool:
-    return type(value) is list and all(type(u) is int for u in value)
-
-
-#: Whether a stored gold value has its kind's JSON type, and that type's name.
-_GOLD_TYPES = {
-    AnswerKind.INT: (lambda v: type(v) is int, "an int"),
-    AnswerKind.BOOL: (lambda v: type(v) is bool, "a bool"),
-    AnswerKind.NODE_SET: (_int_list, "a list of ints"),
-    AnswerKind.NODE_SEQ: (_int_list, "a list of ints"),
-    AnswerKind.EDGE_SET: (lambda v: type(v) is list and all(_int_list(e) and len(e) == 2
-                                                            for e in v),
-                          "a list of int pairs"),
-}
+    return {"kind": answer.kind.value, "value": answer.listed()}
 
 
 def answer_from_json(obj: dict) -> Answer:
     """Inverse of ``answer_to_json``. The value must be of its kind's JSON
-    type (an int is not a bool or a float); nothing is coerced."""
+    type: the scalar itself, a list of labels or a list of two-label lists.
+    Nothing is coerced: an int is not a bool or a float."""
     kind = AnswerKind(obj["kind"])
-    value = obj["value"]
-    is_typed, type_name = _GOLD_TYPES[kind]
-    if not is_typed(value):
-        raise TypeError(f"{kind.value} gold {value!r} is not {type_name}")
-    if kind is AnswerKind.INT:
-        return Answer.integer(value)
-    if kind is AnswerKind.BOOL:
-        return Answer.boolean(value)
-    if kind is AnswerKind.NODE_SET:
-        return Answer.node_set(value)
-    if kind is AnswerKind.NODE_SEQ:
-        return Answer.node_seq(value)
-    return Answer.edge_set(value)
+    value, spec = obj["value"], KIND_SPECS[kind]
+    # Each label must be of the scalar type; a part of the wrong shape is None.
+    if not spec.labels:
+        labels = [value]
+    else:
+        labels = value if type(value) is list else [None]
+    if spec.labels == 2:
+        labels = [u for e in labels for u in (e if type(e) is list and len(e) == 2 else [None])]
+    if any(type(u) is not spec.scalar for u in labels):
+        raise TypeError(f"{kind.value} gold {value!r} is not {spec.json_type}")
+    return Answer.of(kind, value)
 
 
 @dataclass
@@ -207,24 +184,6 @@ def _graph_for_instance(task: Task, bucket: SizeBucket, instance_seed: int) -> G
                 return g
         raise RuntimeError("no graph with enough reachable pairs found")  # pragma: no cover
     return gen_er(cfg, derive_seed(instance_seed, "graph", 0))
-
-
-def _last_graph_memo(fn):
-    """``fn`` with a one-entry memo, ``.last``, keyed by the graph's identity
-    like ``oracles.adjacency``'s, so no call hashes an edge tuple. A graph's
-    instances are adjacent in generation and in dataset order, so one entry
-    serves them all; it holds the graph, so the identity check is sound."""
-
-    @functools.wraps(fn)
-    def memo(graph: Graph):
-        held, value = memo.last
-        if held is not graph:
-            value = fn(graph)
-            memo.last = (graph, value)
-        return value
-
-    memo.last = (None, None)
-    return memo
 
 
 # _graph_for_instance counts the pairs of the shortest-path graph it accepts,
@@ -382,14 +341,14 @@ def _graph_json(graph: Graph) -> str:
     return f'{{"directed":{directed},"edges":[{edges}],"n":{graph.n}}}'
 
 
-#: Each gold kind's value as compact JSON, the value ``answer_to_json`` gives.
-_GOLD_JSON = {
-    AnswerKind.INT: str,
-    AnswerKind.BOOL: lambda v: "true" if v else "false",
-    AnswerKind.NODE_SET: lambda v: f"[{','.join(map(str, sorted(v)))}]",
-    AnswerKind.NODE_SEQ: lambda v: f"[{','.join(map(str, v))}]",
-    AnswerKind.EDGE_SET: lambda v: f"[{','.join(map(_PAIR_JSON.__getitem__, sorted(v)))}]",
-}
+def _gold_json(gold: Answer) -> str:
+    """The gold's value as compact JSON, the value ``answer_to_json`` gives,
+    joined from the cached texts of its pairs."""
+    labels = KIND_SPECS[gold.kind].labels
+    if not labels:
+        return str(gold.value).lower()  # an int's digits, or true or false
+    text = str if labels == 1 else _PAIR_JSON.__getitem__
+    return f"[{','.join(map(text, gold.listed()))}]"
 
 
 def _instance_line(inst: TaskInstance) -> str:
@@ -400,7 +359,7 @@ def _instance_line(inst: TaskInstance) -> str:
     bucket, gold = inst.bucket, inst.gold
     return (f'{{"bucket":{{"n_max":{bucket.n_max},"n_min":{bucket.n_min},'
             f'"name":{_escape(bucket.name)}}},"gold":{{"kind":"{gold.kind.value}",'
-            f'"value":{_GOLD_JSON[gold.kind](gold.value)}}},"graph":{_graph_json(inst.graph)},'
+            f'"value":{_gold_json(gold)}}},"graph":{_graph_json(inst.graph)},'
             f'"id":{_escape(inst.id)},"query":[{",".join(map(str, inst.query))}],'
             f'"seed":{inst.seed},"task":"{inst.task.value}"}}')
 
@@ -417,24 +376,29 @@ def content_digest(instances: Iterable[TaskInstance], out: TextIO | None = None)
     return h.hexdigest()
 
 
-def save_dataset(instances: Iterable[TaskInstance], path: str | Path) -> str:
-    """Write header line plus one JSON line per instance; return the content digest.
-
-    The lines go to a temporary file beside ``path``, which replaces ``path``
-    only once every line is written. If anything raises first, such as the
-    generator feeding ``instances`` or an interrupt, the temporary file is
+@contextlib.contextmanager
+def _replacing(path: str | Path) -> Iterator[TextIO]:
+    """A temporary text file beside ``path`` that replaces ``path`` once the
+    block returns. If anything raises first, such as an interrupt, it is
     removed and a file already at ``path`` keeps its bytes."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with partial.open("w", encoding="utf-8") as f:
-            f.write(json.dumps({"schema_version": SCHEMA_VERSION, "kind": DATASET_KIND}) + "\n")
-            digest = content_digest(instances, f)
+            yield f
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
+
+
+def save_dataset(instances: Iterable[TaskInstance], path: str | Path) -> str:
+    """Write header line plus one JSON line per instance, replacing ``path``
+    only once every line is written; return the content digest."""
+    with _replacing(path) as f:
+        f.write(json.dumps({"schema_version": SCHEMA_VERSION, "kind": DATASET_KIND}) + "\n")
+        digest = content_digest(instances, f)
     return digest
 
 
@@ -569,7 +533,9 @@ def verify_gold_answers(instances: Iterable[TaskInstance]) -> None:
 
 
 def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    """Write the manifest; like ``save_dataset``, replace ``path`` whole or not at all."""
+    with _replacing(path) as f:
+        f.write(json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n")
 
 
 def load_manifest(path: str | Path) -> DatasetManifest:

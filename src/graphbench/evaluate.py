@@ -10,11 +10,11 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Optional, TypeVar
 
-from .dataset import TaskInstance, answer_to_json
+from .dataset import TaskInstance
 from .graphs import ALL_BUCKETS
 from .oracles import Answer, is_right_answer
 from .prompts import Strategy
-from .tasks import ALL_TASKS, TASK_SPECS, AnswerKind, Task
+from .tasks import ALL_TASKS, KIND_SPECS, TASK_SPECS, AnswerKind, Task
 
 
 class ExtractionFailed(ValueError):
@@ -182,13 +182,6 @@ _FINDERS = {
     AnswerKind.EDGE_SET: _find_edge_set,
     AnswerKind.NODE_SEQ: _find_node_seq,
 }
-_NOT_FOUND = {
-    AnswerKind.INT: "no integer found",
-    AnswerKind.BOOL: "no yes/no verdict found",
-    AnswerKind.NODE_SET: "no bracketed node list found",
-    AnswerKind.EDGE_SET: "no edge list found",
-    AnswerKind.NODE_SEQ: "no node ordering found",
-}
 
 
 def extract_answer(task: Task, text: str) -> Answer:
@@ -209,18 +202,7 @@ def extract_answer(task: Task, text: str) -> Answer:
         value = find(region, is_tail)
         if value is not None:
             return Answer(kind, value)
-    raise ExtractionFailed(_NOT_FOUND[kind])
-
-
-def _shift_answer(answer: Answer, delta: int) -> Answer:
-    """Map surface labels back to internal 0-based labels."""
-    if delta == 0 or answer.kind in (AnswerKind.INT, AnswerKind.BOOL):
-        return answer
-    if answer.kind is AnswerKind.NODE_SET:
-        return Answer.node_set(v - delta for v in answer.value)
-    if answer.kind is AnswerKind.NODE_SEQ:
-        return Answer.node_seq(v - delta for v in answer.value)
-    return Answer.edge_set((u - delta, v - delta) for u, v in answer.value)
+    raise ExtractionFailed(KIND_SPECS[kind].not_found)
 
 
 def score_instance(
@@ -238,7 +220,7 @@ def score_instance(
         label_base = TASK_SPECS[inst.task].label_base
     if answer.kind is not TASK_SPECS[inst.task].answer_kind:
         raise ValueError(f"answer kind {answer.kind} does not match task {inst.task}")
-    shifted = _shift_answer(answer, label_base)
+    shifted = Answer.of(answer.kind, answer.value, label_base)
     return is_right_answer(inst.task, inst.graph, inst.query, shifted, inst.gold)
 
 
@@ -324,7 +306,7 @@ def evaluate_response(
     correct = score_instance(inst, answer, label_base)
     return EvalRecord(
         failure=FailureKind.NONE if correct else FailureKind.WRONG_ANSWER,
-        extracted=json.dumps(answer_to_json(answer)["value"]),
+        extracted=json.dumps(answer.listed()),
         **base,
     )
 

@@ -118,6 +118,24 @@ class Graph:
         return len(self.edges)
 
 
+def _last_graph_memo(fn):
+    """``fn`` with a one-entry memo, ``.last``, keyed by the graph's identity,
+    so no call hashes an edge tuple. A graph's queries and instances are
+    adjacent in generation and in dataset order, so one entry serves them
+    all; it holds the graph, so the identity check is sound."""
+
+    @functools.wraps(fn)
+    def memo(graph: Graph):
+        held, value = memo.last
+        if held is not graph:
+            value = fn(graph)
+            memo.last = (graph, value)
+        return value
+
+    memo.last = (None, None)
+    return memo
+
+
 @dataclass(frozen=True)
 class SizeBucket:
     """Inclusive node-count range a generated graph is drawn from."""

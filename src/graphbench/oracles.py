@@ -12,8 +12,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graphs import Edge, Graph
-from .tasks import TASK_SPECS, AnswerKind, Task
+from .graphs import Edge, Graph, _last_graph_memo
+from .tasks import KIND_SPECS, TASK_SPECS, AnswerKind, Task
 
 
 class OracleError(ValueError):
@@ -41,24 +41,47 @@ class Answer:
     value: object
 
     @classmethod
+    def of(cls, kind: AnswerKind, value: object, shift: int = 0) -> "Answer":
+        """A ``kind`` answer built from a scalar, or from elements as
+        ``listed`` gives them, with ``shift`` subtracted from each label."""
+        spec = KIND_SPECS[kind]
+        if not spec.labels:
+            return cls(kind, spec.scalar(value))
+        items = ((int(u) - shift for u in value) if spec.labels == 1
+                 else ((int(u) - shift, int(v) - shift) for u, v in value))
+        return cls(kind, (tuple if spec.ordered else frozenset)(items))
+
+    def listed(self, shift: int = 0) -> object:
+        """The value in stored order, with ``shift`` added to each label: a
+        scalar as it is, a sequence in its order, a set sorted."""
+        spec = KIND_SPECS[self.kind]
+        if not spec.labels:
+            return self.value
+        items = list(self.value) if spec.ordered else sorted(self.value)
+        if shift:
+            items = ([u + shift for u in items] if spec.labels == 1
+                     else [(u + shift, v + shift) for u, v in items])
+        return items
+
+    @classmethod
     def integer(cls, value: int) -> "Answer":
-        return cls(AnswerKind.INT, int(value))
+        return cls.of(AnswerKind.INT, value)
 
     @classmethod
     def boolean(cls, value: bool) -> "Answer":
-        return cls(AnswerKind.BOOL, bool(value))
+        return cls.of(AnswerKind.BOOL, value)
 
     @classmethod
     def node_set(cls, nodes: Iterable[int]) -> "Answer":
-        return cls(AnswerKind.NODE_SET, frozenset(int(u) for u in nodes))
+        return cls.of(AnswerKind.NODE_SET, nodes)
 
     @classmethod
     def node_seq(cls, nodes: Iterable[int]) -> "Answer":
-        return cls(AnswerKind.NODE_SEQ, tuple(int(u) for u in nodes))
+        return cls.of(AnswerKind.NODE_SEQ, nodes)
 
     @classmethod
     def edge_set(cls, edges: Iterable[Sequence[int]]) -> "Answer":
-        return cls(AnswerKind.EDGE_SET, frozenset((int(u), int(v)) for u, v in edges))
+        return cls.of(AnswerKind.EDGE_SET, edges)
 
 
 def _merge(parent: list[int], edges: Iterable[Edge]) -> list[Edge]:
@@ -85,18 +108,10 @@ def _merge(parent: list[int], edges: Iterable[Edge]) -> list[Edge]:
     return joined
 
 
-# A graph's queries come in a row, in generation and in dataset order, so one
-# entry serves them all; it holds the graph, so the identity check is sound.
-_last_adjacency: tuple[Graph | None, tuple[tuple[int, ...], ...]] = (None, ())
-
-
+@_last_graph_memo
 def adjacency(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Adjacency tuples, in edge order; for directed graphs, successors only.
     The last graph's are kept and returned again for the same graph object."""
-    global _last_adjacency
-    last, adj = _last_adjacency
-    if last is g:
-        return adj
     lists: list[list[int]] = [[] for _ in range(g.n)]
     if g.directed:
         for u, v in g.edges:
@@ -105,9 +120,7 @@ def adjacency(g: Graph) -> tuple[tuple[int, ...], ...]:
         for u, v in g.edges:
             lists[u].append(v)
             lists[v].append(u)
-    adj = tuple(map(tuple, lists))
-    _last_adjacency = (g, adj)
-    return adj
+    return tuple(map(tuple, lists))
 
 
 def _check_node(g: Graph, u: int) -> None:

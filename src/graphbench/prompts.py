@@ -21,7 +21,7 @@ from importlib import resources
 from .dataset import PairText, TaskInstance, build_instances
 from .graphs import Graph, SizeBucket
 from .oracles import Answer
-from .tasks import TASK_SPECS, AnswerKind, Task
+from .tasks import KIND_SPECS, TASK_SPECS, AnswerKind, Task
 
 #: Appended verbatim by the graph-reconstruction strategy.
 BAG_SENTENCE = "Let's construct a graph with the nodes and edges first"
@@ -147,23 +147,8 @@ def standard_strategies(style: PseudocodeStyle = PseudocodeStyle.PLAIN) -> tuple
 
 # --- surface text --------------------------------------------------------------
 
-_ANSWER_FORMAT_LINES: dict[AnswerKind, str] = {
-    AnswerKind.INT: 'When you are done, write the final line as "Answer: <number>".',
-    AnswerKind.BOOL: 'When you are done, write the final line as "Answer: Yes" or "Answer: No".',
-    AnswerKind.NODE_SET: (
-        'When you are done, write the final line as "Answer: [a, b, c]" listing the nodes, '
-        'or "Answer: []" if there are none.'
-    ),
-    AnswerKind.NODE_SEQ: (
-        'When you are done, write the final line as "Answer: [a, b, c, ...]" listing every '
-        "node exactly once in order."
-    ),
-    AnswerKind.EDGE_SET: 'When you are done, write the final line as "Answer: [(a, b), (c, d), ...]" listing the edges.',
-}
-
-
 def answer_format_line(task: Task) -> str:
-    return _ANSWER_FORMAT_LINES[TASK_SPECS[task].answer_kind]
+    return KIND_SPECS[TASK_SPECS[task].answer_kind].format_line
 
 
 def _check_label_base(label_base: int) -> None:
@@ -194,19 +179,11 @@ def question_for(task: Task, query: tuple[int, ...], label_base: int = 0) -> str
 
 
 def format_answer(answer: Answer, label_base: int = 0) -> str:
-    """Render a typed answer the way prompts instruct the model to write it."""
-    if answer.kind is AnswerKind.INT:
-        return str(answer.value)
+    """Render a typed answer the way prompts instruct the model to write it:
+    Yes or No, an int, or Python's text of the list of labels or label pairs."""
     if answer.kind is AnswerKind.BOOL:
         return "Yes" if answer.value else "No"
-    if answer.kind is AnswerKind.NODE_SET:
-        return "[" + ", ".join(str(u + label_base) for u in sorted(answer.value)) + "]"
-    if answer.kind is AnswerKind.NODE_SEQ:
-        return "[" + ", ".join(str(u + label_base) for u in answer.value) + "]"
-    if answer.kind is AnswerKind.EDGE_SET:
-        pairs = sorted(answer.value)
-        return "[" + ", ".join(f"({u + label_base}, {v + label_base})" for u, v in pairs) + "]"
-    raise ValueError(f"unknown answer kind {answer.kind!r}")
+    return str(answer.listed(label_base))
 
 
 # --- pseudo-code assets ---------------------------------------------------------

@@ -1,4 +1,5 @@
-"""The ten graph questions the benchmark asks, and one table of their facts."""
+"""The ten graph questions the benchmark asks and the five kinds of answer
+they take, each with one table of their facts."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -27,6 +28,45 @@ class AnswerKind(str, Enum):
     NODE_SET = "node_set"
     NODE_SEQ = "node_seq"
     EDGE_SET = "edge_set"
+
+
+@dataclass(frozen=True)
+class KindSpec:
+    """One answer kind's fixed facts. Each element of a value carries
+    ``labels`` node labels: 0 for a scalar, 1 for a node, 2 for an edge. An
+    ``ordered`` value is a tuple, any other collection a frozenset, listed
+    sorted. ``scalar`` is the type of a scalar or of each label. The texts are
+    the stored JSON type as load errors name it, the extraction failure and
+    the prompt's answer-format line."""
+
+    labels: int
+    ordered: bool
+    scalar: type
+    json_type: str
+    not_found: str
+    format_line: str
+
+
+KIND_SPECS: dict[AnswerKind, KindSpec] = {
+    AnswerKind.INT: KindSpec(
+        0, False, int, "an int", "no integer found",
+        'When you are done, write the final line as "Answer: <number>".'),
+    AnswerKind.BOOL: KindSpec(
+        0, False, bool, "a bool", "no yes/no verdict found",
+        'When you are done, write the final line as "Answer: Yes" or "Answer: No".'),
+    AnswerKind.NODE_SET: KindSpec(
+        1, False, int, "a list of ints", "no bracketed node list found",
+        'When you are done, write the final line as "Answer: [a, b, c]" listing the nodes, '
+        'or "Answer: []" if there are none.'),
+    AnswerKind.NODE_SEQ: KindSpec(
+        1, True, int, "a list of ints", "no node ordering found",
+        'When you are done, write the final line as "Answer: [a, b, c, ...]" listing every '
+        "node exactly once in order."),
+    AnswerKind.EDGE_SET: KindSpec(
+        2, False, int, "a list of int pairs", "no edge list found",
+        'When you are done, write the final line as "Answer: [(a, b), (c, d), ...]" '
+        "listing the edges."),
+}
 
 
 @dataclass(frozen=True)

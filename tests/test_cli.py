@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import subprocess
@@ -108,6 +109,42 @@ def test_generate_serializes_each_instance_once(tmp_path, monkeypatch, capsys):
                    "--graphs-per-cell", 2) == 0
     assert "total: 12" in capsys.readouterr().out
     assert len(serialized) == len(set(serialized)) == 12
+
+
+
+@pytest.mark.parametrize("at", ["before the write", "during the write"])
+def test_interrupted_generate_leaves_no_manifest_of_another_dataset(tmp_path, monkeypatch, at):
+    """A seed-0 ``generate`` over a seed-1 one, interrupted after its dataset
+    is in place, leaves no manifest, or one naming the new dataset's digest,
+    and no temporary file."""
+    out = tmp_path / "d.jsonl"
+    manifest_path = out.with_suffix(".manifest.json")
+    argv = ["generate", "--out", out, "--tasks", "mst", "--buckets", "S", "--graphs-per-cell", 2]
+    assert run_cli(*argv, "--seed", 1) == 0
+    older = json.loads(manifest_path.read_text())["content_digest"]
+    save_manifest = ds.save_manifest
+
+    def interrupted(manifest, path):
+        if at == "before the write":
+            raise KeyboardInterrupt
+
+        def replace(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(ds.os, "replace", replace)
+        save_manifest(manifest, path)
+
+    monkeypatch.setattr(ds, "save_manifest", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_cli(*argv, "--seed", 0)
+    monkeypatch.undo()
+    lines = out.read_bytes().splitlines(keepends=True)
+    digest = hashlib.sha256(b"".join(lines[1:])).hexdigest()
+    assert digest != older
+    if manifest_path.exists():
+        assert json.loads(manifest_path.read_text())["content_digest"] == digest
+    assert sorted(p.name for p in tmp_path.iterdir()) in (
+        ["d.jsonl"], ["d.jsonl", "d.manifest.json"])
 
 
 def test_generate_rejects_unknown_task(tmp_path):

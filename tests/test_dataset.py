@@ -474,6 +474,23 @@ def test_manifest_round_trip(tmp_path):
         assert bucket_counts["true"] + bucket_counts["false"] == 4
 
 
+def test_save_manifest_interrupted_keeps_the_older_manifest(tmp_path, monkeypatch):
+    older, _ = assemble_dataset(1, tasks=[Task.MST], buckets=[SMALL], graphs_per_cell=1)
+    newer, _ = assemble_dataset(0, tasks=[Task.MST], buckets=[SMALL], graphs_per_cell=1)
+    path = tmp_path / "manifest.json"
+    save_manifest(older, path)
+    before = path.read_bytes()
+
+    def replace(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(ds.os, "replace", replace)
+    with pytest.raises(KeyboardInterrupt):
+        save_manifest(newer, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+
 def test_instances_by_id():
     _, instances = assemble_dataset(0, tasks=[Task.NODE_COUNT], buckets=[SMALL],
                                     graphs_per_cell=3)
@@ -552,6 +569,7 @@ def test_directed_and_undirected_graphs_encode_apart():
 
 def test_instance_line_holds_across_cache_eviction_and_repeats(monkeypatch):
     monkeypatch.setattr(ds._graph_json, "last", (None, None))
+    monkeypatch.setattr(ds.oracles.adjacency, "last", (None, None))
     distinct = small_cell(Task.EDGE_COUNT, 70)
     assert len({inst.graph for inst in distinct}) > 64
     # Equal graphs far apart, as separate objects: the first ones come back
@@ -568,6 +586,7 @@ def test_instance_line_holds_across_cache_eviction_and_repeats(monkeypatch):
 
 def test_shortest_path_pairs_computed_once_per_graph(monkeypatch):
     monkeypatch.setattr(ds._same_component_pairs, "last", (None, None))
+    monkeypatch.setattr(ds.oracles.adjacency, "last", (None, None))
     generated, merged = [], []
     gen_er, merge = ds.gen_er, ds.oracles._merge
     monkeypatch.setattr(ds, "gen_er", lambda *a: generated.append(gen_er(*a)) or generated[-1])

@@ -383,8 +383,10 @@ def test_validate_spanning_tree_rejects_bad_candidates_like_brute_force():
     assert min(kinds.values()) > 100
 
 
-def test_adjacency_memo_cannot_be_changed_by_a_caller(path4, triangle):
+def test_adjacency_memo_cannot_be_changed_by_a_caller(path4, triangle, monkeypatch):
+    monkeypatch.setattr(adjacency, "last", (None, None))
     adj = adjacency(path4)
+    assert adjacency.last[0] is path4 and adjacency.last[1] is adj
     assert adj == ((1,), (0, 2), (1, 3), (2,))
     with pytest.raises(TypeError):
         adj[0] = (3,)
@@ -396,8 +398,9 @@ def test_adjacency_memo_cannot_be_changed_by_a_caller(path4, triangle):
     assert adjacency(path4) == ((1,), (0, 2), (1, 3), (2,))
 
 
-def test_adjacency_memo_serves_only_its_own_graph():
+def test_adjacency_memo_serves_only_its_own_graph(monkeypatch):
     """Equal graphs, and graphs that alternate, each get their own answers."""
+    monkeypatch.setattr(adjacency, "last", (None, None))
     graphs = random_graphs(40, "memo")
     for g, h in zip(graphs, graphs[1:]):
         for x in (g, h, g, Graph.from_edges(g.n, g.edges)):

@@ -1,6 +1,11 @@
+import json
 import string
 
-from graphbench import ALL_TASKS, QUERIES_PER_GRAPH, TASK_SPECS, Task
+import pytest
+
+from graphbench import (ALL_TASKS, KIND_SPECS, QUERIES_PER_GRAPH, TASK_SPECS, Answer, AnswerKind,
+                        KindSpec, Task, assemble_dataset, extract_answer, format_answer)
+from graphbench.dataset import answer_from_json, answer_to_json
 
 
 def test_ten_tasks():
@@ -49,3 +54,66 @@ def test_task_specs_table():
                   if name is not None]
         assert fields == [str(i) for i in range(spec.arity)]
         assert spec.label_base in (0, 1)
+
+
+# --- the answer-kind table -------------------------------------------------------
+
+def _answers_of_every_kind():
+    """Each task's golds over one graph per cell, plus the empty sets; no
+    graph is empty, so neither is any node ordering."""
+    _, instances = assemble_dataset(0, graphs_per_cell=1)
+    answers = [inst.gold for inst in instances]
+    answers += [Answer.node_set([]), Answer.edge_set([])]
+    assert {a.kind for a in answers} == set(AnswerKind)
+    return answers
+
+
+ANSWERS = _answers_of_every_kind()
+TASK_OF_KIND = {spec.answer_kind: task for task, spec in TASK_SPECS.items()}
+
+
+def test_every_answer_kind_has_one_row():
+    assert list(KIND_SPECS) == list(AnswerKind)
+    assert all(isinstance(spec, KindSpec) for spec in KIND_SPECS.values())
+    assert set(TASK_OF_KIND) == set(AnswerKind)
+
+
+def test_kind_rows_describe_the_values():
+    for answer in ANSWERS:
+        spec = KIND_SPECS[answer.kind]
+        if spec.labels == 0:
+            assert type(answer.value) is spec.scalar
+            continue
+        assert type(answer.value) is (tuple if spec.ordered else frozenset)
+        for element in answer.value:
+            labels = (element,) if spec.labels == 1 else element
+            assert type(labels) is tuple and len(labels) == spec.labels
+            assert all(type(u) is spec.scalar for u in labels)
+
+
+@pytest.mark.parametrize("label_base", [0, 1])
+def test_kind_round_trips(label_base):
+    for answer in ANSWERS:
+        stored = json.loads(json.dumps(answer_to_json(answer)))
+        assert _same(answer_from_json(stored), answer)
+        listed = answer.listed(label_base)
+        assert _same(Answer.of(answer.kind, listed, label_base), answer)
+        extracted = extract_answer(TASK_OF_KIND[answer.kind],
+                                   f"Answer: {format_answer(answer, label_base)}")
+        assert _same(Answer.of(extracted.kind, extracted.value, label_base), answer)
+
+
+def test_listed_is_the_stored_order():
+    for answer in ANSWERS:
+        spec, listed = KIND_SPECS[answer.kind], answer.listed()
+        if spec.labels:
+            assert type(listed) is list
+            assert listed == (list(answer.value) if spec.ordered else sorted(answer.value))
+    seq = Answer.node_seq([3, 0, 2])
+    assert seq.listed(1) == [4, 1, 3] and Answer.node_set([3, 0, 2]).listed(1) == [1, 3, 4]
+    assert Answer.edge_set([(2, 3), (0, 1)]).listed(1) == [(1, 2), (3, 4)]
+
+
+def _same(a, b):
+    """Equal answers whose values are of one type (``True == 1`` otherwise)."""
+    return a == b and type(a.value) is type(b.value)
