@@ -64,7 +64,7 @@ class ModelConfig:
     api_key_env: str = "GRAPHBENCH_API_KEY"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transcript:
     """One resolved prompt, and one row of ``transcripts.jsonl``.
 

@@ -12,7 +12,8 @@ they are built, so generating holds one cell's instances at a time. Each
 graph's ``"graph"`` object is encoded once for its run of adjacent instances
 and joined into each of their lines. ``load_dataset`` reads only that layout
 and undoes the join (``_split_line``): it parses and builds a run of
-identical ``"graph"`` texts once.
+identical ``"graph"`` texts once, and builds a text exactly as
+``_graph_json`` writes it without a JSON parse (``_read_graph``).
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ import gc
 import hashlib
 import itertools
 import json
+import operator
 import os
 import random
 from dataclasses import asdict, dataclass, field
@@ -62,7 +64,13 @@ class DatasetFormatError(ValueError):
 
 @dataclass(frozen=True)
 class TaskInstance:
-    """One benchmark question: a graph, optional query nodes, and its gold answer."""
+    """One benchmark question: a graph, optional query nodes, and its gold answer.
+
+    Slotted by hand, since ``dataclass(slots=True)`` cannot add a
+    ``__weakref__`` slot before Python 3.11; instances stay weak-referenceable.
+    """
+
+    __slots__ = ("id", "task", "bucket", "graph", "query", "gold", "seed", "__weakref__")
 
     id: str
     task: Task
@@ -96,6 +104,12 @@ class TaskInstance:
             gold=answer_from_json(obj["gold"]),
             seed=obj["seed"],
         )
+
+    def __reduce__(self):
+        # Copy and pickle rebuild through __init__: the default restore of
+        # slot state would assign to the frozen fields.
+        return (type(self), (self.id, self.task, self.bucket, self.graph, self.query, self.gold,
+                             self.seed))
 
 
 def _stored_bucket(stored: dict) -> SizeBucket:
@@ -404,6 +418,67 @@ def save_dataset(instances: Iterable[TaskInstance], path: str | Path) -> str:
 
 _GRAPH_MEMBER = ',"graph":{'
 
+#: ``_graph_json``'s text up to the first pair, and the ``directed`` it stores.
+_GRAPH_HEADS = {'{"directed":false,"edges":[': False, '{"directed":true,"edges":[': True}
+
+
+def _is_label(text: str) -> bool:
+    """``text`` is a non-negative int as ``json`` writes one, in at most nine
+    digits: no sign, no leading zero, nothing but ASCII digits."""
+    return (0 < len(text) <= 9 and text.isascii() and text.isdigit()
+            and (text[0] != "0" or text == "0"))
+
+
+class _PairRows(dict):
+    """One load's table from a stored pair's text, ``"u,v"``, to a row: the
+    pair, interned in ``pairs``; ``u << 30 | v``, an int that orders rows as
+    their pairs order, since a label is below ``10**9 < 2**30``; and v, the
+    pair's high endpoint.
+
+    Filled on a miss, once the text is checked: two labels (``_is_label``)
+    with u < v. Any other text raises ``KeyError`` and stays out."""
+
+    def __init__(self, pairs: dict[Edge, Edge]):
+        super().__init__()
+        self.pairs = pairs
+
+    def __missing__(self, text: str) -> tuple[Edge, int, int]:
+        u, _, v = text.partition(",")
+        if not (_is_label(u) and _is_label(v) and int(u) < int(v)):
+            raise KeyError(text)
+        pair = (int(u), int(v))
+        pair = self.pairs.setdefault(pair, pair)
+        row = self[text] = (pair, pair[0] << 30 | pair[1], pair[1])
+        return row
+
+
+def _read_graph(text: str, rows: _PairRows) -> Graph | None:
+    """The graph stored in ``text`` if the text is laid out exactly as
+    ``_graph_json`` writes it, else None.
+
+    That layout is ``{"directed":false|true,"edges":[[u,v],...],"n":N}`` with
+    each int a label (``_is_label``), u < v in every pair, the pairs strictly
+    ascending, every endpoint below N and N at least 1. Such a text needs
+    none of ``Graph.from_edges``' work: each pair's text is looked up in
+    ``rows``, and the order and range checks run over the rows' ints."""
+    head, bracket, rest = text.partition("[")
+    directed = _GRAPH_HEADS.get(head + bracket)
+    body, sep, n = rest.rpartition('],"n":')
+    if directed is None or not sep or n[-1:] != "}" or not _is_label(n[:-1]) or n == "0}":
+        return None
+    n = int(n[:-1])
+    if not body:
+        return Graph._built(n, (), directed)
+    if body[0] != "[" or body[-1] != "]":
+        return None
+    try:
+        edges, ranks, highs = zip(*map(rows.__getitem__, body[1:-1].split("],[")))
+    except KeyError:
+        return None
+    if max(highs) >= n or not all(map(operator.lt, ranks, ranks[1:])):
+        return None
+    return Graph._built(n, edges, directed)
+
 
 def _split_line(line: str) -> tuple[dict, str]:
     """The line's members other than ``"graph"``, and the text of its
@@ -447,6 +522,8 @@ def load_dataset(path: str | Path, verify: bool = True) -> list[TaskInstance]:
     spelled ``true`` is another text, so it is rejected even next to a line
     that stores the int. Each distinct edge pair, once its endpoints are
     checked to be ints, is one tuple shared by every graph of this load.
+    A text exactly as ``_graph_json`` writes it is read by ``_read_graph``;
+    any other by ``json.loads`` and ``Graph.from_edges``, with their messages.
 
     The parse makes hundreds of thousands of objects and no reference cycles,
     yet every later cyclic collection would walk them all. So when the
@@ -463,7 +540,8 @@ def load_dataset(path: str | Path, verify: bool = True) -> list[TaskInstance]:
     path = Path(path)
     instances: list[TaskInstance] = []
     lines_by_id: dict[str, int] = {}
-    pairs: dict[tuple[int, int], tuple[int, int]] = {}
+    pairs: dict[Edge, Edge] = {}
+    rows = _PairRows(pairs)
     text, graph = None, None
     with path.open("r", encoding="utf-8") as f:
         header_line = f.readline()
@@ -492,9 +570,11 @@ def load_dataset(path: str | Path, verify: bool = True) -> list[TaskInstance]:
                 try:
                     obj, graph_text = _split_line(line)
                     if graph_text != text:
-                        text, stored = graph_text, json.loads(graph_text)
-                        graph = Graph.from_edges(stored["n"], stored["edges"], stored["directed"],
-                                                 pairs)
+                        text, graph = graph_text, _read_graph(graph_text, rows)
+                        if graph is None:
+                            stored = json.loads(graph_text)
+                            graph = Graph.from_edges(stored["n"], stored["edges"],
+                                                     stored["directed"], pairs)
                     inst = TaskInstance.from_json_obj(obj, graph)
                 except json.JSONDecodeError as exc:
                     # Only the graph text is parsed here: count from the line's start.

@@ -234,7 +234,7 @@ class FailureKind(str, Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalRecord:
     """Outcome of one (instance, strategy) evaluation; it is correct exactly
     when its failure kind is none."""

@@ -21,7 +21,7 @@ from .tasks import Task
 Edge = tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Graph:
     """An unweighted graph over nodes 0..n-1.
 
@@ -70,18 +70,14 @@ class Graph:
         replaced by the equal tuple already in ``pairs`` or added to it, so
         graphs built with one table share their equal pairs.
 
-        One loop checks each edge. Pairs that arrive strictly ascending, as a
-        saved dataset stores them, are kept in that order without a sort. A
-        self-loop, an out-of-range endpoint, a node count that is not a
-        positive int or a ``directed`` that is not a bool is left to the
-        constructor, which names the fault."""
+        One loop checks each edge. A self-loop, an out-of-range endpoint, a
+        node count that is not a positive int or a ``directed`` that is not a
+        bool is left to the constructor, which names the fault."""
         if pairs is None:
             pairs = {}
         out: list[Edge] = []
         hi = n if type(n) is int and n >= 1 else 0
         ok = hi > 0 and type(directed) is bool
-        ascending = True
-        last = (-1, -1)
         for u, v in edges:
             if type(u) is not int or type(v) is not int:
                 raise TypeError(f"edge ({u!r}, {v!r}) has an endpoint that is not an int")
@@ -91,22 +87,20 @@ class Graph:
                 ok = False
             pair = (u, v)
             pair = pairs.setdefault(pair, pair)
-            if pair <= last:
-                ascending = False
-            last = pair
             out.append(pair)
         if not ok:
             return cls(n=n, edges=set(out), directed=directed)
-        return cls._built(n, tuple(out) if ascending else tuple(sorted(set(out))), directed)
+        return cls._built(n, tuple(sorted(set(out))), directed)
 
     @classmethod
     def _built(cls, n: int, edges: tuple[Edge, ...], directed: bool) -> "Graph":
         """A graph stored without the constructor's checks.
 
-        Only ``from_edges``, once its loop has checked every pair, and the
-        generators below call this: their ``edges`` are a tuple of distinct
-        int pairs, in range, canonical and sorted by construction. The tests
-        run the full check over every graph the generators build."""
+        Only ``from_edges`` and the dataset reader, once they have checked
+        every pair, and the generators below call this: their ``edges`` are a
+        tuple of distinct int pairs, in range, canonical and sorted by
+        construction. The tests run the full check over every graph the
+        generators build."""
         graph = object.__new__(cls)
         object.__setattr__(graph, "n", n)
         object.__setattr__(graph, "edges", edges)

@@ -32,7 +32,7 @@ class CycleDetectedError(OracleError):
     """Topological order asked for a directed graph that has a cycle."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Answer:
     """Typed task answer: an integer, a boolean, a node set, a node sequence,
     or an edge set, depending on the task."""

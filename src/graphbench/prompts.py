@@ -272,15 +272,25 @@ def _head(
     return "\n\n".join(sections)
 
 
-# Unlike a cell's head, an edge list serves only its graph's few queries,
-# which are adjacent in dataset order; a small bound keeps that reuse while
-# holding few graphs alive.
-@functools.lru_cache(maxsize=64)
 def _edge_list_section(g: Graph, label_base: int) -> str:
-    return encode_edge_list(g, label_base)
+    """``encode_edge_list(g, label_base)``, kept for the last graph and label
+    base in ``.last``.
+
+    Unlike a cell's head, an edge list serves only its graph's few queries,
+    which are adjacent in dataset order. The entry is keyed by the graph's
+    identity, so no read hashes an edge tuple, and it is replaced in one
+    assignment, so parallel workers never see a half-written entry."""
+    held, base, text = _edge_list_section.last
+    if held is not g or base != label_base:
+        text = encode_edge_list(g, label_base)
+        _edge_list_section.last = (g, label_base, text)
+    return text
 
 
-@dataclass(frozen=True)
+_edge_list_section.last = (None, None, "")
+
+
+@dataclass(frozen=True, slots=True)
 class PromptBundle:
     """One prompt: its cell's shared ``head``, the instance it asks about, and
     the strategy and label base both are rendered in.

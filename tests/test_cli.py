@@ -1,15 +1,20 @@
+import copy
 import hashlib
 import json
+import pickle
 import re
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
 
 import graphbench.dataset as ds
 from graphbench import (MEDIUM, SMALL, Answer, Graph, ModelConfig, PromptBundle, Strategy, Task,
-                        cache_key, load_records, render_prompt)
+                        assemble_dataset, cache_key, evaluate_response, load_records,
+                        make_backend, render_prompt, run_prompts)
 from graphbench.cli import main
 from graphbench.client import MockOracleBackend
 from graphbench.oracles import spanning_forest
@@ -997,3 +1002,76 @@ def test_outputs_do_not_depend_on_the_string_hash_seed(tmp_path):
         outputs.append({name: (cwd / name).read_bytes() for name in HASHSEED_OUTPUTS})
     for name in HASHSEED_OUTPUTS:
         assert outputs[0][name] == outputs[1][name], name
+
+
+# --- memory ------------------------------------------------------------------------
+
+#: Bytes a loaded, rendered, answered and scored instance may hold, as
+#: ``tracemalloc`` counts them: its instance, gold, share of a graph, prompt,
+#: transcript and record. Slotted value types hold about 2,090-2,140 on
+#: Python 3.10-3.12; with a ``__dict__`` each, they held 2,260-2,620.
+RETAINED_PER_INSTANCE = 2200
+
+
+def test_a_scored_instance_holds_few_bytes(tmp_path):
+    path = tmp_path / "data.jsonl"
+    ds.write_dataset(path, 0, graphs_per_cell=10)
+    strategy = Strategy.zero_shot()
+    backend = make_backend("mock:oracle")
+
+    def run():
+        instances = ds.load_dataset(path)
+        bundles = [render_prompt(inst, strategy) for inst in instances]
+        transcripts = [t for t, _ in run_prompts(bundles, backend)]
+        records = [evaluate_response(inst, strategy, t.text, label_base=t.label_base)
+                   for inst, t in zip(instances, transcripts)]
+        assert all(r.correct for r in records)
+        return instances, bundles, transcripts, records
+
+    run()  # fills the process's memos, so only what a run holds is counted
+    tracemalloc.start()
+    try:
+        held = run()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained / len(held[0]) < RETAINED_PER_INSTANCE, retained / len(held[0])
+
+
+def test_value_types_are_slotted(tmp_path):
+    """The types a run makes one of per instance, prompt, response and
+    record have no ``__dict__``; each still copies and pickles, and an
+    instance can be weakly referenced."""
+    _, instances = assemble_dataset(0, tasks=[Task.NEIGHBORS], buckets=[SMALL], graphs_per_cell=1)
+    inst = instances[0]
+    bundle = render_prompt(inst, Strategy.zero_shot())
+    transcript = run_prompts([bundle], make_backend("mock:oracle"))[0][0]
+    record = evaluate_response(inst, Strategy.zero_shot(), transcript.text)
+    for value in (inst, inst.graph, inst.gold, bundle, transcript, record):
+        assert not hasattr(value, "__dict__"), type(value)
+        with pytest.raises((AttributeError, TypeError)):
+            value.note = "x"
+        assert copy.copy(value) == value == pickle.loads(pickle.dumps(value))
+    assert weakref.ref(inst)() is inst
+
+
+# VmHWM, not ru_maxrss: Linux carries ru_maxrss across exec, so a child of
+# the test process would report the test process's own peak.
+_GENERATE_PEAK = """
+import sys
+from graphbench.cli import main
+assert main(["generate", "--seed", "0", "--out", sys.argv[1]]) == 0
+with open("/proc/self/status") as status:
+    print(next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS from /proc")
+def test_full_size_generate_peaks_under_40_mb(tmp_path):
+    """Generating holds one cell's instances at a time, so the full seed-0
+    dataset is written in a fresh interpreter whose peak RSS stays under 40 MB."""
+    proc = subprocess.run([sys.executable, "-c", _GENERATE_PEAK, str(tmp_path / "d.jsonl")],
+                          env=subprocess_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    peak_mb = float(proc.stdout.split()[-1])
+    assert peak_mb < 40, f"generate peak RSS {peak_mb:.1f} MB"

@@ -997,20 +997,107 @@ def _graph_texts(path):
             for line in path.read_text(encoding="utf-8").splitlines()[1:]]
 
 
-def test_load_builds_each_run_of_identical_graph_texts_once(small_saved, monkeypatch):
-    instances, path = small_saved
-    built = []
-    from_edges = Graph.from_edges
+def _spy(monkeypatch, method):
+    """The calls of the classmethod ``Graph.<method>``, recorded as it runs."""
+    calls = []
+    real = getattr(Graph, method)
 
     def spy(cls, *args, **kwargs):
-        built.append(args)
-        return from_edges(*args, **kwargs)
+        calls.append(args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(Graph, "from_edges", classmethod(spy))
+    monkeypatch.setattr(Graph, method, classmethod(spy))
+    return calls
+
+
+def test_load_builds_each_run_of_identical_graph_texts_once(small_saved, monkeypatch):
+    # Either path ends a build in Graph._built: the writer-layout reader
+    # directly, Graph.from_edges once it has checked the pairs.
+    instances, path = small_saved
+    built = _spy(monkeypatch, "_built")
+    from_edges = _spy(monkeypatch, "from_edges")
     assert load_dataset(path) == instances
     texts = _graph_texts(path)
     runs = 1 + sum(a != b for a, b in zip(texts, texts[1:]))
     assert len(built) == runs < len(texts)
+    assert from_edges == []
+
+
+@pytest.mark.parametrize("seed", [0, 13])
+def test_read_graph_builds_what_from_edges_builds(tmp_path, seed):
+    """Every graph text the writer writes is read without the general path,
+    into the graph ``json.loads`` and ``Graph.from_edges`` build from it, with
+    each pair the one tuple the load's table holds."""
+    path = tmp_path / "data.jsonl"
+    write_dataset(path, seed, graphs_per_cell=10)
+    pairs = {}
+    rows = ds._PairRows(pairs)
+    texts = _graph_texts(path)
+    for text in texts:
+        graph = ds._read_graph(text, rows)
+        stored = json.loads(text)
+        want = Graph.from_edges(stored["n"], stored["edges"], stored["directed"])
+        assert graph == want, text
+        assert all(pairs[pair] is pair for pair in graph.edges)
+    assert len(set(texts)) > 250
+
+
+_HAND = '{"directed":false,"edges":[[0,1],[1,3]],"n":5}'
+
+#: Graph texts the writer never writes, each a rewrite of ``_HAND``.
+_DECLINED = {
+    "spaced": '{"directed": false, "edges": [[0, 1], [1, 3]], "n": 5}',
+    "keys_reversed": '{"n":5,"edges":[[0,1],[1,3]],"directed":false}',
+    "pair_flipped": '{"directed":false,"edges":[[1,0],[1,3]],"n":5}',
+    "pair_repeated": '{"directed":false,"edges":[[0,1],[0,1],[1,3]],"n":5}',
+    "not_ascending": '{"directed":false,"edges":[[1,3],[0,1]],"n":5}',
+    "leading_zero": '{"directed":false,"edges":[[0,01],[1,3]],"n":5}',
+    "leading_zero_n": '{"directed":false,"edges":[[0,1],[1,3]],"n":05}',
+    "signed": '{"directed":false,"edges":[[-0,1],[1,3]],"n":5}',
+    "plus_signed": '{"directed":false,"edges":[[0,+1],[1,3]],"n":5}',
+    "endpoint_n": '{"directed":false,"edges":[[0,1],[1,5]],"n":5}',
+    "self_loop": '{"directed":false,"edges":[[0,1],[3,3]],"n":5}',
+    "float": '{"directed":false,"edges":[[0,1.0],[1,3]],"n":5}',
+    "true": '{"directed":false,"edges":[[0,true],[1,3]],"n":5}',
+    "n_zero": '{"directed":false,"edges":[],"n":0}',
+    "n_plus": '{"directed":false,"edges":[[0,1],[1,3]],"n":+5}',
+    "empty_pair": '{"directed":false,"edges":[[]],"n":5}',
+    "directed_null": '{"directed":null,"edges":[[0,1],[1,3]],"n":5}',
+}
+
+
+def test_read_graph_reads_the_hand_text():
+    rows = ds._PairRows({})
+    assert ds._read_graph(_HAND, rows) == Graph(5, ((0, 1), (1, 3)))
+    empty = '{"directed":true,"edges":[],"n":1}'
+    assert ds._read_graph(empty, rows) == Graph(1, (), directed=True)
+
+
+@pytest.mark.parametrize("name", _DECLINED)
+def test_read_graph_declines_what_the_writer_does_not_write(tmp_path, monkeypatch, name):
+    """The reader returns None and load takes the general path, which loads
+    the text or rejects it exactly as it would without the reader."""
+    rows = ds._PairRows({})
+    assert ds._read_graph(_DECLINED[name], rows) is None
+    assert all(u < v for (u, v), _, _ in rows.values())  # only checked pairs enter
+    path = _edge_count_file(tmp_path / "data.jsonl", [_graph([[0, 1], [1, 3]])])
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert _HAND in lines[1]
+    lines[1] = lines[1].replace(_HAND, _DECLINED[name])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        json.loads(lines[1])  # a parse error counts columns from the line's start
+        want = Graph.from_edges(**json.loads(_DECLINED[name]))
+    except (TypeError, ValueError) as exc:
+        want = exc
+    from_edges = _spy(monkeypatch, "from_edges")
+    try:
+        loaded = load_dataset(path, verify=False)
+    except DatasetFormatError as exc:
+        assert str(exc) == f"line 2: corrupt instance: {want}"
+    else:
+        assert loaded[0].graph == want
+    assert len(from_edges) == (not isinstance(want, json.JSONDecodeError))
 
 
 def test_load_shares_the_standard_buckets(small_saved):

@@ -265,15 +265,15 @@ def test_cell_sections_are_built_once_per_process(monkeypatch):
 
 
 def test_edge_list_memo_matches_encode_edge_list():
-    # Equal graphs held as distinct objects share an entry; a directed and an
-    # undirected graph over one edge set must not, because they encode
-    # differently.
+    # The memo is keyed by identity and label base: equal graphs held as
+    # distinct objects, a directed and an undirected graph over one edge set,
+    # and one graph in two label bases must each get their own text.
     edges = [(0, 1), (1, 2), (0, 2)]
     graphs = [Graph.from_edges(3, edges), Graph.from_edges(4, edges, directed=True),
               Graph.from_edges(3, edges), Graph.from_edges(3, edges, directed=True)]
     assert graphs[0] == graphs[2] and graphs[0] is not graphs[2]
     inst = first_instance(Task.EDGE_COUNT)
-    prompts._edge_list_section.cache_clear()
+    prompts._edge_list_section.last = (None, None, "")
     for _ in range(2):
         for label_base in (0, 1, 0):
             for g in graphs:
@@ -281,7 +281,9 @@ def test_edge_list_memo_matches_encode_edge_list():
                 assert prompts._edge_list_section(g, label_base) == want
                 text = render_prompt(replace(inst, graph=g), Strategy.zero_shot(), label_base=label_base).text
                 assert f"\n\n{want}\n" in text, (g, label_base)
-    assert prompts._edge_list_section.cache_info().maxsize is not None
+    # One entry: only the last graph is held.
+    assert prompts._edge_list_section.last[:2] == (graphs[-1], 0)
+    assert prompts._edge_list_section.last[0] is graphs[-1]
 
 
 @pytest.mark.parametrize("label_base", [2, -1, True, 1.0])
