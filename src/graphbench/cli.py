@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from functools import lru_cache, partial
@@ -57,6 +58,12 @@ def _count(text: str, least: int = 0) -> int:
     if not text.isdecimal() or int(text) < least:
         raise argparse.ArgumentTypeError(f"expected a count of {least} or more, got {text!r}")
     return int(text)
+
+
+def _finite(text: str) -> float:
+    if not math.isfinite(value := float(text)):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _task(name: str) -> Task:
@@ -332,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="mock:oracle, mock:adversary, replay, or http")
     p_run.add_argument("--model", default="mock")
     p_run.add_argument("--endpoint", default="", help="chat-completions URL for http")
-    p_run.add_argument("--temperature", type=float, default=0.0)
-    p_run.add_argument("--max-tokens", type=int, default=4096)
+    p_run.add_argument("--temperature", type=_finite, default=0.0)
+    p_run.add_argument("--max-tokens", type=partial(_count, least=1), default=4096)
     p_run.add_argument("--cache", default=None,
                        help="response cache JSONL (replay reads it; other backends append)")
     p_run.add_argument("--parallel", type=partial(_count, least=1), default=1)

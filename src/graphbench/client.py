@@ -229,9 +229,9 @@ class Backend:
 class HttpChatBackend(Backend):
     """Chat-completions client with exponential backoff.
 
-    Retries timeouts, 429s, and 5xx responses; 4xx responses other than 429
-    fail immediately. The API key is read from the environment variable named
-    in the config, never from disk.
+    Retries timeouts, connection failures, torn bodies, 429s and 5xx; any
+    other status or ``requests`` error fails immediately. The API key is
+    read from the environment variable named in the config, never from disk.
     """
 
     name = "http"
@@ -290,8 +290,10 @@ class HttpChatBackend(Backend):
                     raise
                 if isinstance(exc, req.Timeout):
                     last_error = RequestTimeout(f"timed out after {cfg.timeout}s")
-                else:
+                elif isinstance(exc, (req.ConnectionError, req.exceptions.ChunkedEncodingError)):
                     last_error = ClientError(f"transport failure: {exc}")
+                else:  # another try would fail the same way
+                    raise ClientError(f"request failed, not retried: {exc!r}") from exc
                 continue
             if resp.status_code == 429:
                 last_error = RateLimitedError("rate limited (429)")

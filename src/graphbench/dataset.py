@@ -11,9 +11,8 @@ digest describes the bytes on disk. ``write_dataset`` feeds it the cells as
 they are built, so generating holds one cell's instances at a time. Each
 graph's ``"graph"`` object is encoded once for its run of adjacent instances
 and joined into each of their lines. ``load_dataset`` reads only that layout
-and undoes the join (``_split_line``): it parses and builds a run of
-identical ``"graph"`` texts once, and builds a text exactly as
-``_graph_json`` writes it without a JSON parse (``_read_graph``).
+and undoes the join (``_split_line``), reading a run of identical ``"graph"``
+texts once, without a JSON parse (``_read_graph``).
 """
 from __future__ import annotations
 
@@ -422,61 +421,58 @@ _GRAPH_MEMBER = ',"graph":{'
 _GRAPH_HEADS = {'{"directed":false,"edges":[': False, '{"directed":true,"edges":[': True}
 
 
-def _is_label(text: str) -> bool:
-    """``text`` is a non-negative int as ``json`` writes one, in at most nine
-    digits: no sign, no leading zero, nothing but ASCII digits."""
-    return (0 < len(text) <= 9 and text.isascii() and text.isdigit()
-            and (text[0] != "0" or text == "0"))
+def _label(text: str, what: str, least: int = 0) -> int:
+    """``text`` as an int, if ``json`` writes it so in at most nine digits (no
+    sign, no leading zero, nothing but ASCII digits) and it is at least
+    ``least``; else ``ValueError`` naming ``what``."""
+    if (0 < len(text) <= 9 and text.isascii() and text.isdigit()
+            and (text[0] != "0" or text == "0") and int(text) >= least):
+        return int(text)
+    raise ValueError(f"{what} {text!r} is not an int {least}..999999999 with no sign or leading 0")
 
 
 class _PairRows(dict):
     """One load's table from a stored pair's text, ``"u,v"``, to a row: the
-    pair, interned in ``pairs``; ``u << 30 | v``, an int that orders rows as
-    their pairs order, since a label is below ``10**9 < 2**30``; and v, the
-    pair's high endpoint.
+    pair; ``u << 30 | v``, which orders rows as their pairs order, since a
+    label is below ``10**9 < 2**30``; the high endpoint; and whether u < v.
+    Filled on a miss once the text is checked to be two distinct labels
+    (``_label``), so each distinct pair is one tuple for the load."""
 
-    Filled on a miss, once the text is checked: two labels (``_is_label``)
-    with u < v. Any other text raises ``KeyError`` and stays out."""
-
-    def __init__(self, pairs: dict[Edge, Edge]):
-        super().__init__()
-        self.pairs = pairs
-
-    def __missing__(self, text: str) -> tuple[Edge, int, int]:
-        u, _, v = text.partition(",")
-        if not (_is_label(u) and _is_label(v) and int(u) < int(v)):
-            raise KeyError(text)
-        pair = (int(u), int(v))
-        pair = self.pairs.setdefault(pair, pair)
-        row = self[text] = (pair, pair[0] << 30 | pair[1], pair[1])
+    def __missing__(self, text: str) -> tuple[Edge, int, int, bool]:
+        u, v = (_label(end, f"edge [{text}] endpoint") for end in text.partition(",")[::2])
+        if u == v:
+            raise ValueError(f"edge [{text}] is a self-loop")
+        row = self[text] = ((u, v), u << 30 | v, max(u, v), u < v)
         return row
 
 
-def _read_graph(text: str, rows: _PairRows) -> Graph | None:
-    """The graph stored in ``text`` if the text is laid out exactly as
-    ``_graph_json`` writes it, else None.
-
-    That layout is ``{"directed":false|true,"edges":[[u,v],...],"n":N}`` with
-    each int a label (``_is_label``), u < v in every pair, the pairs strictly
-    ascending, every endpoint below N and N at least 1. Such a text needs
-    none of ``Graph.from_edges``' work: each pair's text is looked up in
-    ``rows``, and the order and range checks run over the rows' ints."""
+def _read_graph(text: str, rows: _PairRows) -> Graph:
+    """The graph stored in ``text``, a ``"graph"`` object as ``_split_line``
+    cuts it, laid out exactly as ``_graph_json`` writes it: ``{"directed":
+    false|true,"edges":[[u,v],...],"n":N}`` with each int a label (``_label``),
+    u != v and u < v if undirected, the pairs strictly ascending and each
+    endpoint below N; else ``ValueError`` naming the part and quoting it."""
     head, bracket, rest = text.partition("[")
     directed = _GRAPH_HEADS.get(head + bracket)
+    if directed is None:
+        raise ValueError(f"graph head {head + bracket!r} is not one save_dataset writes")
     body, sep, n = rest.rpartition('],"n":')
-    if directed is None or not sep or n[-1:] != "}" or not _is_label(n[:-1]) or n == "0}":
-        return None
-    n = int(n[:-1])
+    if not sep or n[-1:] != "}":
+        raise ValueError('graph does not end with "n" after its edges')
+    n = _label(n[:-1], "node count", least=1)
     if not body:
         return Graph._built(n, (), directed)
     if body[0] != "[" or body[-1] != "]":
-        return None
-    try:
-        edges, ranks, highs = zip(*map(rows.__getitem__, body[1:-1].split("],[")))
-    except KeyError:
-        return None
-    if max(highs) >= n or not all(map(operator.lt, ranks, ranks[1:])):
-        return None
+        raise ValueError(f"graph edges {body[:8]!r}... are not a list of [u,v] pairs")
+    edges, ranks, highs, ascending = zip(*map(rows.__getitem__, body[1:-1].split("],[")))
+    if (high := max(highs)) >= n:
+        raise ValueError(f"edge {_PAIR_JSON[edges[highs.index(high)]]} out of range for n={n}")
+    if not all(map(operator.lt, ranks, ranks[1:])):
+        i = next(i for i, (a, b) in enumerate(zip(ranks, ranks[1:])) if a >= b)
+        raise ValueError(f"edges {_PAIR_JSON[edges[i]]},{_PAIR_JSON[edges[i + 1]]} do not ascend")
+    if not (directed or all(ascending)):
+        pair = edges[ascending.index(False)]
+        raise ValueError(f"undirected edge {_PAIR_JSON[pair]} is not written as u < v")
     return Graph._built(n, edges, directed)
 
 
@@ -516,14 +512,12 @@ def load_dataset(path: str | Path, verify: bool = True) -> list[TaskInstance]:
     verify: re-check every gold answer by the scoring rule, ``is_right_answer``.
 
     Each line is parsed around its ``"graph"`` text (``_split_line``), which
-    is parsed and built only when it differs from the previous line's: a
-    byte-identical text reuses the previous line's ``Graph``, so a graph's
+    is read (``_read_graph``) only when it differs from the previous line's:
+    a byte-identical text reuses the previous line's ``Graph``, so a graph's
     adjacent instances share one, as after ``build_instances``. An endpoint
     spelled ``true`` is another text, so it is rejected even next to a line
-    that stores the int. Each distinct edge pair, once its endpoints are
-    checked to be ints, is one tuple shared by every graph of this load.
-    A text exactly as ``_graph_json`` writes it is read by ``_read_graph``;
-    any other by ``json.loads`` and ``Graph.from_edges``, with their messages.
+    that stores the int. Each distinct edge pair is one tuple shared by
+    every graph of this load.
 
     The parse makes hundreds of thousands of objects and no reference cycles,
     yet every later cyclic collection would walk them all. So when the
@@ -540,8 +534,7 @@ def load_dataset(path: str | Path, verify: bool = True) -> list[TaskInstance]:
     path = Path(path)
     instances: list[TaskInstance] = []
     lines_by_id: dict[str, int] = {}
-    pairs: dict[Edge, Edge] = {}
-    rows = _PairRows(pairs)
+    rows = _PairRows()
     text, graph = None, None
     with path.open("r", encoding="utf-8") as f:
         header_line = f.readline()
@@ -571,16 +564,7 @@ def load_dataset(path: str | Path, verify: bool = True) -> list[TaskInstance]:
                     obj, graph_text = _split_line(line)
                     if graph_text != text:
                         text, graph = graph_text, _read_graph(graph_text, rows)
-                        if graph is None:
-                            stored = json.loads(graph_text)
-                            graph = Graph.from_edges(stored["n"], stored["edges"],
-                                                     stored["directed"], pairs)
                     inst = TaskInstance.from_json_obj(obj, graph)
-                except json.JSONDecodeError as exc:
-                    # Only the graph text is parsed here: count from the line's start.
-                    at = line.find(_GRAPH_MEMBER) + len(_GRAPH_MEMBER) - 1 + exc.pos
-                    raise DatasetFormatError(f"line {lineno}: corrupt instance: "
-                                             f"{json.JSONDecodeError(exc.msg, line, at)}") from exc
                 except (KeyError, TypeError, ValueError) as exc:
                     raise DatasetFormatError(f"line {lineno}: corrupt instance: {exc}") from exc
                 first = lines_by_id.setdefault(inst.id, lineno)

@@ -61,46 +61,23 @@ class Graph:
         object.__setattr__(self, "edges", edges)
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[Sequence[int]], directed: bool = False,
-                   pairs: dict[Edge, Edge] | None = None) -> "Graph":
+    def from_edges(cls, n: int, edges: Iterable[Sequence[int]], directed: bool = False) -> "Graph":
         """Build a graph, canonicalizing undirected pairs and dropping duplicates.
-
-        Endpoints must be ``int`` (not ``bool`` or ``float``); nothing is coerced.
-        ``pairs`` interns edges: each pair, once checked and canonical, is
-        replaced by the equal tuple already in ``pairs`` or added to it, so
-        graphs built with one table share their equal pairs.
-
-        One loop checks each edge. A self-loop, an out-of-range endpoint, a
-        node count that is not a positive int or a ``directed`` that is not a
-        bool is left to the constructor, which names the fault."""
-        if pairs is None:
-            pairs = {}
-        out: list[Edge] = []
-        hi = n if type(n) is int and n >= 1 else 0
-        ok = hi > 0 and type(directed) is bool
+        Endpoints must be ``int`` (not ``bool`` or ``float``); nothing is
+        coerced. Every other fault is left to the constructor, which names it."""
+        out = set()
         for u, v in edges:
             if type(u) is not int or type(v) is not int:
                 raise TypeError(f"edge ({u!r}, {v!r}) has an endpoint that is not an int")
-            if not directed and u > v:
-                u, v = v, u
-            if u == v or not (0 <= u < hi and 0 <= v < hi):
-                ok = False
-            pair = (u, v)
-            pair = pairs.setdefault(pair, pair)
-            out.append(pair)
-        if not ok:
-            return cls(n=n, edges=set(out), directed=directed)
-        return cls._built(n, tuple(sorted(set(out))), directed)
+            out.add((v, u) if not directed and u > v else (u, v))
+        return cls(n=n, edges=out, directed=directed)
 
     @classmethod
     def _built(cls, n: int, edges: tuple[Edge, ...], directed: bool) -> "Graph":
-        """A graph stored without the constructor's checks.
-
-        Only ``from_edges`` and the dataset reader, once they have checked
-        every pair, and the generators below call this: their ``edges`` are a
-        tuple of distinct int pairs, in range, canonical and sorted by
-        construction. The tests run the full check over every graph the
-        generators build."""
+        """A graph stored without the constructor's checks, for the two callers
+        whose ``edges`` are a tuple of distinct int pairs, in range, canonical
+        and sorted: the dataset reader, which checks every pair, and the
+        generators below, every graph of which the tests check in full."""
         graph = object.__new__(cls)
         object.__setattr__(graph, "n", n)
         object.__setattr__(graph, "edges", edges)

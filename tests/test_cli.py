@@ -795,6 +795,32 @@ def test_run_parallel_below_one_fails_before_the_dataset_loads(dataset, tmp_path
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("flag, value, fault", [
+    ("--temperature", "nan", "expected a finite number, got 'nan'"),
+    ("--temperature", "inf", "expected a finite number, got 'inf'"),
+    ("--max-tokens", "-5", "expected a count of 1 or more, got '-5'"),
+    ("--max-tokens", "0", "expected a count of 1 or more, got '0'"),
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_run_rejects_a_value_no_request_can_carry(dataset, tmp_path, capsys, monkeypatch,
+                                                  flag, value, fault, source):
+    # Such a value would reach every request's body: nan and inf are not
+    # JSON, and no endpoint answers in fewer than one token.
+    loads = []
+    monkeypatch.setattr(ds, "load_dataset", lambda *args, **kwargs: loads.append(args))
+    given = [flag, value]
+    if source == "config":
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{flag[2:]} = {value}\n")
+        given = ["--config", config]
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "--dataset", dataset, *given, "--out", tmp_path / "r")
+    assert exc.value.code == 2
+    assert f"argument {flag}: {fault}" in capsys.readouterr().err
+    assert loads == []
+    assert not (tmp_path / "r").exists()
+
+
 def test_missing_dataset_is_reported(tmp_path, capsys):
     code = run_cli("run", "--dataset", tmp_path / "missing.jsonl", "--out", tmp_path / "r")
     assert code == 1

@@ -434,6 +434,28 @@ def test_http_retries_connection_errors_as_transport_failures(bundles):
     assert sleeps == [1.0, 2.0, 4.0]
 
 
+@pytest.mark.parametrize("error", [
+    requests.exceptions.MissingSchema("Invalid URL '/v1/chat': No scheme supplied"),
+    requests.exceptions.InvalidJSONError("Out of range float values are not JSON compliant"),
+], ids=["MissingSchema", "InvalidJSONError"])
+def test_http_request_that_cannot_be_sent_fails_without_retry(bundles, error):
+    # Raised while the request is built: every retry would raise it again.
+    backend, sleeps = make_http([error, StubResponse(payload=chat_payload("ok"))])
+    fault = f"^request failed, not retried: {type(error).__name__}"
+    with pytest.raises(ClientError, match=fault) as info:
+        backend.complete_text(bundles[0], CFG)
+    assert type(info.value) is ClientError and info.value.__cause__ is error
+    assert len(backend.session.calls) == 1
+    assert sleeps == []
+
+
+def test_http_retries_a_body_torn_mid_read(bundles):
+    backend, sleeps = make_http([requests.exceptions.ChunkedEncodingError("torn"),
+                                 StubResponse(payload=chat_payload("ok"))])
+    assert backend.complete_text(bundles[0], CFG) == "ok"
+    assert sleeps == [1.0]
+
+
 def test_http_other_exceptions_propagate_without_retry(bundles):
     boom = RuntimeError("boom")
     backend, sleeps = make_http([boom, StubResponse(payload=chat_payload("ok"))])

@@ -8,6 +8,8 @@ import tracemalloc
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphbench import (
     ALL_BUCKETS,
@@ -608,8 +610,10 @@ def test_load_rejects_an_edge_endpoint_that_is_not_an_int(tmp_path, endpoint):
     row["graph"]["edges"][0][0] = endpoint
     lines[1] = instance_line(row)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    end = json.dumps(endpoint)
+    fault = rf"edge \[{re.escape(end)},\d+\] endpoint {re.escape(repr(end))} is not an int"
     for verify in (True, False):
-        with pytest.raises(DatasetFormatError, match="^line 2: corrupt instance: edge .* not an int"):
+        with pytest.raises(DatasetFormatError, match=f"^line 2: corrupt instance: {fault}"):
             load_dataset(path, verify=verify)
 
 
@@ -634,6 +638,21 @@ def _set_gold(value):
     return lambda row: row["gold"].__setitem__("value", value)
 
 
+#: The reader's fault for a node count not written as ``_graph_json`` writes one.
+_COUNT_FAULT = "is not an int 1..999999999 with no sign or leading 0"
+
+
+def _endpoint_fault(pair, end):
+    """The reader's fault for the stored pair ``[pair]`` with the endpoint text
+    ``end``, not written as ``_graph_json`` writes one."""
+    return f"edge [{pair}] endpoint {end!r} is not an int 0..999999999 with no sign or leading 0"
+
+
+def _head_fault(head):
+    """The reader's fault for a graph text that starts ``head``."""
+    return f"graph head {head!r} is not one save_dataset writes"
+
+
 def _float_node_count(row):
     """A node count and its gold stored as floats: before these checks, the
     line loaded and its prompt read "The graph has 5.0 nodes, numbered 0..4.0"."""
@@ -642,10 +661,12 @@ def _float_node_count(row):
 
 
 @pytest.mark.parametrize("task, tamper, fault", [
-    (Task.NODE_COUNT, _float_node_count, r"node count \d+\.0 is not an int"),
-    (Task.NODE_COUNT, _set_graph("n", True), "node count True is not an int"),
-    (Task.EDGE_COUNT, _set_graph("directed", 0), "directed 0 is not a bool"),
-    (Task.EDGE_COUNT, _set_graph("directed", "false"), "directed 'false' is not a bool"),
+    (Task.NODE_COUNT, _float_node_count, rf"node count '\d+\.0' {_COUNT_FAULT}"),
+    (Task.NODE_COUNT, _set_graph("n", True), f"node count 'true' {_COUNT_FAULT}"),
+    (Task.EDGE_COUNT, _set_graph("directed", 0),
+     re.escape(_head_fault('{"directed":0,"edges":['))),
+    (Task.EDGE_COUNT, _set_graph("directed", "false"),
+     re.escape(_head_fault('{"directed":"false","edges":['))),
     (Task.NODE_COUNT, _set_gold(7.0), r"int gold 7\.0 is not an int"),
     (Task.NODE_COUNT, _set_gold(True), "int gold True is not an int"),
     (Task.CYCLE_CHECK, _set_gold("yes"), "bool gold 'yes' is not a bool"),
@@ -732,7 +753,8 @@ def test_load_rejects_a_header_of_another_kind(small_saved, header, kind):
 
 def _edge_count_file(path, graphs):
     """A hand-written edge_count dataset, one line per stored ``"graph"`` object.
-    Each edge list must hold no pair twice, in either order."""
+    A line loads only if its edge list is as a ``Graph`` stores it: ascending,
+    with u < v in each undirected pair."""
     lines = [json.dumps({"schema_version": ds.SCHEMA_VERSION, "kind": "graphbench-dataset"})]
     for i, graph in enumerate(graphs):
         lines.append(instance_line({
@@ -750,12 +772,11 @@ def _graph(edges, n=5, directed=False):
 
 def test_load_builds_equal_graphs_apart_unless_their_lines_are_adjacent_and_equal(tmp_path):
     a, b = _graph([[0, 1], [1, 3]]), _graph([[0, 2]])
-    twins = [_graph([[1, 3], [0, 1]]), _graph([[3, 1], [1, 0]])]
     directed = _graph([[1, 0], [3, 1]], directed=True)
-    path = _edge_count_file(tmp_path / "data.jsonl", [a, b, a, *twins, directed, a])
+    path = _edge_count_file(tmp_path / "data.jsonl", [a, b, a, directed, a, b])
     graphs = [i.graph for i in load_dataset(path)]
-    assert graphs[0] == graphs[2] == graphs[3] == graphs[4] == graphs[6]
-    assert graphs[5] != graphs[0] and graphs[5].edges == ((1, 0), (3, 1))
+    assert graphs[0] == graphs[2] == graphs[4] and graphs[1] == graphs[5]
+    assert graphs[3] != graphs[0] and graphs[3].edges == ((1, 0), (3, 1))
     assert len({id(g) for g in graphs}) == len(graphs)
     assert _shares_each_equal_pair(graphs)
 
@@ -768,8 +789,8 @@ def test_load_makes_each_distinct_edge_pair_one_object(small_saved, tmp_path):
     _, path = small_saved
     assert _shares_each_equal_pair([i.graph for i in load_dataset(path)])
     path = _edge_count_file(tmp_path / "hand.jsonl", [
-        _graph([[0, 1], [1, 3]]), _graph([[3, 1], [2, 4]]),
-        _graph([[1, 3], [3, 1]], directed=True), _graph([[1, 0], [4, 2]], n=6)])
+        _graph([[0, 1], [1, 3]]), _graph([[1, 3], [2, 4]]),
+        _graph([[1, 3], [3, 1]], directed=True), _graph([[0, 1], [2, 4]], n=6)])
     graphs = [i.graph for i in load_dataset(path)]
     assert _shares_each_equal_pair(graphs)
     assert len({e for g in graphs for e in g.edges}) == 4
@@ -780,10 +801,12 @@ def test_load_makes_each_distinct_edge_pair_one_object(small_saved, tmp_path):
 def test_load_checks_an_endpoint_whose_int_pair_was_loaded_before(tmp_path, endpoint, spelling):
     bad = [[endpoint, 3], [3, endpoint]][spelling]
     path = _edge_count_file(tmp_path / "data.jsonl", [
-        _graph([[1, 3], [0, 2]]), _graph([[1, 3], [0, 2]]), _graph([[0, 4]]),
+        _graph([[0, 2], [1, 3]]), _graph([[0, 2], [1, 3]]), _graph([[0, 4]]),
         _graph([bad, [2, 4]])])
+    fault = re.escape(_endpoint_fault(json.dumps(bad, separators=(",", ":"))[1:-1],
+                                      json.dumps(endpoint)))
     for verify in (True, False):
-        with pytest.raises(DatasetFormatError, match="^line 5: corrupt instance: edge .* not an int"):
+        with pytest.raises(DatasetFormatError, match=f"^line 5: corrupt instance: {fault}$"):
             load_dataset(path, verify=verify)
 
 
@@ -803,10 +826,10 @@ def test_load_peak_memory_per_stored_edge(tmp_path):
     assert peak / stored_edges < 100
 
 
-@pytest.mark.parametrize("spelling, shown", [("true", "True"), ("1.0", "1.0")])
-def test_load_checks_a_graph_whose_text_differs_from_the_line_before(tmp_path, spelling, shown):
+@pytest.mark.parametrize("spelling", ["true", "1.0"])
+def test_load_checks_a_graph_whose_text_differs_from_the_line_before(tmp_path, spelling):
     # Line 3 stores line 2's graph, equal in value but with an endpoint 1
-    # spelled otherwise: its text differs, so it is parsed and checked.
+    # spelled otherwise: its text differs, so it is read and checked.
     _, instances = assemble_dataset(0, tasks=[Task.NODE_DEGREE], buckets=[SMALL],
                                     graphs_per_cell=1)
     assert instances[0].graph.edges[0] == (1, 3)
@@ -818,7 +841,8 @@ def test_load_checks_a_graph_whose_text_differs_from_the_line_before(tmp_path, s
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     for verify in (True, False):
         with pytest.raises(DatasetFormatError, match=rf"^line 3: corrupt instance: edge "
-                           rf"\({shown}, 3\) has an endpoint that is not an int"):
+                           rf"\[{re.escape(spelling)},3\] endpoint '{re.escape(spelling)}' "
+                           "is not an int"):
             load_dataset(path, verify=verify)
 
 
@@ -931,10 +955,10 @@ _LAYOUT = "not laid out as save_dataset writes an instance"
 _REWRITES = [
     (_spaced, _LAYOUT),
     (_keys_reversed, _LAYOUT),
-    (_graph_keys_reversed, None),
-    (_edges_reversed, None),
-    (_edges_shuffled_and_flipped, None),
-    (_edges_duplicated, None),
+    (_graph_keys_reversed, re.escape(_head_fault('{"n":7,"edges":['))),
+    (_edges_reversed, re.escape("edges [5,6],[4,6] do not ascend")),
+    (_edges_shuffled_and_flipped, re.escape("edges [6,5],[4,2] do not ascend")),
+    (_edges_duplicated, re.escape("edges [5,6],[1,3] do not ascend")),
     (_graph_also_in_gold, _LAYOUT),
     (_graph_only_in_gold, _LAYOUT),
     (_second_graph_after, _LAYOUT),
@@ -944,9 +968,9 @@ _REWRITES = [
     (_brace_comma_in_graph_string, _LAYOUT),
     (_junk_after_graph, _LAYOUT),
     (_graph_null, _LAYOUT),
-    (_endpoint_true, r"edge \(True, 1\) has an endpoint that is not an int"),
-    (_n_as_string, "node count '7' is not an int"),
-    (_self_loop, r"self-loop \(2, 2\) not allowed"),
+    (_endpoint_true, re.escape(_endpoint_fault("true,1", "true"))),
+    (_n_as_string, f"node count '\"7\"' {_COUNT_FAULT}"),
+    (_self_loop, re.escape("edge [2,2] is a self-loop")),
     (_unknown_member, _LAYOUT),
 ]
 
@@ -980,18 +1004,6 @@ def test_load_reads_only_the_writers_layout(tmp_path, rewrite, fault, which):
     assert loaded == instances
 
 
-def test_load_names_the_line_column_of_a_graph_that_is_not_json(small_saved):
-    _, path = small_saved
-    lines = path.read_text(encoding="utf-8").splitlines()
-    lines[2] = lines[2].replace('"n":', '"n":+', 1)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(json.JSONDecodeError) as whole:
-        json.loads(lines[2])
-    with pytest.raises(DatasetFormatError) as exc:
-        load_dataset(path)
-    assert str(exc.value) == f"line 3: corrupt instance: {whole.value}"
-
-
 def _graph_texts(path):
     return [re.search(r',"graph":(\{[^}]*\})', line).group(1)
             for line in path.read_text(encoding="utf-8").splitlines()[1:]]
@@ -1010,94 +1022,159 @@ def _spy(monkeypatch, method):
     return calls
 
 
+def _graph_texts_parsed(monkeypatch):
+    """The texts holding an ``"edges"`` member, a graph's, that ``json.loads``
+    is given, recorded as it runs."""
+    texts, real = [], json.loads
+
+    def spy(text, **kwargs):
+        if '"edges":' in text:
+            texts.append(text)
+        return real(text, **kwargs)
+
+    monkeypatch.setattr(json, "loads", spy)
+    return texts
+
+
 def test_load_builds_each_run_of_identical_graph_texts_once(small_saved, monkeypatch):
-    # Either path ends a build in Graph._built: the writer-layout reader
-    # directly, Graph.from_edges once it has checked the pairs.
+    # The reader ends each build in Graph._built; it parses no graph text as
+    # JSON and never calls Graph.from_edges.
     instances, path = small_saved
     built = _spy(monkeypatch, "_built")
-    from_edges = _spy(monkeypatch, "from_edges")
+    from_edges, parsed = _spy(monkeypatch, "from_edges"), _graph_texts_parsed(monkeypatch)
     assert load_dataset(path) == instances
     texts = _graph_texts(path)
     runs = 1 + sum(a != b for a, b in zip(texts, texts[1:]))
     assert len(built) == runs < len(texts)
-    assert from_edges == []
+    assert from_edges == [] and parsed == []
 
 
 @pytest.mark.parametrize("seed", [0, 13])
 def test_read_graph_builds_what_from_edges_builds(tmp_path, seed):
-    """Every graph text the writer writes is read without the general path,
-    into the graph ``json.loads`` and ``Graph.from_edges`` build from it, with
-    each pair the one tuple the load's table holds."""
+    """Every graph text the writer writes is read into the graph that
+    ``json.loads`` and ``Graph.from_edges`` build from it, with each pair the
+    one tuple the load's table holds, and the file loads as generated."""
     path = tmp_path / "data.jsonl"
     write_dataset(path, seed, graphs_per_cell=10)
-    pairs = {}
-    rows = ds._PairRows(pairs)
+    rows = ds._PairRows()
     texts = _graph_texts(path)
-    for text in texts:
-        graph = ds._read_graph(text, rows)
+    graphs = [ds._read_graph(text, rows) for text in texts]
+    for text, graph in zip(texts, graphs):
         stored = json.loads(text)
-        want = Graph.from_edges(stored["n"], stored["edges"], stored["directed"])
-        assert graph == want, text
-        assert all(pairs[pair] is pair for pair in graph.edges)
+        assert graph == Graph.from_edges(stored["n"], stored["edges"], stored["directed"]), text
+    held = {pair: pair for pair, *_ in rows.values()}
+    assert len(held) == len(rows)
+    assert all(held[pair] is pair for graph in graphs for pair in graph.edges)
     assert len(set(texts)) > 250
+    assert load_dataset(path) == assemble_dataset(seed, graphs_per_cell=10)[1]
 
 
 _HAND = '{"directed":false,"edges":[[0,1],[1,3]],"n":5}'
 
-#: Graph texts the writer never writes, each a rewrite of ``_HAND``.
-_DECLINED = {
-    "spaced": '{"directed": false, "edges": [[0, 1], [1, 3]], "n": 5}',
-    "keys_reversed": '{"n":5,"edges":[[0,1],[1,3]],"directed":false}',
-    "pair_flipped": '{"directed":false,"edges":[[1,0],[1,3]],"n":5}',
-    "pair_repeated": '{"directed":false,"edges":[[0,1],[0,1],[1,3]],"n":5}',
-    "not_ascending": '{"directed":false,"edges":[[1,3],[0,1]],"n":5}',
-    "leading_zero": '{"directed":false,"edges":[[0,01],[1,3]],"n":5}',
-    "leading_zero_n": '{"directed":false,"edges":[[0,1],[1,3]],"n":05}',
-    "signed": '{"directed":false,"edges":[[-0,1],[1,3]],"n":5}',
-    "plus_signed": '{"directed":false,"edges":[[0,+1],[1,3]],"n":5}',
-    "endpoint_n": '{"directed":false,"edges":[[0,1],[1,5]],"n":5}',
-    "self_loop": '{"directed":false,"edges":[[0,1],[3,3]],"n":5}',
-    "float": '{"directed":false,"edges":[[0,1.0],[1,3]],"n":5}',
-    "true": '{"directed":false,"edges":[[0,true],[1,3]],"n":5}',
-    "n_zero": '{"directed":false,"edges":[],"n":0}',
-    "n_plus": '{"directed":false,"edges":[[0,1],[1,3]],"n":+5}',
-    "empty_pair": '{"directed":false,"edges":[[]],"n":5}',
-    "directed_null": '{"directed":null,"edges":[[0,1],[1,3]],"n":5}',
+#: Graph texts the writer never writes, each a rewrite of ``_HAND``, and the
+#: fault the reader names for it.
+_REJECTED = {
+    "spaced": ('{"directed": false, "edges": [[0, 1], [1, 3]], "n": 5}',
+               _head_fault('{"directed": false, "edges": [')),
+    "keys_reversed": ('{"n":5,"edges":[[0,1],[1,3]],"directed":false}',
+                      _head_fault('{"n":5,"edges":[')),
+    "pair_flipped": ('{"directed":false,"edges":[[1,0],[1,3]],"n":5}',
+                     "undirected edge [1,0] is not written as u < v"),
+    "pair_repeated": ('{"directed":false,"edges":[[0,1],[0,1],[1,3]],"n":5}',
+                      "edges [0,1],[0,1] do not ascend"),
+    "not_ascending": ('{"directed":false,"edges":[[1,3],[0,1]],"n":5}',
+                      "edges [1,3],[0,1] do not ascend"),
+    "leading_zero": ('{"directed":false,"edges":[[0,01],[1,3]],"n":5}',
+                     _endpoint_fault("0,01", "01")),
+    "leading_zero_n": ('{"directed":false,"edges":[[0,1],[1,3]],"n":05}',
+                       f"node count '05' {_COUNT_FAULT}"),
+    "signed": ('{"directed":false,"edges":[[-0,1],[1,3]],"n":5}', _endpoint_fault("-0,1", "-0")),
+    "plus_signed": ('{"directed":false,"edges":[[0,+1],[1,3]],"n":5}',
+                    _endpoint_fault("0,+1", "+1")),
+    "endpoint_n": ('{"directed":false,"edges":[[0,1],[1,5]],"n":5}',
+                   "edge [1,5] out of range for n=5"),
+    "self_loop": ('{"directed":false,"edges":[[0,1],[3,3]],"n":5}', "edge [3,3] is a self-loop"),
+    "float": ('{"directed":false,"edges":[[0,1.0],[1,3]],"n":5}',
+              _endpoint_fault("0,1.0", "1.0")),
+    "true": ('{"directed":false,"edges":[[0,true],[1,3]],"n":5}',
+             _endpoint_fault("0,true", "true")),
+    "n_zero": ('{"directed":false,"edges":[],"n":0}', f"node count '0' {_COUNT_FAULT}"),
+    "n_plus": ('{"directed":false,"edges":[[0,1],[1,3]],"n":+5}',
+               f"node count '+5' {_COUNT_FAULT}"),
+    "empty_pair": ('{"directed":false,"edges":[[]],"n":5}', _endpoint_fault("", "")),
+    "directed_null": ('{"directed":null,"edges":[[0,1],[1,3]],"n":5}',
+                      _head_fault('{"directed":null,"edges":[')),
+    "n_ten_digits": ('{"directed":false,"edges":[[0,1],[1,3]],"n":1000000000}',
+                     f"node count '1000000000' {_COUNT_FAULT}"),
+    "no_n": ('{"directed":false,"edges":[[0,1],[1,3]]}',
+             'graph does not end with "n" after its edges'),
+    "edges_not_pairs": ('{"directed":false,"edges":[0,1,1,3],"n":5}',
+                        "graph edges '0,1,1,3'... are not a list of [u,v] pairs"),
 }
 
 
 def test_read_graph_reads_the_hand_text():
-    rows = ds._PairRows({})
+    rows = ds._PairRows()
     assert ds._read_graph(_HAND, rows) == Graph(5, ((0, 1), (1, 3)))
     empty = '{"directed":true,"edges":[],"n":1}'
     assert ds._read_graph(empty, rows) == Graph(1, (), directed=True)
+    downward = '{"directed":true,"edges":[[1,0],[1,3],[3,1]],"n":5}'
+    assert ds._read_graph(downward, rows) == Graph(5, ((1, 0), (1, 3), (3, 1)), directed=True)
 
 
-@pytest.mark.parametrize("name", _DECLINED)
-def test_read_graph_declines_what_the_writer_does_not_write(tmp_path, monkeypatch, name):
-    """The reader returns None and load takes the general path, which loads
-    the text or rejects it exactly as it would without the reader."""
-    rows = ds._PairRows({})
-    assert ds._read_graph(_DECLINED[name], rows) is None
-    assert all(u < v for (u, v), _, _ in rows.values())  # only checked pairs enter
+@pytest.mark.parametrize("name", _REJECTED)
+def test_load_rejects_a_graph_text_the_writer_does_not_write(tmp_path, monkeypatch, name):
+    """Load rejects the text at its line with the reader's fault, parsing no
+    graph text as JSON and never calling ``Graph.from_edges``; only checked
+    pairs enter the reader's table."""
+    text, fault = _REJECTED[name]
+    rows = ds._PairRows()
+    with pytest.raises(ValueError, match=f"^{re.escape(fault)}$"):
+        ds._read_graph(text, rows)
+    assert all(u != v for (u, v), *_ in rows.values())
     path = _edge_count_file(tmp_path / "data.jsonl", [_graph([[0, 1], [1, 3]])])
     lines = path.read_text(encoding="utf-8").splitlines()
     assert _HAND in lines[1]
-    lines[1] = lines[1].replace(_HAND, _DECLINED[name])
+    lines[1] = lines[1].replace(_HAND, text)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    try:
-        json.loads(lines[1])  # a parse error counts columns from the line's start
-        want = Graph.from_edges(**json.loads(_DECLINED[name]))
-    except (TypeError, ValueError) as exc:
-        want = exc
-    from_edges = _spy(monkeypatch, "from_edges")
-    try:
-        loaded = load_dataset(path, verify=False)
-    except DatasetFormatError as exc:
-        assert str(exc) == f"line 2: corrupt instance: {want}"
-    else:
-        assert loaded[0].graph == want
-    assert len(from_edges) == (not isinstance(want, json.JSONDecodeError))
+    from_edges, parsed = _spy(monkeypatch, "from_edges"), _graph_texts_parsed(monkeypatch)
+    with pytest.raises(DatasetFormatError) as exc:
+        load_dataset(path, verify=False)
+    assert str(exc.value) == f"line 2: corrupt instance: {fault}"
+    assert from_edges == [] and parsed == []
+
+
+@st.composite
+def _any_graph(draw):
+    """A graph of 1 to 999,999,999 nodes, directed or not, with up to six
+    edges among random labels; a directed edge keeps its drawn orientation."""
+    n = draw(st.one_of(st.integers(1, 12), st.integers(1, 999_999_999)))
+    labels = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(labels, labels), max_size=6))
+    return Graph.from_edges(n, [(u, v) for u, v in pairs if u != v], draw(st.booleans()))
+
+
+def _edge_count_instances(graphs):
+    return [TaskInstance(id=f"edge_count-S-{i:03d}-0", task=Task.EDGE_COUNT, bucket=SMALL,
+                         graph=g, query=(), gold=gold_answer(Task.EDGE_COUNT, g, ()), seed=i)
+            for i, g in enumerate(graphs)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_any_graph(), min_size=1, max_size=4))
+def test_load_reads_every_graph_the_writer_writes(tmp_path_factory, graphs):
+    instances = _edge_count_instances(graphs)
+    path = tmp_path_factory.getbasetemp() / "any_graph.jsonl"
+    save_dataset(instances, path)
+    assert load_dataset(path, verify=False) == instances
+
+
+def test_load_rejects_a_node_count_beyond_nine_digits(tmp_path):
+    path = tmp_path / "data.jsonl"
+    save_dataset(_edge_count_instances([Graph(10**9, ((0, 999_999_999),))]), path)
+    with pytest.raises(DatasetFormatError, match=re.escape(
+            f"line 2: corrupt instance: node count '1000000000' {_COUNT_FAULT}")):
+        load_dataset(path, verify=False)
 
 
 def test_load_shares_the_standard_buckets(small_saved):

@@ -171,15 +171,6 @@ def test_from_edges_gives_one_graph_for_any_order():
     assert Graph.from_edges(4, [(0, 1), (0, 1), (1, 2)]).edges == ((0, 1), (1, 2))
 
 
-def test_from_edges_shares_pairs_through_the_table():
-    pairs = {}
-    a = Graph.from_edges(4, [(0, 1), (1, 2)], pairs=pairs)
-    b = Graph.from_edges(4, [[2, 1], [3, 0]], pairs=pairs)
-    assert b.edges == ((0, 3), (1, 2)) and b.edges[1] is a.edges[1]
-    assert set(pairs) == {(0, 1), (1, 2), (0, 3)}
-    assert Graph.from_edges(4, [(0, 1)]).edges[0] is not a.edges[0]
-
-
 # --- seed splitting ---------------------------------------------------------------
 
 
