@@ -9,7 +9,7 @@ import sys
 import time
 from functools import lru_cache, partial
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from . import dataset as ds
 from .client import (
@@ -22,6 +22,7 @@ from .client import (
 )
 from .evaluate import (
     EvalRecord,
+    FailureKind,
     aggregate_report,
     emit_report,
     evaluate_response,
@@ -101,20 +102,31 @@ def _load_for_eval(args: argparse.Namespace) -> list[ds.TaskInstance]:
 
 
 def _score_transcripts(pairs: Iterable[tuple[ds.TaskInstance, Transcript]],
-                       out: str | Path) -> tuple[list[EvalRecord], dict[str, int]]:
-    """Score ``(instance, transcript)`` pairs, save the records to ``out`` and print
-    the tally. A transcript without a label base scores under its task's default.
-    """
+                       out: str | Path) -> dict[str, int]:
+    """Score ``(instance, transcript)`` pairs, writing each record to ``out`` as it is
+    made and keeping none; print and return the count per failure kind (``none``
+    counts the correct ones). A second (instance_id, strategy) raises ValueError
+    and leaves ``out`` as it was. No label base means the task's default."""
     parse = lru_cache(maxsize=None)(parse_strategy)
-    records = [evaluate_response(inst, parse(t.strategy), t.text, label_base=t.label_base,
-                                 backend_error=t.error or "")
-               for inst, t in pairs]
-    failures = aggregate_report(records).failures
-    save_records(records, out)
-    print(f"{sum(r.correct for r in records)}/{len(records)} correct "
+    seen: dict[str, set[str]] = {}  # instance ids per strategy
+    failures = {kind.value: 0 for kind in FailureKind}
+
+    def records() -> Iterator[EvalRecord]:
+        for inst, t in pairs:
+            rec = evaluate_response(inst, parse(t.strategy), t.text, label_base=t.label_base,
+                                    backend_error=t.error or "")
+            ids = seen.setdefault(rec.strategy, set())
+            if rec.instance_id in ids:
+                raise ValueError(f"duplicate record for {(rec.instance_id, rec.strategy)}")
+            ids.add(rec.instance_id)
+            failures[rec.failure.value] += 1
+            yield rec
+
+    save_records(records(), out)
+    print(f"{failures['none']}/{sum(failures.values())} correct "
           f"({failures['extraction_failed']} extraction failures, "
           f"{failures['backend_error']} backend errors)")
-    return records, failures
+    return failures
 
 
 # --- config files ---------------------------------------------------------------
@@ -190,8 +202,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    instances = _load_for_eval(args)
     strategy = parse_strategy(args.strategy, args.shots, PseudocodeStyle(args.style))
+    instances = _load_for_eval(args)
     bundles = (render_prompt(inst, strategy, args.exemplar_seed, args.label_base)
                for inst in instances)
     write_rows(({"instance_id": b.instance_id, "strategy": strategy.display_name,
@@ -201,17 +213,13 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    strategy = parse_strategy(args.strategy, args.shots, PseudocodeStyle(args.style))
+    backend = make_backend(args.backend, cache_path=args.cache)
     instances = _load_for_eval(args)
     if not instances:
         raise SystemExit("error: no instances selected")
-    strategy = parse_strategy(args.strategy, args.shots, PseudocodeStyle(args.style))
-    cfg = ModelConfig(
-        model=args.model,
-        endpoint=args.endpoint,
-        temperature=args.temperature,
-        max_tokens=args.max_tokens,
-    )
-    backend = make_backend(args.backend, cache_path=args.cache)
+    cfg = ModelConfig(model=args.model, endpoint=args.endpoint,
+                      temperature=args.temperature, max_tokens=args.max_tokens)
     cache = None
     if args.cache and args.backend != "replay":
         cache = ResponseCache(args.cache)
@@ -223,23 +231,26 @@ def cmd_run(args: argparse.Namespace) -> int:
     finally:
         if cache is not None:
             cache.close()
+    del bundles, backend, cache  # a replay backend holds a whole cache
 
-    transcripts = [t for t, _ in outcomes]
     outdir = Path(args.out)
-    write_rows((t.to_row() for t in transcripts), outdir / "transcripts.jsonl")
-    records, failures = _score_transcripts(zip(instances, transcripts), outdir / "records.jsonl")
+    write_rows((t.to_row() for t, _ in outcomes), outdir / "transcripts.jsonl")
+    hits = sum(t.cached for t, _ in outcomes)
+    outcomes.reverse()  # popped in order, so each outcome is dropped once it is scored
+    failures = _score_transcripts(zip(instances, (outcomes.pop()[0] for _ in instances)),
+                                  outdir / "records.jsonl")
 
-    correct = sum(r.correct for r in records)
+    total = sum(failures.values())
     summary = {
         "dataset": str(args.dataset),
         "backend": args.backend,
         "model": args.model,
         "strategy": strategy.display_name,
-        "total": len(records),
-        "correct": correct,
-        "accuracy": correct / len(records),
+        "total": total,
+        "correct": failures["none"],
+        "accuracy": failures["none"] / total,
         "failures": failures,
-        "cache_hits": sum(t.cached for t in transcripts),
+        "cache_hits": hits,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
     (outdir / "summary.json").write_text(
@@ -251,14 +262,16 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_score(args: argparse.Namespace) -> int:
     by_id = ds.instances_by_id(ds.load_dataset(args.dataset, verify=not args.no_verify))
-    pairs = []
-    for lineno, transcript in read_rows(args.transcripts, Transcript.from_row, "transcripts row"):
-        inst = by_id.get(transcript.instance_id)
-        if inst is None:
-            raise SystemExit(f"error: {args.transcripts}:{lineno}: "
-                             f"unknown instance {transcript.instance_id!r}")
-        pairs.append((inst, transcript))
-    _score_transcripts(pairs, args.out)
+
+    def pairs() -> Iterator[tuple[ds.TaskInstance, Transcript]]:
+        for lineno, t in read_rows(args.transcripts, Transcript.from_row, "transcripts row"):
+            inst = by_id.get(t.instance_id)
+            if inst is None:
+                raise SystemExit(f"error: {args.transcripts}:{lineno}: "
+                                 f"unknown instance {t.instance_id!r}")
+            yield inst, t
+
+    _score_transcripts(pairs(), args.out)
     print(f"records: {args.out}")
     return 0
 

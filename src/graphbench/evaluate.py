@@ -10,7 +10,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Optional, TypeVar
 
-from .dataset import TaskInstance
+from .dataset import TaskInstance, _replacing
 from .graphs import ALL_BUCKETS
 from .oracles import Answer, is_right_answer
 from .prompts import Strategy
@@ -436,10 +436,9 @@ def emit_report(report: Report, fmt: str = "markdown", flag_best: bool = True) -
 
 
 def write_rows(rows: Iterable[Mapping], path) -> None:
-    """Write one sorted-key JSON line per row, creating the parent directory."""
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with p.open("w", encoding="utf-8") as fh:
+    """Write one sorted-key JSON line per row as it comes. ``path`` is replaced
+    whole once the last is written: if ``rows`` raises, a file there keeps its bytes."""
+    with _replacing(path) as fh:
         fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
 
 

@@ -97,8 +97,10 @@ class Strategy:
     def uses_pseudocode(self) -> bool:
         return self.kind in (StrategyKind.PSEUDO, StrategyKind.PSEUDO_K_SHOT)
 
-    @property
+    @functools.cached_property
     def display_name(self) -> str:
+        """The name rows and reports carry, built once per strategy, so every
+        transcript and record of a run shares one string."""
         if self.kind is StrategyKind.ZERO_SHOT:
             return "0-shot"
         if self.kind is StrategyKind.K_SHOT:

@@ -158,6 +158,21 @@ def test_write_rows_writes_one_sorted_key_line_per_row(tmp_path):
     assert path.read_text(encoding="utf-8") == '{"a": [0], "b": 0}\n{"a": [1], "b": 1}\n'
 
 
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_write_rows_replaces_the_file_whole_or_not_at_all(tmp_path, error):
+    path = tmp_path / "rows.jsonl"
+    path.write_text("keep\n")
+
+    def rows():
+        yield from ({"a": i} for i in range(1000))
+        raise error
+
+    with pytest.raises(error):
+        write_rows(rows(), path)
+    assert path.read_text() == "keep\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.jsonl"]
+
+
 @pytest.mark.parametrize("bad", ['{"b": 3}', "[1]", '{"a": ', '{"a": -1}'])
 def test_read_rows_skips_blank_lines_but_counts_them(tmp_path, bad):
     def parse(obj):
