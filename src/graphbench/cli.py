@@ -15,6 +15,7 @@ from . import dataset as ds
 from .client import (
     ClientError,
     ModelConfig,
+    Outcome,
     ResponseCache,
     Transcript,
     make_backend,
@@ -26,8 +27,9 @@ from .evaluate import (
     aggregate_report,
     emit_report,
     evaluate_response,
-    load_records,
+    iter_records,
     read_rows,
+    row_line,
     save_records,
     write_rows,
 )
@@ -102,11 +104,13 @@ def _load_for_eval(args: argparse.Namespace) -> list[ds.TaskInstance]:
 
 
 def _score_transcripts(pairs: Iterable[tuple[ds.TaskInstance, Transcript]],
-                       out: str | Path) -> dict[str, int]:
+                       out: str | Path, check_repeats: bool = True) -> dict[str, int]:
     """Score ``(instance, transcript)`` pairs, writing each record to ``out`` as it is
     made and keeping none; print and return the count per failure kind (``none``
-    counts the correct ones). A second (instance_id, strategy) raises ValueError
-    and leaves ``out`` as it was. No label base means the task's default."""
+    counts the correct ones). With ``check_repeats``, a second (instance_id,
+    strategy) raises ValueError and leaves ``out`` as it was; ``run`` turns it off,
+    since it scores one strategy over instances that load found unique, and so
+    holds nothing per record. No label base means the task's default."""
     parse = lru_cache(maxsize=None)(parse_strategy)
     seen: dict[str, set[str]] = {}  # instance ids per strategy
     failures = {kind.value: 0 for kind in FailureKind}
@@ -115,10 +119,11 @@ def _score_transcripts(pairs: Iterable[tuple[ds.TaskInstance, Transcript]],
         for inst, t in pairs:
             rec = evaluate_response(inst, parse(t.strategy), t.text, label_base=t.label_base,
                                     backend_error=t.error or "")
-            ids = seen.setdefault(rec.strategy, set())
-            if rec.instance_id in ids:
-                raise ValueError(f"duplicate record for {(rec.instance_id, rec.strategy)}")
-            ids.add(rec.instance_id)
+            if check_repeats:
+                ids = seen.setdefault(rec.strategy, set())
+                if rec.instance_id in ids:
+                    raise ValueError(f"duplicate record for {(rec.instance_id, rec.strategy)}")
+                ids.add(rec.instance_id)
             failures[rec.failure.value] += 1
             yield rec
 
@@ -214,7 +219,7 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     strategy = parse_strategy(args.strategy, args.shots, PseudocodeStyle(args.style))
-    backend = make_backend(args.backend, cache_path=args.cache)
+    backend = make_backend(args.backend, cache_path=args.cache, parallel=args.parallel)
     instances = _load_for_eval(args)
     if not instances:
         raise SystemExit("error: no instances selected")
@@ -226,19 +231,32 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     bundles = [render_prompt(inst, strategy, args.exemplar_seed, args.label_base)
                for inst in instances]
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    # An older run's records and summary go before the first row is written,
+    # so an interrupt never leaves them beside this run's transcripts.
+    for name in ("records.jsonl", "summary.json"):
+        (outdir / name).unlink(missing_ok=True)
+    transcripts, hits = outdir / "transcripts.jsonl", 0
+
+    def write(outcome: Outcome) -> None:
+        nonlocal hits
+        hits += outcome[0].cached
+        fh.write(row_line(outcome[0].to_row()))
+        fh.flush()  # on disk before the next prompt goes out
+
     try:
-        outcomes = run_prompts(bundles, backend, cfg, cache, parallel=args.parallel)
+        with transcripts.open("w", encoding="utf-8") as fh:
+            run_prompts(bundles, backend, cfg, cache, parallel=args.parallel, sink=write)
     finally:
         if cache is not None:
             cache.close()
     del bundles, backend, cache  # a replay backend holds a whole cache
 
-    outdir = Path(args.out)
-    write_rows((t.to_row() for t, _ in outcomes), outdir / "transcripts.jsonl")
-    hits = sum(t.cached for t, _ in outcomes)
-    outcomes.reverse()  # popped in order, so each outcome is dropped once it is scored
-    failures = _score_transcripts(zip(instances, (outcomes.pop()[0] for _ in instances)),
-                                  outdir / "records.jsonl")
+    # Scored from the rows on disk, as ``score`` would, once the cache is gone.
+    rows = (t for _, t in read_rows(transcripts, Transcript.from_row, "transcripts row"))
+    failures = _score_transcripts(zip(instances, rows), outdir / "records.jsonl",
+                                  check_repeats=False)
 
     total = sum(failures.values())
     summary = {
@@ -277,12 +295,9 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    records: list[EvalRecord] = []
-    for path in args.records:
-        records.extend(load_records(path))
-    if not records:
+    report = aggregate_report(rec for path in args.records for rec in iter_records(path))
+    if not report.cells:
         raise ValueError(f"no records in {' '.join(args.records)}")
-    report = aggregate_report(records)
     text = emit_report(report, fmt=args.format, flag_best=not args.no_flag_best)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)

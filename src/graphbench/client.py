@@ -97,13 +97,15 @@ class Transcript:
         """Read a row; raise ValueError unless ``instance_id``, ``strategy`` and
         ``text`` (or, if absent, ``error``) are strings and ``label_base`` is
         missing, null or the int 0 or 1 (not a bool or float, which equal 0 or 1)."""
-        if not (isinstance(row, dict) and row.get("label_base") in (None, 0, 1)
-                and type(row.get("label_base")) in (int, type(None))
-                and all(isinstance(row.get(key), str) for key in
-                        ("instance_id", "strategy", "text" if "text" in row else "error"))):
+        if not isinstance(row, dict):
             raise ValueError("not a transcripts row")
-        text = row.get("text")
-        return cls(row["instance_id"], row["strategy"], row.get("label_base"), row.get("model"),
+        base, text = row.get("label_base"), row.get("text")
+        if not ((base is None or type(base) is int and base in (0, 1))
+                and isinstance(row.get("instance_id"), str)
+                and isinstance(row.get("strategy"), str)
+                and isinstance(text if "text" in row else row.get("error"), str)):
+            raise ValueError("not a transcripts row")
+        return cls(row["instance_id"], row["strategy"], base, row.get("model"),
                    row.get("backend"), row.get("prompt_hash"), text,
                    None if text is not None else row["error"])
 
@@ -232,6 +234,8 @@ class HttpChatBackend(Backend):
     Retries timeouts, connection failures, torn bodies, 429s and 5xx; any
     other status or ``requests`` error fails immediately. The API key is
     read from the environment variable named in the config, never from disk.
+    The default session keeps ``parallel`` connections per host, and never
+    fewer than ``requests``' own 10, so that many threads can share it.
     """
 
     name = "http"
@@ -243,6 +247,7 @@ class HttpChatBackend(Backend):
         session: Optional[requests.Session] = None,
         sleeper: Callable[[float], None] = time.sleep,
         base_delay: float = 1.0,
+        parallel: int = 1,
     ):
         if session is None:
             try:
@@ -251,6 +256,10 @@ class HttpChatBackend(Backend):
                 raise ClientError(
                     f"the http backend needs the requests package: {exc}") from exc
             session = requests.Session()
+            adapter = requests.adapters.HTTPAdapter(
+                pool_maxsize=max(parallel, requests.adapters.DEFAULT_POOLSIZE))
+            session.mount("http://", adapter)
+            session.mount("https://", adapter)
         self.session = session
         self.sleeper = sleeper
         self.base_delay = base_delay
@@ -413,8 +422,10 @@ def make_backend(
     spec: str,
     cache_path: Optional[str] = None,
     session: Optional[requests.Session] = None,
+    parallel: int = 1,
 ) -> Backend:
-    """Build a backend from its CLI name."""
+    """Build a backend from its CLI name; ``parallel`` sizes the HTTP
+    backend's default connection pool."""
     if spec == "mock:oracle":
         return MockOracleBackend()
     if spec == "mock:adversary":
@@ -424,7 +435,7 @@ def make_backend(
             raise ClientError("replay backend requires a cache path")
         return ReplayBackend(cache_path)
     if spec == "http":
-        return HttpChatBackend(session=session)
+        return HttpChatBackend(session=session, parallel=parallel)
     raise ClientError(f"unknown backend {spec!r}")
 
 
@@ -453,6 +464,11 @@ def complete(
 #: How often the calling thread of a parallel run wakes while its workers run;
 #: it bounds how late that thread sees a signal delivered to a worker thread.
 _WAIT_PERIOD_S = 0.05
+#: With a sink, how many results per worker may be done but not yet handed
+#: out, while an earlier prompt is still in flight.
+_AHEAD_PER_WORKER = 16
+
+Outcome = tuple[Transcript, Optional[ClientError]]
 
 
 def run_prompts(
@@ -461,24 +477,35 @@ def run_prompts(
     cfg: Optional[ModelConfig] = None,
     cache: Optional[ResponseCache] = None,
     parallel: int = 1,
-) -> list[tuple[Transcript, Optional[ClientError]]]:
+    sink: Optional[Callable[[Outcome], None]] = None,
+) -> Optional[list[Outcome]]:
     """Resolve many prompts, preserving input order.
 
-    Returns one (transcript, error) pair per bundle. ``error`` is set exactly
+    Makes one (transcript, error) pair per bundle. ``error`` is set exactly
     when the prompt failed with a ``ClientError``, and then the transcript
-    carries its message; such a failure never aborts the batch.
+    carries its message; such a failure never aborts the batch. Without
+    ``sink``, returns the pairs as a list. With it, hands each pair to
+    ``sink`` in input order, as soon as it and every earlier one are done,
+    keeps none and returns None; at most ``_AHEAD_PER_WORKER`` pairs per
+    worker wait for an earlier prompt to finish, and a worker that would
+    make one more waits too.
 
-    With ``parallel > 1``, ``min(parallel, len(bundles))`` worker threads
-    each take the next bundle from one shared index, so at most ``parallel``
-    requests are in flight. Any other exception in a worker, or an interrupt
-    in the calling thread, stops every worker from starting another prompt;
-    all workers are joined, and the first such exception is raised.
+    With ``parallel == 1`` the calling thread sends each prompt, so an
+    interrupt stops the request in flight. With ``parallel > 1``,
+    ``min(parallel, len(bundles))`` worker threads each take the next bundle
+    from one shared index, so at most ``parallel`` requests are in flight,
+    and the calling thread only waits. With a sink, the worker that finishes
+    the next pair in order hands it out, and any done after it, one worker
+    at a time. Any other exception in a worker or in ``sink``, or an
+    interrupt in the calling thread, stops every worker from starting
+    another prompt; all workers are joined, and the first such exception is
+    raised.
     """
     if parallel < 1:
         raise ValueError("parallel must be at least 1")
     cfg = cfg or ModelConfig()
 
-    def one(bundle: PromptBundle) -> tuple[Transcript, Optional[ClientError]]:
+    def one(bundle: PromptBundle) -> Outcome:
         try:
             return complete(bundle, backend, cfg, cache), None
         except ClientError as exc:
@@ -486,52 +513,84 @@ def run_prompts(
                               cfg.model, backend.name, error=str(exc)), exc
 
     if parallel == 1 or len(bundles) <= 1:
-        return [one(b) for b in bundles]
-    results: list = [None] * len(bundles)
+        if sink is None:
+            return [one(b) for b in bundles]
+        for b in bundles:
+            sink(one(b))
+        return None
+    workers = min(parallel, len(bundles))
+    # Without a sink, each worker writes its pair into its slot of the list.
+    results: list = [None] * len(bundles) if sink is None else []
+    ahead = len(bundles) if sink is None else _AHEAD_PER_WORKER * workers
+    ready: dict[int, Outcome] = {}  # done but not handed out, by position
     lock = threading.Lock()
     done = threading.Condition(lock)  # notified as each worker returns
-    taken = 0  # bundles handed out
+    room = threading.Condition(lock)  # notified as pairs go out
+    taken = handed = 0  # bundles handed to workers, and pairs handed out
+    handing = False  # a worker is handing pairs out
     started = finished = 0  # workers started, and workers returned
     raised: list[BaseException] = []  # non-empty stops every worker
+
+    def hand_out(i: int, outcome: Outcome) -> None:
+        nonlocal handed, handing
+        with lock:
+            ready[i] = outcome
+            if handing:  # that worker takes this one too, in turn
+                return
+            handing = True
+        while True:
+            with lock:
+                outcome = ready.pop(handed, None)
+                if outcome is None:
+                    handing = False
+                    return
+                handed += 1
+                room.notify_all()
+            sink(outcome)
+
+    finish = results.__setitem__ if sink is None else hand_out
 
     def work() -> None:
         nonlocal taken, finished
         try:
             while True:
                 with lock:
+                    while not raised and taken < len(bundles) and taken - handed >= ahead:
+                        room.wait()
                     if raised or taken == len(bundles):
                         return
                     i = taken
                     taken += 1
-                results[i] = one(bundles[i])
+                finish(i, one(bundles[i]))
         except BaseException as exc:  # raised again in the calling thread
             with lock:
                 raised.append(exc)
+                room.notify_all()
         finally:
             with done:
                 finished += 1
                 done.notify()
 
-    workers = [threading.Thread(target=work, name=f"run_prompts-{k}")
-               for k in range(min(parallel, len(bundles)))]
+    threads = [threading.Thread(target=work, name=f"run_prompts-{k}") for k in range(workers)]
     # The calling thread waits on ``done``, never in a join of a live worker:
     # on Python 3.11 an interrupt inside ``Thread.join`` can mark the thread
     # stopped while it still runs. The wait is timed, so a signal delivered to
     # a worker thread (signal.raise_signal there) is handled within a period.
     try:
         with done:  # no prompt starts until every worker has
-            for worker in workers:
-                worker.start()
+            for thread in threads:
+                thread.start()
                 started += 1
             while finished < started:
                 done.wait(_WAIT_PERIOD_S)
     except BaseException as exc:
         with done:
             raised.append(exc)
+            room.notify_all()
             while finished < started:
                 done.wait()
-    for worker in workers[:started]:
-        worker.join()
+    for thread in threads[:started]:
+        thread.join()
     if raised:
         raise raised[0]
-    return results
+    return results if sink is None else None

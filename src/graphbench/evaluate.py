@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
@@ -31,6 +32,9 @@ _BRACKET = re.compile(r"[\[{]([^\[\]{}]*)[\]}]", re.DOTALL)
 _ARROW_CHAIN = re.compile(r"\d+(?:\s*(?:->|=>|→|⇒)\s*\d+)+")
 _COMMA_CHAIN = re.compile(r"\d+(?:\s*,\s*\d+)+")
 _PAIR_GAP = re.compile(r"[\s,;]*(?:and\s+)?\Z", re.IGNORECASE)
+_TOKEN_SEP = re.compile(r"[,\s]+")
+_SIGNED = re.compile(r"-?\d+")
+_DIGITS = re.compile(r"\d+")
 
 # Boolean vocabulary. Matches are resolved by taking the one that ends last,
 # breaking ties toward the longer match, so "does not contain a cycle" beats
@@ -86,8 +90,8 @@ def _block_ints(content: str) -> Optional[list[int]]:
     if not stripped:
         return []
     values = []
-    for token in re.split(r"[,\s]+", stripped):
-        if not re.fullmatch(r"-?\d+", token):
+    for token in _TOKEN_SEP.split(stripped):
+        if not _SIGNED.fullmatch(token):
             return None
         values.append(int(token))
     return values
@@ -168,7 +172,7 @@ def _find_node_seq(region: str, is_tail: bool) -> Optional[tuple[int, ...]]:
     ]
     chains = (_ARROW_CHAIN, _COMMA_CHAIN) if is_tail else (_ARROW_CHAIN,)
     candidates += [
-        (m.start(), tuple(int(t) for t in re.findall(r"\d+", m.group())))
+        (m.start(), tuple(int(t) for t in _DIGITS.findall(m.group())))
         for chain in chains
         for m in chain.finditer(region)
     ]
@@ -266,7 +270,8 @@ class EvalRecord:
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "EvalRecord":
         """Read a row; raise unless ``instance_id``, ``bucket`` and ``strategy``
-        are strings and ``correct`` is the bool that ``failure`` implies."""
+        are strings and ``correct`` is the bool that ``failure`` implies. Every
+        record read shares one ``strategy`` string per name."""
         failure = FailureKind(obj["failure"])
         if obj["correct"] is not (failure is FailureKind.NONE):
             raise ValueError(f"correct {obj['correct']!r} does not match failure {failure}")
@@ -276,7 +281,7 @@ class EvalRecord:
             instance_id=obj["instance_id"],
             task=Task(obj["task"]),
             bucket=obj["bucket"],
-            strategy=obj["strategy"],
+            strategy=sys.intern(obj["strategy"]),  # one string per name, not per row
             failure=failure,
             extracted=obj.get("extracted"),
             detail=obj.get("detail", ""),
@@ -327,18 +332,22 @@ class Report:
 
 
 def aggregate_report(records: Iterable[EvalRecord]) -> Report:
-    """Group records into per-cell counts, rejecting duplicates."""
-    seen: set[tuple[str, str]] = set()
+    """Group records into per-cell counts, rejecting duplicates.
+
+    ``records`` is read once, as it comes, and none is kept: a stream over
+    the record files serves as well as a list. The duplicate check keeps
+    one set of instance ids per strategy."""
+    seen: dict[str, set[str]] = {}  # instance ids per strategy
     cells: dict[tuple[str, str, str], list[int]] = {}
     failures: dict[str, int] = {kind.value: 0 for kind in FailureKind}
     tasks: list[Task] = []
     buckets: list[str] = []
     strategies: list[str] = []
     for rec in records:
-        key = (rec.instance_id, rec.strategy)
-        if key in seen:
-            raise ValueError(f"duplicate record for {key}")
-        seen.add(key)
+        ids = seen.setdefault(rec.strategy, set())
+        if rec.instance_id in ids:
+            raise ValueError(f"duplicate record for {(rec.instance_id, rec.strategy)}")
+        ids.add(rec.instance_id)
         cell = cells.setdefault((rec.task.value, rec.bucket, rec.strategy), [0, 0])
         cell[0] += int(rec.correct)
         cell[1] += 1
@@ -439,7 +448,15 @@ def write_rows(rows: Iterable[Mapping], path) -> None:
     """Write one sorted-key JSON line per row as it comes. ``path`` is replaced
     whole once the last is written: if ``rows`` raises, a file there keeps its bytes."""
     with _replacing(path) as fh:
-        fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+        fh.writelines(map(row_line, rows))
+
+
+_ROW_JSON = json.JSONEncoder(sort_keys=True).encode  # json.dumps builds one per call
+
+
+def row_line(row: Mapping) -> str:
+    """One row as a line of a row file: sorted-key JSON and a newline."""
+    return _ROW_JSON(row) + "\n"
 
 
 def read_rows(path, parse: Callable[[object], _T], what: str) -> Iterator[tuple[int, _T]]:
@@ -460,7 +477,12 @@ def save_records(records: Iterable[EvalRecord], path) -> None:
     write_rows((rec.to_json_obj() for rec in records), path)
 
 
+def iter_records(path) -> Iterator[EvalRecord]:
+    """Yield the records of a file as they are read; a line that is not a
+    record raises ``ValueError`` naming ``FILE:LINE``."""
+    return (rec for _, rec in read_rows(path, EvalRecord.from_json_obj, "records row"))
+
+
 def load_records(path) -> list[EvalRecord]:
-    """Read a records file; a line that is not a record raises ``ValueError``
-    naming ``FILE:LINE``."""
-    return [rec for _, rec in read_rows(path, EvalRecord.from_json_obj, "records row")]
+    """Read a records file whole, as ``iter_records`` reads it."""
+    return list(iter_records(path))

@@ -2,11 +2,15 @@ import copy
 import hashlib
 import json
 import pickle
+import random
 import re
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import weakref
+from array import array
 from pathlib import Path
 
 import pytest
@@ -320,13 +324,115 @@ def test_run_replay_partial_cache_reports_backend_errors(dataset, tmp_path):
     assert summary["correct"] == 4
 
 
-def test_run_parallel_same_results(dataset, tmp_path):
-    run_cli("run", "--dataset", dataset, "--backend", "mock:oracle",
-            "--out", tmp_path / "seq")
-    run_cli("run", "--dataset", dataset, "--backend", "mock:oracle",
-            "--parallel", 4, "--out", tmp_path / "par")
-    assert (tmp_path / "seq" / "records.jsonl").read_bytes() == \
-        (tmp_path / "par" / "records.jsonl").read_bytes()
+class WatchingBackend(MockOracleBackend):
+    """The oracle, noting at each call how many rows ``transcripts`` holds and
+    whether ``out`` holds a records file or a summary; the call after ``answers``
+    raises KeyboardInterrupt, as Ctrl-C in the middle of a request would."""
+
+    def __init__(self, out, answers=None):
+        self.out, self.answers, self.seen = out, answers, []
+
+    def complete_text(self, bundle, cfg):
+        rows = self.out / "transcripts.jsonl"
+        self.seen.append((bundle.instance_id, len(rows.read_bytes().splitlines()),
+                          (self.out / "records.jsonl").exists()
+                          or (self.out / "summary.json").exists()))
+        if self.answers is not None and len(self.seen) > self.answers:
+            raise KeyboardInterrupt
+        return super().complete_text(bundle, cfg)
+
+
+def _run_with(monkeypatch, backend, *argv):
+    monkeypatch.setattr("graphbench.cli.make_backend", lambda *a, **k: backend)
+    return run_cli("run", *argv)
+
+
+def test_each_row_is_on_disk_before_the_next_prompt_goes_out(dataset, tmp_path, monkeypatch):
+    out = tmp_path / "r"
+    backend = WatchingBackend(out)
+    assert _run_with(monkeypatch, backend, "--dataset", dataset, "--out", out) == 0
+    assert [rows for _, rows, _ in backend.seen] == list(range(12))
+
+
+@pytest.mark.parametrize("k", [0, 5])
+def test_an_interrupted_run_leaves_its_first_rows_and_no_older_records(dataset, tmp_path,
+                                                                       monkeypatch, k):
+    """An interrupt after ``k`` answers leaves exactly those ``k`` rows, in
+    dataset order, and ``score`` accepts them. The records and summary of an
+    earlier run into the same ``--out`` are gone before the first row."""
+    whole, out = tmp_path / "whole", tmp_path / "r"
+    assert run_cli("run", "--dataset", dataset, "--out", whole) == 0
+    assert run_cli("run", "--dataset", dataset, "--out", out) == 0
+    backend = WatchingBackend(out, answers=k)
+    with pytest.raises(KeyboardInterrupt):
+        _run_with(monkeypatch, backend, "--dataset", dataset, "--out", out)
+    assert [older for _, _, older in backend.seen] == [False] * (k + 1)
+    assert sorted(p.name for p in out.iterdir()) == ["transcripts.jsonl"]
+    rows = (whole / "transcripts.jsonl").read_text().splitlines(keepends=True)
+    assert (out / "transcripts.jsonl").read_text() == "".join(rows[:k])
+    assert run_cli("score", "--dataset", dataset, "--transcripts", out / "transcripts.jsonl",
+                   "--out", out / "records.jsonl") == 0
+    records = (whole / "records.jsonl").read_text().splitlines(keepends=True)
+    assert (out / "records.jsonl").read_text() == "".join(records[:k])
+
+
+def test_a_rerun_over_the_cache_resumes_where_an_interrupt_stopped(dataset, tmp_path,
+                                                                  monkeypatch):
+    cache, out = tmp_path / "cache.jsonl", tmp_path / "r"
+    assert run_cli("run", "--dataset", dataset, "--out", tmp_path / "whole") == 0
+    with pytest.raises(KeyboardInterrupt):
+        _run_with(monkeypatch, WatchingBackend(out, answers=5), "--dataset", dataset,
+                  "--cache", cache, "--out", out)
+    rerun = WatchingBackend(out)
+    assert _run_with(monkeypatch, rerun, "--dataset", dataset, "--cache", cache,
+                     "--out", out) == 0
+    # The 12 prompts are distinct, so exactly the 5 answered ones are cache hits.
+    ids = [inst.id for inst in ds.load_dataset(dataset)]
+    assert [instance_id for instance_id, _, _ in rerun.seen] == ids[5:]
+    assert json.loads((out / "summary.json").read_text())["cache_hits"] == 5
+    for name in ("transcripts.jsonl", "records.jsonl"):
+        assert (out / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+
+
+class JitteredBackend(MockOracleBackend):
+    """The oracle, after a random pause of up to 2 ms, so parallel answers
+    finish out of order."""
+
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+        self.lock = threading.Lock()
+
+    def complete_text(self, bundle, cfg):
+        with self.lock:
+            pause = self.rng.random() * 0.002
+        time.sleep(pause)
+        return super().complete_text(bundle, cfg)
+
+
+def test_run_parallel_same_results(dataset, tmp_path, monkeypatch):
+    for parallel in (1, 4):
+        assert _run_with(monkeypatch, JitteredBackend(parallel), "--dataset", dataset,
+                         "--parallel", parallel, "--out", tmp_path / str(parallel)) == 0
+    for name in ("transcripts.jsonl", "records.jsonl"):
+        assert (tmp_path / "4" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+
+
+@pytest.mark.parametrize("parallel, pooled", [(1, 10), (16, 16)])
+def test_run_pools_a_connection_per_worker_for_the_http_backend(dataset, tmp_path, monkeypatch,
+                                                               parallel, pooled):
+    """The default session keeps a connection per worker, and never fewer than
+    ``requests``' default 10, so no worker opens one that is then discarded."""
+    pytest.importorskip("requests")
+    made = []
+    build = graphbench.cli.make_backend
+    monkeypatch.setattr("graphbench.cli.make_backend",
+                        lambda *a, **k: made.append(build(*a, **k)) or made[-1])
+    # With no endpoint, each prompt fails before a request is sent.
+    assert run_cli("run", "--dataset", dataset, "--backend", "http", "--parallel", parallel,
+                   "--out", tmp_path / "r") == 2
+    for url in ("http://localhost:8000/v1/chat/completions", "https://example.invalid/v1"):
+        adapter = made[0].session.get_adapter(url)
+        assert adapter.poolmanager.connection_pool_kw["maxsize"] == pooled
 
 
 def test_run_label_base_override(dataset, tmp_path):
@@ -1114,10 +1220,12 @@ def test_a_scored_instance_holds_few_bytes(tmp_path):
 
 
 #: Bytes ``run`` may hold at its peak per instance, as ``tracemalloc`` counts
-#: them, on a warm process. Scoring as it goes, and dropping each response
-#: once it is scored, it peaks at 2,000-2,050 on Python 3.10-3.12; holding
-#: every transcript and record while it scored, it peaked at 2,290-2,460.
-RUN_PEAK_PER_INSTANCE = 2200
+#: them, on a warm process. Writing each row as it arrives and scoring the
+#: rows once the cache is closed, it peaks at 1,850-1,875 on Python 3.10-3.12,
+#: and this bound is 4 % over that. Holding every response until the last
+#: arrived, it peaked at 2,005-2,050; holding every transcript and record
+#: while it scored too, at 2,290-2,460.
+RUN_PEAK_PER_INSTANCE = 1950
 
 
 @pytest.mark.parametrize("strategy", ["0-shot", "pseudo+5-shot"])
@@ -1141,41 +1249,47 @@ def test_run_peaks_at_few_bytes_per_instance(tmp_path, capsys, strategy):
     assert peak / count < RUN_PEAK_PER_INSTANCE, peak / count
 
 
-def test_run_frees_dispatch_state_then_each_response_as_it_scores(tmp_path, monkeypatch):
-    """Traced bytes fall from the end of dispatch to the first score, once the
-    prompts and the cache are dropped, and again to the last score, as each
-    response goes once scored. On Python 3.10-3.12 they fell by about 85 and
-    220 B per instance; keeping either, they stayed level or rose."""
+def test_run_holds_nothing_per_response(tmp_path, monkeypatch):
+    """Traced bytes do not grow per response from the first prompt sent to
+    the last, nor from the first record scored to the last: each row is
+    written and dropped as it arrives, and each record once it is written.
+    With no cache, on Python 3.10-3.12, they grew by about 40 B per instance
+    in dispatch (prompt text built on first use) and 40-65 B in scoring.
+    Holding each response until the last arrived, dispatch grew by about
+    430 B per instance; checking scored ids for repeats, scoring grew by
+    90-110 B."""
     path = tmp_path / "data.jsonl"
     ds.write_dataset(path, 0, graphs_per_cell=10)
     count = len(ds.load_dataset(path))
-    marks = []
-    dispatch, score = graphbench.cli.run_prompts, graphbench.cli.evaluate_response
+    # Preallocated, so that taking a mark holds no new object.
+    sent, scored = array("q", bytes(8 * count)), array("q", bytes(8 * count))
+    calls = [0, 0]
+    score = graphbench.cli.evaluate_response
 
-    def run_prompts(*args, **kwargs):
-        outcomes = dispatch(*args, **kwargs)
-        marks.append(tracemalloc.get_traced_memory()[0])
-        return outcomes
+    class MarkingBackend(MockOracleBackend):
+        def complete_text(self, bundle, cfg):
+            sent[calls[0]] = tracemalloc.get_traced_memory()[0]
+            calls[0] += 1
+            return super().complete_text(bundle, cfg)
 
     def evaluate_response(*args, **kwargs):
-        marks.append(tracemalloc.get_traced_memory()[0])
+        scored[calls[1]] = tracemalloc.get_traced_memory()[0]
+        calls[1] += 1
         return score(*args, **kwargs)
 
-    monkeypatch.setattr(graphbench.cli, "run_prompts", run_prompts)
+    monkeypatch.setattr(graphbench.cli, "make_backend", lambda *a, **k: MarkingBackend())
     monkeypatch.setattr(graphbench.cli, "evaluate_response", evaluate_response)
     for name in ("warm-up", "measured"):
-        marks.clear()
+        calls[:] = [0, 0]
         tracemalloc.start()
         try:
             assert main(["run", "--dataset", str(path), "--strategy", "pseudo+5-shot",
-                         "--cache", str(tmp_path / f"{name}.jsonl"),
                          "--out", str(tmp_path / name)]) == 0
         finally:
             tracemalloc.stop()
-    dispatched, first, last = marks[0], marks[1], marks[-1]
-    assert len(marks) == count + 1
-    assert (first - dispatched) / count < -40, (first - dispatched) / count
-    assert (last - first) / count < -100, (last - first) / count
+    assert calls == [count, count]
+    assert (sent[-1] - sent[0]) / count < 80, (sent[-1] - sent[0]) / count
+    assert (scored[-1] - scored[0]) / count < 80, (scored[-1] - scored[0]) / count
 
 
 def test_every_transcript_of_a_run_shares_one_strategy_name():
@@ -1187,6 +1301,43 @@ def test_every_transcript_of_a_run_shares_one_strategy_name():
     records = [evaluate_response(inst, strategy, t.text) for inst, t in zip(instances, transcripts)]
     names = {id(x.strategy) for x in [*transcripts, *records]}
     assert len(names) == 1 and transcripts[0].strategy == "Pseudo+5-shot"
+
+
+#: Bytes ``report`` may hold at its peak per record, as ``tracemalloc`` counts
+#: them, on a warm process. Streaming the records into ``aggregate_report``,
+#: it peaks at 205-240 on Python 3.10-3.12 over 660 records, mostly the
+#: repeat check's instance ids; collecting them into one list first, with
+#: one (instance_id, strategy) tuple each for that check, it peaked at 370-410.
+REPORT_PEAK_PER_RECORD = 280
+
+
+def test_report_streams_its_records(tmp_path, capsys):
+    path = tmp_path / "data.jsonl"
+    ds.write_dataset(path, 0, graphs_per_cell=10)
+    assert main(["run", "--dataset", str(path), "--out", str(tmp_path / "run")]) == 0
+    records = tmp_path / "run" / "records.jsonl"
+    count = len(records.read_text().splitlines())
+    main(["report", "--records", str(records)])  # fills the process's memos
+    tracemalloc.start()
+    try:
+        assert main(["report", "--records", str(records)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / count < REPORT_PEAK_PER_RECORD, peak / count
+
+
+def test_the_records_of_a_load_share_one_string_per_strategy(dataset, tmp_path):
+    paths = []
+    for strategy in ("0-shot", "pseudo+5-shot"):
+        out = tmp_path / strategy
+        assert run_cli("run", "--dataset", dataset, "--strategy", strategy, "--out", out) == 0
+        paths.append(out / "records.jsonl")
+    records = [rec for path in paths for rec in load_records(path)]
+    names = {}
+    for rec in records:
+        names.setdefault(rec.strategy, set()).add(id(rec.strategy))
+    assert {name: len(ids) for name, ids in names.items()} == {"0-shot": 1, "Pseudo+5-shot": 1}
 
 
 def test_value_types_are_slotted(tmp_path):

@@ -753,6 +753,70 @@ def test_run_prompts_stops_dispatch_on_an_interrupt(bundles, parallel):
     assert set(threading.enumerate()) <= before
 
 
+@pytest.mark.parametrize("parallel", [1, 2, 4, 8])
+def test_run_prompts_hands_each_pair_to_the_sink_in_order(bundles, parallel):
+    batch = numbered(bundles, 300)
+    rng = random.Random(parallel)
+    backend = ScriptedBackend(lambda call: rng.random() * 0.002)
+    handed = []
+    assert run_prompts(batch, backend, ModelConfig(), parallel=parallel,
+                       sink=lambda pair: handed.append(pair[0].text)) is None
+    assert handed == [b.head for b in batch]
+    assert sorted(backend.heads, key=int) == handed  # each sent once
+
+
+@pytest.mark.parametrize("sink", [False, True])
+def test_run_prompts_bounds_the_pairs_that_wait_for_a_slow_one(bundles, sink):
+    """While the first prompt is in flight, the other workers run ahead by at
+    most ``_AHEAD_PER_WORKER`` pairs per worker when a sink takes the pairs,
+    and through the whole batch when a list keeps them anyway."""
+    batch = numbered(bundles, 200)
+    release = threading.Event()
+    ahead = client._AHEAD_PER_WORKER * 4
+
+    def delay(call):
+        if call == 1:
+            release.wait(10)
+        return 0.0
+
+    backend = ScriptedBackend(delay)
+    handed = []
+    run = threading.Thread(target=run_prompts, args=(batch, backend, ModelConfig()),
+                           kwargs={"parallel": 4, "sink": handed.append if sink else None})
+    run.start()
+    try:
+        deadline = time.monotonic() + 10
+        want = ahead if sink else len(batch)
+        while backend.started < want and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.05)  # time enough to start one more, were it allowed
+        assert backend.started == want
+        assert handed == []
+    finally:
+        release.set()
+        run.join()
+    assert [t.text for t, _ in handed] == ([b.head for b in batch] if sink else [])
+
+
+@pytest.mark.parametrize("parallel", [1, 2, 4])
+def test_run_prompts_stops_dispatch_when_the_sink_fails(bundles, parallel):
+    before = set(threading.enumerate())
+    backend = ScriptedBackend(lambda call: 0.001)
+    handed = []
+
+    def sink(pair):
+        if len(handed) == 10:
+            raise OSError("disk full")
+        handed.append(pair)
+
+    with pytest.raises(OSError, match="disk full"):
+        run_prompts(numbered(bundles, 300), backend, ModelConfig(), parallel=parallel,
+                    sink=sink)
+    assert len(handed) == 10
+    assert backend.started <= 11 + client._AHEAD_PER_WORKER * parallel
+    assert set(threading.enumerate()) <= before
+
+
 def test_run_prompts_dispatch_state_does_not_grow_with_the_batch(bundles):
     batch = numbered(bundles, 2000)
     backend = ScriptedBackend(lambda call: 0.0)
