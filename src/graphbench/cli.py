@@ -103,27 +103,22 @@ def _load_for_eval(args: argparse.Namespace) -> list[ds.TaskInstance]:
     return kept
 
 
+#: A transcripts row names its strategy; parsed once per name.
+_parse_strategy = lru_cache(maxsize=None)(parse_strategy)
+
+
 def _score_transcripts(pairs: Iterable[tuple[ds.TaskInstance, Transcript]],
-                       out: str | Path, check_repeats: bool = True) -> dict[str, int]:
+                       out: str | Path) -> dict[str, int]:
     """Score ``(instance, transcript)`` pairs, writing each record to ``out`` as it is
     made and keeping none; print and return the count per failure kind (``none``
-    counts the correct ones). With ``check_repeats``, a second (instance_id,
-    strategy) raises ValueError and leaves ``out`` as it was; ``run`` turns it off,
-    since it scores one strategy over instances that load found unique, and so
-    holds nothing per record. No label base means the task's default."""
-    parse = lru_cache(maxsize=None)(parse_strategy)
-    seen: dict[str, set[str]] = {}  # instance ids per strategy
+    counts the correct ones). If ``pairs`` raises, ``out`` is left as it was. No
+    label base means the task's default."""
     failures = {kind.value: 0 for kind in FailureKind}
 
     def records() -> Iterator[EvalRecord]:
         for inst, t in pairs:
-            rec = evaluate_response(inst, parse(t.strategy), t.text, label_base=t.label_base,
-                                    backend_error=t.error or "")
-            if check_repeats:
-                ids = seen.setdefault(rec.strategy, set())
-                if rec.instance_id in ids:
-                    raise ValueError(f"duplicate record for {(rec.instance_id, rec.strategy)}")
-                ids.add(rec.instance_id)
+            rec = evaluate_response(inst, _parse_strategy(t.strategy), t.text,
+                                    label_base=t.label_base, backend_error=t.error or "")
             failures[rec.failure.value] += 1
             yield rec
 
@@ -255,8 +250,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     # Scored from the rows on disk, as ``score`` would, once the cache is gone.
     rows = (t for _, t in read_rows(transcripts, Transcript.from_row, "transcripts row"))
-    failures = _score_transcripts(zip(instances, rows), outdir / "records.jsonl",
-                                  check_repeats=False)
+    failures = _score_transcripts(zip(instances, rows), outdir / "records.jsonl")
 
     total = sum(failures.values())
     summary = {
@@ -282,11 +276,17 @@ def cmd_score(args: argparse.Namespace) -> int:
     by_id = ds.instances_by_id(ds.load_dataset(args.dataset, verify=not args.no_verify))
 
     def pairs() -> Iterator[tuple[ds.TaskInstance, Transcript]]:
+        seen: dict[str, set[str]] = {}  # instance ids per strategy
         for lineno, t in read_rows(args.transcripts, Transcript.from_row, "transcripts row"):
             inst = by_id.get(t.instance_id)
             if inst is None:
                 raise SystemExit(f"error: {args.transcripts}:{lineno}: "
                                  f"unknown instance {t.instance_id!r}")
+            strategy = _parse_strategy(t.strategy).display_name
+            ids = seen.setdefault(strategy, set())
+            if t.instance_id in ids:
+                raise ValueError(f"duplicate record for {(t.instance_id, strategy)}")
+            ids.add(t.instance_id)
             yield inst, t
 
     _score_transcripts(pairs(), args.out)

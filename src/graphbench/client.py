@@ -97,15 +97,13 @@ class Transcript:
         """Read a row; raise ValueError unless ``instance_id``, ``strategy`` and
         ``text`` (or, if absent, ``error``) are strings and ``label_base`` is
         missing, null or the int 0 or 1 (not a bool or float, which equal 0 or 1)."""
-        if not isinstance(row, dict):
+        if not (isinstance(row, dict) and row.get("label_base") in (None, 0, 1)
+                and type(row.get("label_base")) in (int, type(None))
+                and all(isinstance(row.get(key), str) for key in
+                        ("instance_id", "strategy", "text" if "text" in row else "error"))):
             raise ValueError("not a transcripts row")
-        base, text = row.get("label_base"), row.get("text")
-        if not ((base is None or type(base) is int and base in (0, 1))
-                and isinstance(row.get("instance_id"), str)
-                and isinstance(row.get("strategy"), str)
-                and isinstance(text if "text" in row else row.get("error"), str)):
-            raise ValueError("not a transcripts row")
-        return cls(row["instance_id"], row["strategy"], base, row.get("model"),
+        text = row.get("text")
+        return cls(row["instance_id"], row["strategy"], row.get("label_base"), row.get("model"),
                    row.get("backend"), row.get("prompt_hash"), text,
                    None if text is not None else row["error"])
 
@@ -483,23 +481,22 @@ def run_prompts(
 
     Makes one (transcript, error) pair per bundle. ``error`` is set exactly
     when the prompt failed with a ``ClientError``, and then the transcript
-    carries its message; such a failure never aborts the batch. Without
-    ``sink``, returns the pairs as a list. With it, hands each pair to
-    ``sink`` in input order, as soon as it and every earlier one are done,
-    keeps none and returns None; at most ``_AHEAD_PER_WORKER`` pairs per
-    worker wait for an earlier prompt to finish, and a worker that would
-    make one more waits too.
+    carries its message; such a failure never aborts the batch. Each pair
+    goes to ``sink`` in input order, as soon as it and every earlier one are
+    done. Without a sink, the pairs are appended to a list that is returned;
+    with one, none is kept and None is returned, and at most
+    ``_AHEAD_PER_WORKER`` pairs per worker wait for an earlier prompt to
+    finish: a worker that would make one more waits too.
 
     With ``parallel == 1`` the calling thread sends each prompt, so an
     interrupt stops the request in flight. With ``parallel > 1``,
     ``min(parallel, len(bundles))`` worker threads each take the next bundle
     from one shared index, so at most ``parallel`` requests are in flight,
-    and the calling thread only waits. With a sink, the worker that finishes
-    the next pair in order hands it out, and any done after it, one worker
-    at a time. Any other exception in a worker or in ``sink``, or an
-    interrupt in the calling thread, stops every worker from starting
-    another prompt; all workers are joined, and the first such exception is
-    raised.
+    and the calling thread only waits. The worker that finishes the next
+    pair in order hands it out, and any done after it, one worker at a
+    time. Any other exception in a worker or in ``sink``, or an interrupt in
+    the calling thread, stops every worker from starting another prompt; all
+    workers are joined, and the first such exception is raised.
     """
     if parallel < 1:
         raise ValueError("parallel must be at least 1")
@@ -512,16 +509,18 @@ def run_prompts(
             return Transcript(bundle.instance_id, bundle.strategy.display_name, bundle.label_base,
                               cfg.model, backend.name, error=str(exc)), exc
 
+    results: list[Outcome] = []
+    keep = sink is None
+    if keep:
+        sink = results.append
+
     if parallel == 1 or len(bundles) <= 1:
-        if sink is None:
-            return [one(b) for b in bundles]
         for b in bundles:
             sink(one(b))
-        return None
+        return results if keep else None
     workers = min(parallel, len(bundles))
-    # Without a sink, each worker writes its pair into its slot of the list.
-    results: list = [None] * len(bundles) if sink is None else []
-    ahead = len(bundles) if sink is None else _AHEAD_PER_WORKER * workers
+    # A returned list holds every pair anyway, so its workers never wait.
+    ahead = len(bundles) if keep else _AHEAD_PER_WORKER * workers
     ready: dict[int, Outcome] = {}  # done but not handed out, by position
     lock = threading.Lock()
     done = threading.Condition(lock)  # notified as each worker returns
@@ -544,11 +543,10 @@ def run_prompts(
                 if outcome is None:
                     handing = False
                     return
+                if taken - handed >= ahead:  # a worker may wait for room
+                    room.notify_all()
                 handed += 1
-                room.notify_all()
             sink(outcome)
-
-    finish = results.__setitem__ if sink is None else hand_out
 
     def work() -> None:
         nonlocal taken, finished
@@ -561,7 +559,7 @@ def run_prompts(
                         return
                     i = taken
                     taken += 1
-                finish(i, one(bundles[i]))
+                hand_out(i, one(bundles[i]))
         except BaseException as exc:  # raised again in the calling thread
             with lock:
                 raised.append(exc)
@@ -593,4 +591,4 @@ def run_prompts(
         thread.join()
     if raised:
         raise raised[0]
-    return results if sink is None else None
+    return results if keep else None

@@ -32,9 +32,6 @@ _BRACKET = re.compile(r"[\[{]([^\[\]{}]*)[\]}]", re.DOTALL)
 _ARROW_CHAIN = re.compile(r"\d+(?:\s*(?:->|=>|→|⇒)\s*\d+)+")
 _COMMA_CHAIN = re.compile(r"\d+(?:\s*,\s*\d+)+")
 _PAIR_GAP = re.compile(r"[\s,;]*(?:and\s+)?\Z", re.IGNORECASE)
-_TOKEN_SEP = re.compile(r"[,\s]+")
-_SIGNED = re.compile(r"-?\d+")
-_DIGITS = re.compile(r"\d+")
 
 # Boolean vocabulary. Matches are resolved by taking the one that ends last,
 # breaking ties toward the longer match, so "does not contain a cycle" beats
@@ -90,8 +87,8 @@ def _block_ints(content: str) -> Optional[list[int]]:
     if not stripped:
         return []
     values = []
-    for token in _TOKEN_SEP.split(stripped):
-        if not _SIGNED.fullmatch(token):
+    for token in re.split(r"[,\s]+", stripped):
+        if not re.fullmatch(r"-?\d+", token):
             return None
         values.append(int(token))
     return values
@@ -172,7 +169,7 @@ def _find_node_seq(region: str, is_tail: bool) -> Optional[tuple[int, ...]]:
     ]
     chains = (_ARROW_CHAIN, _COMMA_CHAIN) if is_tail else (_ARROW_CHAIN,)
     candidates += [
-        (m.start(), tuple(int(t) for t in _DIGITS.findall(m.group())))
+        (m.start(), tuple(int(t) for t in re.findall(r"\d+", m.group())))
         for chain in chains
         for m in chain.finditer(region)
     ]
@@ -451,12 +448,9 @@ def write_rows(rows: Iterable[Mapping], path) -> None:
         fh.writelines(map(row_line, rows))
 
 
-_ROW_JSON = json.JSONEncoder(sort_keys=True).encode  # json.dumps builds one per call
-
-
 def row_line(row: Mapping) -> str:
     """One row as a line of a row file: sorted-key JSON and a newline."""
-    return _ROW_JSON(row) + "\n"
+    return json.dumps(row, sort_keys=True) + "\n"
 
 
 def read_rows(path, parse: Callable[[object], _T], what: str) -> Iterator[tuple[int, _T]]:

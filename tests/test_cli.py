@@ -544,6 +544,23 @@ def test_score_rejects_repeated_rows(dataset, tmp_path, capsys):
     assert "duplicate record" in capsys.readouterr().err
 
 
+def test_score_rejects_a_row_repeated_under_another_name_of_its_strategy(dataset, tmp_path,
+                                                                          capsys):
+    # "zero-shot" and "0-shot" name one strategy, so both rows would make one record.
+    run_dir = tmp_path / "run"
+    run_cli("run", "--dataset", dataset, "--backend", "mock:oracle", "--out", run_dir)
+    first = json.loads((run_dir / "transcripts.jsonl").read_text().splitlines()[0])
+    assert first["strategy"] == "0-shot"
+    transcripts = tmp_path / "t.jsonl"
+    transcripts.write_text("".join(json.dumps({**first, "strategy": name}) + "\n"
+                                   for name in ("0-shot", "zero-shot")))
+    out = tmp_path / "r.jsonl"
+    assert run_cli("score", "--dataset", dataset, "--transcripts", transcripts,
+                   "--out", out) == 1
+    assert f"duplicate record for {(first['instance_id'], '0-shot')}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fault", ["duplicate", "unknown"])
 def test_score_that_fails_late_leaves_the_records_file_as_it_was(dataset, tmp_path, fault):
     # Records are written as they are scored, so the failure comes after the
