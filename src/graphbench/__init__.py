@@ -6,68 +6,43 @@ answers -> accuracy tables split by task, graph size, and strategy.
 """
 
 from .client import (
-    Backend,
     CacheMissError,
     ClientError,
     HttpChatBackend,
     MalformedResponseError,
-    MockAdversaryBackend,
-    MockOracleBackend,
     ModelConfig,
     RateLimitedError,
-    ReplayBackend,
     RequestTimeout,
     ResponseCache,
     Transcript,
-    cache_key,
-    complete,
     make_backend,
     run_prompts,
 )
 from .dataset import (
     DatasetFormatError,
-    DatasetManifest,
-    GRAPHS_PER_CELL,
     TaskInstance,
     assemble_dataset,
     build_instances,
     content_digest,
-    instances_by_id,
     load_dataset,
-    load_manifest,
     save_dataset,
-    save_manifest,
-    verify_gold_answers,
-    write_dataset,
 )
 from .evaluate import (
     EvalRecord,
     ExtractionFailed,
-    FailureKind,
     Report,
     aggregate_report,
-    emit_report,
     evaluate_response,
-    extract_answer,
-    format_percent,
-    load_records,
-    read_rows,
     render_csv,
     render_markdown,
-    save_records,
-    score_instance,
-    write_rows,
 )
 from .graphs import (
     ALL_BUCKETS,
-    BUCKETS,
     GeneratorConfig,
     Graph,
-    LARGE,
     MEDIUM,
     SMALL,
     SizeBucket,
-    derive_instance_seed,
     derive_seed,
     gen_er,
     gen_er_dag,
@@ -75,19 +50,16 @@ from .graphs import (
 )
 from .oracles import (
     Answer,
-    AnswerKind,
     CycleDetectedError,
     OracleError,
     UnknownNodeError,
     UnreachableError,
     connected_components,
     degree,
-    edge_count,
     gold_answer,
     has_cycle,
     is_bipartite,
     neighbors,
-    node_count,
     shortest_path_length,
     spanning_forest,
     topo_order,
@@ -95,30 +67,17 @@ from .oracles import (
     validate_topo_order,
 )
 from .prompts import (
-    BAG_SENTENCE,
-    DEFAULT_EXEMPLAR_SEED,
     PromptBundle,
     PseudocodeStyle,
     Strategy,
-    StrategyKind,
-    ZERO_COT_SENTENCE,
-    build_exemplars,
-    encode_edge_list,
-    format_answer,
-    parse_strategy,
-    pseudocode_assets,
     pseudocode_for,
     render_prompt,
     standard_strategies,
 )
 from .tasks import (
-    ALL_TASKS,
-    KIND_SPECS,
-    QUERIES_PER_GRAPH,
     TASK_SPECS,
-    KindSpec,
+    AnswerKind,
     Task,
-    TaskSpec,
 )
 
 __version__ = "0.1.0"

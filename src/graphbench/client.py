@@ -358,43 +358,28 @@ class MockAdversaryBackend(Backend):
 
     @staticmethod
     def _corrupt(inst: TaskInstance) -> Answer:
-        gold = inst.gold
-        if gold.kind is AnswerKind.INT:
-            return Answer.integer(int(gold.value) + 1)
-        if gold.kind is AnswerKind.BOOL:
-            return Answer.boolean(not gold.value)
-        if gold.kind is AnswerKind.NODE_SET:
+        kind, value = inst.gold.kind, inst.gold.value
+        if kind is AnswerKind.INT:
+            value = int(value) + 1
+        elif kind is AnswerKind.BOOL:
+            value = not value
+        elif kind is AnswerKind.NODE_SET:
             # Toggle membership of a node that is not the queried node, so
             # the result is never accidentally equal to the true set.
-            queried = set(inst.query)
-            flip = 0 if 0 not in queried else 1
-            members = set(gold.value)
-            members.symmetric_difference_update({flip})
-            return Answer.node_set(members)
-        if gold.kind is AnswerKind.NODE_SEQ:
-            return MockAdversaryBackend._corrupt_order(inst)
-        if gold.kind is AnswerKind.EDGE_SET:
-            edges = set(gold.value)
-            if edges:
-                edges.remove(min(edges))
-            else:
-                edges.add((0, 1))
-            return Answer.edge_set(edges)
-        raise ClientError(f"unsupported answer kind {gold.kind}")
-
-    @staticmethod
-    def _corrupt_order(inst: TaskInstance) -> Answer:
-        g = inst.graph
-        order = inst.gold.value
-        if g.edge_count > 0:
+            value = set(value) ^ {1 if 0 in inst.query else 0}
+        elif kind is AnswerKind.NODE_SEQ and inst.graph.edge_count > 0:
             # Reversing a valid order violates at least one edge.
-            bad = tuple(reversed(order))
-            assert not validate_topo_order(g, bad)
-            return Answer.node_seq(bad)
-        # No edges: every permutation is valid, so break the permutation
-        # property instead.
-        bad = (order[0],) + order[:-1] if len(order) > 1 else (order[0], order[0])
-        return Answer.node_seq(bad)
+            value = tuple(reversed(value))
+            assert not validate_topo_order(inst.graph, value)
+        elif kind is AnswerKind.NODE_SEQ:
+            # No edges: every permutation is valid, so break the permutation
+            # property instead.
+            value = (value[0],) + value[:-1] if len(value) > 1 else (value[0], value[0])
+        elif kind is AnswerKind.EDGE_SET:
+            value = set(value) - {min(value)} if value else {(0, 1)}
+        else:
+            raise ClientError(f"unsupported answer kind {kind}")
+        return Answer.of(kind, value)
 
 
 class ReplayBackend(Backend):

@@ -32,6 +32,9 @@ _BRACKET = re.compile(r"[\[{]([^\[\]{}]*)[\]}]", re.DOTALL)
 _ARROW_CHAIN = re.compile(r"\d+(?:\s*(?:->|=>|→|⇒)\s*\d+)+")
 _COMMA_CHAIN = re.compile(r"\d+(?:\s*,\s*\d+)+")
 _PAIR_GAP = re.compile(r"[\s,;]*(?:and\s+)?\Z", re.IGNORECASE)
+_TOKEN_GAP = re.compile(r"[,\s]+")
+_SIGNED = re.compile(r"-?\d+")
+_DIGITS = re.compile(r"\d+")
 
 # Boolean vocabulary. Matches are resolved by taking the one that ends last,
 # breaking ties toward the longer match, so "does not contain a cycle" beats
@@ -87,8 +90,8 @@ def _block_ints(content: str) -> Optional[list[int]]:
     if not stripped:
         return []
     values = []
-    for token in re.split(r"[,\s]+", stripped):
-        if not re.fullmatch(r"-?\d+", token):
+    for token in _TOKEN_GAP.split(stripped):
+        if not _SIGNED.fullmatch(token):
             return None
         values.append(int(token))
     return values
@@ -169,7 +172,7 @@ def _find_node_seq(region: str, is_tail: bool) -> Optional[tuple[int, ...]]:
     ]
     chains = (_ARROW_CHAIN, _COMMA_CHAIN) if is_tail else (_ARROW_CHAIN,)
     candidates += [
-        (m.start(), tuple(int(t) for t in re.findall(r"\d+", m.group())))
+        (m.start(), tuple(int(t) for t in _DIGITS.findall(m.group())))
         for chain in chains
         for m in chain.finditer(region)
     ]

@@ -35,7 +35,7 @@ class CycleDetectedError(OracleError):
 @dataclass(frozen=True, slots=True)
 class Answer:
     """Typed task answer: an integer, a boolean, a node set, a node sequence,
-    or an edge set, depending on the task."""
+    or an edge set, depending on the task. ``of`` builds each kind."""
 
     kind: AnswerKind
     value: object
@@ -62,26 +62,6 @@ class Answer:
             items = ([u + shift for u in items] if spec.labels == 1
                      else [(u + shift, v + shift) for u, v in items])
         return items
-
-    @classmethod
-    def integer(cls, value: int) -> "Answer":
-        return cls.of(AnswerKind.INT, value)
-
-    @classmethod
-    def boolean(cls, value: bool) -> "Answer":
-        return cls.of(AnswerKind.BOOL, value)
-
-    @classmethod
-    def node_set(cls, nodes: Iterable[int]) -> "Answer":
-        return cls.of(AnswerKind.NODE_SET, nodes)
-
-    @classmethod
-    def node_seq(cls, nodes: Iterable[int]) -> "Answer":
-        return cls.of(AnswerKind.NODE_SEQ, nodes)
-
-    @classmethod
-    def edge_set(cls, edges: Iterable[Sequence[int]]) -> "Answer":
-        return cls.of(AnswerKind.EDGE_SET, edges)
 
 
 def _merge(parent: list[int], edges: Iterable[Edge]) -> list[Edge]:

@@ -19,7 +19,7 @@ from enum import Enum
 from importlib import resources
 
 from .dataset import PairText, TaskInstance, build_instances
-from .graphs import Graph, SizeBucket
+from .graphs import Graph, SizeBucket, _last_graph_memo
 from .oracles import Answer
 from .tasks import KIND_SPECS, TASK_SPECS, AnswerKind, Task
 
@@ -128,10 +128,11 @@ def parse_strategy(token: str, shots: int = 1, style: PseudocodeStyle = Pseudoco
         return Strategy.zero_cot()
     if t == "pseudo":
         return Strategy.pseudo(style)
-    if t in ("pseudo-k-shot", "pseudo-shot") or (t.startswith("pseudo+") and t.endswith("-shot")):
-        middle = t[len("pseudo+") : -len("-shot")] if t.startswith("pseudo+") else ""
-        k = int(middle) if middle.isdigit() else shots
-        return Strategy.pseudo_k_shot(style, k)
+    if t in ("pseudo-k-shot", "pseudo-shot", "pseudo+k-shot"):
+        return Strategy.pseudo_k_shot(style, shots)
+    k = t.removeprefix("pseudo+").removesuffix("-shot")
+    if t == f"pseudo+{k}-shot" and k.isdigit():
+        return Strategy.pseudo_k_shot(style, int(k))
     raise ValueError(f"unknown strategy {token!r}")
 
 
@@ -274,22 +275,11 @@ def _head(
     return "\n\n".join(sections)
 
 
-def _edge_list_section(g: Graph, label_base: int) -> str:
-    """``encode_edge_list(g, label_base)``, kept for the last graph and label
-    base in ``.last``.
-
-    Unlike a cell's head, an edge list serves only its graph's few queries,
-    which are adjacent in dataset order. The entry is keyed by the graph's
-    identity, so no read hashes an edge tuple, and it is replaced in one
-    assignment, so parallel workers never see a half-written entry."""
-    held, base, text = _edge_list_section.last
-    if held is not g or base != label_base:
-        text = encode_edge_list(g, label_base)
-        _edge_list_section.last = (g, label_base, text)
-    return text
-
-
-_edge_list_section.last = (None, None, "")
+#: ``encode_edge_list(g, base)`` for base 0 and 1, each keeping its last graph's
+#: text. Unlike a cell's head, an edge list serves only its graph's few queries,
+#: which are adjacent in dataset order.
+_EDGE_LISTS = tuple(_last_graph_memo(functools.partial(encode_edge_list, label_base=base))
+                    for base in (0, 1))
 
 
 @dataclass(frozen=True, slots=True)
@@ -315,7 +305,7 @@ class PromptBundle:
         """The instance's section: edge list, question and answer-format line."""
         inst, base = self.instance, self.label_base
         return (
-            f"{_edge_list_section(inst.graph, base)}\n"
+            f"{_EDGE_LISTS[base](inst.graph)}\n"
             f"{question_for(inst.task, inst.query, base)}\n"
             f"{answer_format_line(inst.task)}"
         )

@@ -26,11 +26,8 @@ from bruteforce import (
 from conftest import FIXTURES, GOLDEN
 from graphbench import (
     ALL_BUCKETS,
-    ALL_TASKS,
-    BAG_SENTENCE,
     ExtractionFailed,
     GeneratorConfig,
-    LARGE,
     MEDIUM,
     PseudocodeStyle,
     SMALL,
@@ -38,20 +35,16 @@ from graphbench import (
     Strategy,
     TASK_SPECS,
     Task,
-    ZERO_COT_SENTENCE,
     build_instances,
     connected_components,
     degree,
     derive_seed,
-    extract_answer,
     gen_er,
     gen_er_dag,
     has_cycle,
     is_bipartite,
     load_dataset,
-    load_records,
     neighbors,
-    pseudocode_assets,
     render_prompt,
     shortest_path_length,
     spanning_forest,
@@ -60,7 +53,11 @@ from graphbench import (
     validate_topo_order,
 )
 from graphbench.cli import main as cli_main
+from graphbench.evaluate import extract_answer, load_records
+from graphbench.graphs import LARGE
 from graphbench.oracles import UnreachableError
+from graphbench.prompts import BAG_SENTENCE, ZERO_COT_SENTENCE, pseudocode_assets
+from graphbench.tasks import ALL_TASKS
 
 
 def run_cli(*argv):

@@ -17,11 +17,12 @@ import pytest
 
 import graphbench.cli
 import graphbench.dataset as ds
-from graphbench import (MEDIUM, SMALL, Answer, Graph, ModelConfig, PromptBundle, Strategy, Task,
-                        assemble_dataset, cache_key, evaluate_response, load_records,
-                        make_backend, render_prompt, run_prompts)
+from graphbench import (MEDIUM, SMALL, Answer, AnswerKind, Graph, ModelConfig, PromptBundle,
+                        Strategy, Task, assemble_dataset, evaluate_response, make_backend,
+                        render_prompt, run_prompts)
 from graphbench.cli import main
-from graphbench.client import MockOracleBackend
+from graphbench.client import MockOracleBackend, cache_key
+from graphbench.evaluate import load_records
 from graphbench.oracles import spanning_forest
 
 from conftest import FIXTURES, instance_line, subprocess_env
@@ -561,6 +562,40 @@ def test_score_rejects_a_row_repeated_under_another_name_of_its_strategy(dataset
     assert not out.exists()
 
 
+@pytest.mark.parametrize("token, run_k, score_k", [
+    ("pseudo+k-shot", 3, 1), ("pseudo+2-shot", 2, 2), ("pseudo+05-shot", 5, 5),
+    ("pseudo+foo-shot", None, None), ("pseudo+-shot", None, None), ("pseudo+ 3-shot", None, None),
+])
+def test_pseudo_k_shot_takes_only_digits_or_k_between_plus_and_shot(dataset, tmp_path, capsys,
+                                                                     token, run_k, score_k):
+    # Any other middle once read as Pseudo+{--shots}-shot: run ran it, and
+    # score rewrote a row's strategy to it. Score parses with one shot.
+    run_dir = tmp_path / "run"
+    code = run_cli("run", "--dataset", dataset, "--backend", "mock:oracle", "--tasks",
+                   "edge_count", "--limit", 1, "--strategy", token, "--shots", 3, "--out", run_dir)
+    if run_k is None:
+        assert code == 1 and not run_dir.exists()
+        assert capsys.readouterr().err == f"error: unknown strategy {token!r}\n"
+    else:
+        assert code == 0
+        summary = json.loads((run_dir / "summary.json").read_text())
+        assert summary["strategy"] == f"Pseudo+{run_k}-shot"
+    base = tmp_path / "base"
+    assert run_cli("run", "--dataset", dataset, "--backend", "mock:oracle", "--tasks",
+                   "edge_count", "--limit", 1, "--out", base) == 0
+    row = json.loads((base / "transcripts.jsonl").read_text())
+    transcripts, out = tmp_path / "t.jsonl", tmp_path / "r.jsonl"
+    transcripts.write_text(json.dumps({**row, "strategy": token}) + "\n")
+    capsys.readouterr()
+    code = run_cli("score", "--dataset", dataset, "--transcripts", transcripts, "--out", out)
+    if score_k is None:
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err == f"error: unknown strategy {token!r}\n"
+    else:
+        assert code == 0
+        assert json.loads(out.read_text())["strategy"] == f"Pseudo+{score_k}-shot"
+
+
 @pytest.mark.parametrize("fault", ["duplicate", "unknown"])
 def test_score_that_fails_late_leaves_the_records_file_as_it_was(dataset, tmp_path, fault):
     # Records are written as they are scored, so the failure comes after the
@@ -1007,7 +1042,7 @@ def test_run_rejects_a_gold_of_the_wrong_kind(tmp_path, capsys):
     header, *rows = [json.loads(line) for line in path.read_text().splitlines()]
     rows[0]["gold"] = {"kind": "node_seq", "value": list(range(rows[0]["graph"]["n"]))}
     forest = spanning_forest(Graph.from_edges(rows[1]["graph"]["n"], rows[1]["graph"]["edges"]))
-    rows[1]["gold"] = ds.answer_to_json(Answer.edge_set(forest))
+    rows[1]["gold"] = ds.answer_to_json(Answer.of(AnswerKind.EDGE_SET, forest))
     path.write_text(json.dumps(header) + "\n" + "".join(instance_line(row) + "\n" for row in rows))
     capsys.readouterr()
     out = tmp_path / "run"

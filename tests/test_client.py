@@ -20,13 +20,10 @@ from graphbench import (
     ClientError,
     HttpChatBackend,
     MalformedResponseError,
-    MockAdversaryBackend,
-    MockOracleBackend,
     ModelConfig,
     PromptBundle,
     PseudocodeStyle,
     RateLimitedError,
-    ReplayBackend,
     RequestTimeout,
     ResponseCache,
     SMALL,
@@ -34,14 +31,19 @@ from graphbench import (
     Task,
     Transcript,
     build_instances,
-    cache_key,
-    complete,
     evaluate_response,
-    extract_answer,
     make_backend,
     render_prompt,
     run_prompts,
 )
+from graphbench.client import (
+    MockAdversaryBackend,
+    MockOracleBackend,
+    ReplayBackend,
+    cache_key,
+    complete,
+)
+from graphbench.evaluate import extract_answer
 
 from conftest import subprocess_env
 

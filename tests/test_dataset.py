@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from graphbench import (
     ALL_BUCKETS,
-    ALL_TASKS,
+    AnswerKind,
     DatasetFormatError,
     Graph,
     MEDIUM,
@@ -25,20 +25,25 @@ from graphbench import (
     connected_components,
     content_digest,
     gold_answer,
-    instances_by_id,
     is_bipartite,
     load_dataset,
-    load_manifest,
     save_dataset,
-    save_manifest,
     topo_order,
+)
+import graphbench.dataset as ds
+from graphbench.dataset import (
+    TaskInstance,
+    _graph_for_instance,
+    answer_to_json,
+    instances_by_id,
+    load_manifest,
+    save_manifest,
     verify_gold_answers,
     write_dataset,
 )
-import graphbench.dataset as ds
-from graphbench.dataset import TaskInstance, _graph_for_instance, answer_to_json
 from graphbench.graphs import SizeBucket, derive_instance_seed
 from graphbench.oracles import Answer, spanning_forest
+from graphbench.tasks import ALL_TASKS
 
 from conftest import instance_line
 
@@ -403,7 +408,7 @@ def _gold_as_node_seq(row):
 def _gold_as_forest(row):
     # The right kind for MST, the wrong one for cycle check.
     g = Graph.from_edges(row["graph"]["n"], row["graph"]["edges"])
-    row["gold"] = answer_to_json(Answer.edge_set(spanning_forest(g)))
+    row["gold"] = answer_to_json(Answer.of(AnswerKind.EDGE_SET, spanning_forest(g)))
 
 
 def _query_out_of_range(row):
@@ -459,7 +464,7 @@ def test_verify_accepts_alternate_valid_forest():
     assert alternate is not None, "dense graph should admit a second forest"
     swapped = TaskInstance(
         id=inst.id, task=inst.task, bucket=inst.bucket, graph=inst.graph,
-        query=inst.query, gold=Answer.edge_set(alternate), seed=inst.seed,
+        query=inst.query, gold=Answer.of(AnswerKind.EDGE_SET, alternate), seed=inst.seed,
     )
     verify_gold_answers([swapped])
 

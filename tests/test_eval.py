@@ -7,28 +7,30 @@ import pytest
 from conftest import make_graph
 from graphbench import (
     Answer,
+    AnswerKind,
     EvalRecord,
-    FailureKind,
     SMALL,
     Strategy,
     Task,
     aggregate_report,
     assemble_dataset,
     build_instances,
-    emit_report,
     evaluate_response,
+    render_csv,
+    render_markdown,
+    validate_spanning_tree,
+)
+from graphbench.dataset import TaskInstance, verify_gold_answers
+from graphbench.evaluate import (
+    FailureKind,
+    emit_report,
     format_percent,
     load_records,
     read_rows,
-    render_csv,
-    render_markdown,
     save_records,
     score_instance,
-    validate_spanning_tree,
-    verify_gold_answers,
     write_rows,
 )
-from graphbench.dataset import TaskInstance
 from graphbench.oracles import gold_answer
 
 
@@ -54,16 +56,16 @@ def manual_instance(task, graph, query=(), gold=None):
 def test_score_int_and_bool():
     inst = instance_for(Task.EDGE_COUNT)
     assert score_instance(inst, inst.gold)
-    assert not score_instance(inst, Answer.integer(inst.gold.value + 1))
+    assert not score_instance(inst, Answer.of(AnswerKind.INT, inst.gold.value + 1))
     cyc = instance_for(Task.CYCLE_CHECK)
     assert score_instance(cyc, cyc.gold)
-    assert not score_instance(cyc, Answer.boolean(not cyc.gold.value))
+    assert not score_instance(cyc, Answer.of(AnswerKind.BOOL, not cyc.gold.value))
 
 
 def test_score_node_set():
     inst = instance_for(Task.NEIGHBORS)
     assert score_instance(inst, inst.gold)
-    assert not score_instance(inst, Answer.node_set(set(inst.gold.value) ^ {0, 1}))
+    assert not score_instance(inst, Answer.of(AnswerKind.NODE_SET, set(inst.gold.value) ^ {0, 1}))
 
 
 def test_score_accepts_every_verified_gold():
@@ -79,43 +81,44 @@ def test_score_accepts_every_verified_gold():
 def test_score_rejects_kind_mismatch():
     inst = instance_for(Task.EDGE_COUNT)
     with pytest.raises(ValueError):
-        score_instance(inst, Answer.boolean(True))
+        score_instance(inst, Answer.of(AnswerKind.BOOL, True))
 
 
 def test_score_accepts_any_valid_topo_order():
     dag = make_graph(4, [(0, 2), (1, 3)], directed=True)
     inst = manual_instance(Task.TOPOLOGICAL_SORT, dag)
     # two different valid orders, both 1-based on the surface
-    assert score_instance(inst, Answer.node_seq([1, 2, 3, 4]))
-    assert score_instance(inst, Answer.node_seq([2, 1, 4, 3]))
-    assert not score_instance(inst, Answer.node_seq([3, 1, 2, 4]))
-    assert not score_instance(inst, Answer.node_seq([1, 2, 3]))
+    assert score_instance(inst, Answer.of(AnswerKind.NODE_SEQ, [1, 2, 3, 4]))
+    assert score_instance(inst, Answer.of(AnswerKind.NODE_SEQ, [2, 1, 4, 3]))
+    assert not score_instance(inst, Answer.of(AnswerKind.NODE_SEQ, [3, 1, 2, 4]))
+    assert not score_instance(inst, Answer.of(AnswerKind.NODE_SEQ, [1, 2, 3]))
 
 
 def test_score_topo_respects_label_base():
     dag = make_graph(3, [(0, 1), (1, 2)], directed=True)
     inst = manual_instance(Task.TOPOLOGICAL_SORT, dag)
-    assert score_instance(inst, Answer.node_seq([1, 2, 3]))  # default base 1
-    assert score_instance(inst, Answer.node_seq([0, 1, 2]), label_base=0)
-    assert not score_instance(inst, Answer.node_seq([0, 1, 2]))
+    assert score_instance(inst, Answer.of(AnswerKind.NODE_SEQ, [1, 2, 3]))  # default base 1
+    assert score_instance(inst, Answer.of(AnswerKind.NODE_SEQ, [0, 1, 2]), label_base=0)
+    assert not score_instance(inst, Answer.of(AnswerKind.NODE_SEQ, [0, 1, 2]))
 
 
 def test_score_accepts_any_valid_spanning_tree():
     square = make_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     inst = manual_instance(Task.MST, square)
-    assert score_instance(inst, Answer.edge_set([(0, 1), (1, 2), (2, 3)]))
-    assert score_instance(inst, Answer.edge_set([(0, 1), (1, 2), (0, 3)]))
-    assert not score_instance(inst, Answer.edge_set([(0, 1), (1, 2), (2, 3), (0, 3)]))
-    assert not score_instance(inst, Answer.edge_set([(0, 1), (1, 2)]))
+    assert score_instance(inst, Answer.of(AnswerKind.EDGE_SET, [(0, 1), (1, 2), (2, 3)]))
+    assert score_instance(inst, Answer.of(AnswerKind.EDGE_SET, [(0, 1), (1, 2), (0, 3)]))
+    four = [(0, 1), (1, 2), (2, 3), (0, 3)]
+    assert not score_instance(inst, Answer.of(AnswerKind.EDGE_SET, four))
+    assert not score_instance(inst, Answer.of(AnswerKind.EDGE_SET, [(0, 1), (1, 2)]))
     assert validate_spanning_tree(square, set(inst.gold.value))
 
 
 def test_score_node_set_with_label_base_one():
     path = make_graph(3, [(0, 1), (1, 2)])
     inst = manual_instance(Task.NEIGHBORS, path, query=(1,))
-    assert score_instance(inst, Answer.node_set({0, 2}))
-    assert score_instance(inst, Answer.node_set({1, 3}), label_base=1)
-    assert not score_instance(inst, Answer.node_set({1, 3}))
+    assert score_instance(inst, Answer.of(AnswerKind.NODE_SET, {0, 2}))
+    assert score_instance(inst, Answer.of(AnswerKind.NODE_SET, {1, 3}), label_base=1)
+    assert not score_instance(inst, Answer.of(AnswerKind.NODE_SET, {1, 3}))
 
 
 # --- evaluate_response -----------------------------------------------------------------

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES
-from graphbench import ALL_TASKS, TASK_SPECS, AnswerKind, ExtractionFailed, Task, extract_answer
+from graphbench import TASK_SPECS, AnswerKind, ExtractionFailed, Task
+from graphbench.evaluate import extract_answer
+from graphbench.tasks import ALL_TASKS
 
 
 def load_corpus():

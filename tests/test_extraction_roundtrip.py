@@ -17,15 +17,11 @@ import random
 
 import pytest
 
-from graphbench import (
-    ALL_TASKS,
-    Answer,
-    MockAdversaryBackend,
-    assemble_dataset,
-    extract_answer,
-    score_instance,
-)
+from graphbench import Answer, AnswerKind, assemble_dataset
+from graphbench.client import MockAdversaryBackend
+from graphbench.evaluate import extract_answer, score_instance
 from graphbench.prompts import format_answer
+from graphbench.tasks import ALL_TASKS
 
 SEED = 20240
 LABEL_BASES = (0, 1)
@@ -118,7 +114,7 @@ def test_prose_holds_no_answer():
 
 def test_placements_put_the_answer_where_they_say():
     rng = random.Random(SEED)
-    rendered = format_answer(Answer.integer(123456))
+    rendered = format_answer(Answer.of(AnswerKind.INT, 123456))
     for _ in range(200):
         for placement in ("window", "before-window", "straddle"):
             text = _wrap(rng, rendered, placement)

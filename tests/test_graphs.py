@@ -4,15 +4,12 @@ import pytest
 
 from graphbench import (
     ALL_BUCKETS,
-    ALL_TASKS,
     GeneratorConfig,
     Graph,
-    LARGE,
     MEDIUM,
     SMALL,
     SizeBucket,
     Task,
-    derive_instance_seed,
     derive_seed,
     gen_er,
     gen_er_dag,
@@ -20,7 +17,8 @@ from graphbench import (
     is_bipartite,
     topo_order,
 )
-from graphbench.graphs import _shuffled, _uniform_int, sample_distinct
+from graphbench.graphs import LARGE, _shuffled, _uniform_int, derive_instance_seed, sample_distinct
+from graphbench.tasks import ALL_TASKS
 from reference_generators import reference_gen_er, reference_gen_random_bipartite
 
 # 99.9th percentile of chi-squared with 6 degrees of freedom (7 size bins).

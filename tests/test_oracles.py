@@ -60,10 +60,10 @@ def random_graphs(count, label, bucket=TINY, p_range=(0.0, 1.0)):
 
 
 def test_counts(triangle, two_components, no_edges):
-    assert gold_answer(Task.NODE_COUNT, triangle) == Answer.integer(3)
-    assert gold_answer(Task.EDGE_COUNT, triangle) == Answer.integer(3)
-    assert gold_answer(Task.NODE_COUNT, no_edges) == Answer.integer(4)
-    assert gold_answer(Task.EDGE_COUNT, no_edges) == Answer.integer(0)
+    assert gold_answer(Task.NODE_COUNT, triangle) == Answer.of(AnswerKind.INT, 3)
+    assert gold_answer(Task.EDGE_COUNT, triangle) == Answer.of(AnswerKind.INT, 3)
+    assert gold_answer(Task.NODE_COUNT, no_edges) == Answer.of(AnswerKind.INT, 4)
+    assert gold_answer(Task.EDGE_COUNT, no_edges) == Answer.of(AnswerKind.INT, 0)
     assert connected_components(two_components) == 2
     assert connected_components(no_edges) == 4
 
@@ -267,16 +267,13 @@ def test_gold_answer_kinds():
     assert gold_answer(Task.NEIGHBORS, g, (1,)).kind is AnswerKind.NODE_SET
     dag = make_graph(3, [(0, 2)], directed=True)
     assert gold_answer(Task.TOPOLOGICAL_SORT, dag).kind is AnswerKind.NODE_SEQ
-    # Every task's oracle gives its spec's kind, and a value its kind's
-    # normalising constructor leaves as it is.
-    normalise = {AnswerKind.INT: Answer.integer, AnswerKind.BOOL: Answer.boolean,
-                 AnswerKind.NODE_SET: Answer.node_set, AnswerKind.NODE_SEQ: Answer.node_seq,
-                 AnswerKind.EDGE_SET: Answer.edge_set}
+    # Every task's oracle gives its spec's kind, and a value that ``Answer.of``
+    # leaves as it is.
     for task, spec in TASK_SPECS.items():
         inst = build_instances(task, SMALL, master_seed=0, graph_count=1)[0]
         gold = gold_answer(task, inst.graph, inst.query)
         assert gold.kind is spec.answer_kind
-        normal = normalise[spec.answer_kind](gold.value)
+        normal = Answer.of(spec.answer_kind, gold.value)
         assert normal == gold and type(normal.value) is type(gold.value)
 
 

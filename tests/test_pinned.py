@@ -28,11 +28,11 @@ from graphbench import (
     Strategy,
     assemble_dataset,
     load_dataset,
-    load_manifest,
     render_prompt,
     standard_strategies,
 )
 from graphbench.cli import main, run_prompts
+from graphbench.dataset import load_manifest
 
 PINNED_JSON = Path(__file__).resolve().parents[1] / "perfbench" / "pinned.json"
 #: ``run``'s strategy flags in the benchmark workloads that ``pinned.json``

@@ -6,29 +6,31 @@ import pytest
 from conftest import GOLDEN
 from graphbench import (
     ALL_BUCKETS,
-    ALL_TASKS,
-    BAG_SENTENCE,
-    DEFAULT_EXEMPLAR_SEED,
+    AnswerKind,
     Graph,
     PseudocodeStyle,
     SMALL,
     Strategy,
-    StrategyKind,
     Task,
-    ZERO_COT_SENTENCE,
-    build_exemplars,
     build_instances,
-    encode_edge_list,
-    format_answer,
-    parse_strategy,
-    pseudocode_assets,
     pseudocode_for,
     render_prompt,
     standard_strategies,
 )
 from graphbench import prompts
 from graphbench.oracles import Answer
-from graphbench.tasks import TASK_SPECS
+from graphbench.prompts import (
+    BAG_SENTENCE,
+    DEFAULT_EXEMPLAR_SEED,
+    StrategyKind,
+    ZERO_COT_SENTENCE,
+    build_exemplars,
+    encode_edge_list,
+    format_answer,
+    parse_strategy,
+    pseudocode_assets,
+)
+from graphbench.tasks import ALL_TASKS, TASK_SPECS
 
 
 def first_instance(task, seed=0):
@@ -144,7 +146,8 @@ def test_k_shot_has_k_examples():
 
 
 def test_exemplars_have_correct_answers():
-    from graphbench import extract_answer, gold_answer
+    from graphbench import gold_answer
+    from graphbench.evaluate import extract_answer
 
     for task in (Task.EDGE_COUNT, Task.CYCLE_CHECK, Task.NEIGHBORS):
         for question, answer in build_exemplars(task, SMALL, 3):
@@ -265,7 +268,7 @@ def test_cell_sections_are_built_once_per_process(monkeypatch):
 
 
 def test_edge_list_memo_matches_encode_edge_list():
-    # The memo is keyed by identity and label base: equal graphs held as
+    # One memo per label base, each keyed by identity: equal graphs held as
     # distinct objects, a directed and an undirected graph over one edge set,
     # and one graph in two label bases must each get their own text.
     edges = [(0, 1), (1, 2), (0, 2)]
@@ -273,17 +276,19 @@ def test_edge_list_memo_matches_encode_edge_list():
               Graph.from_edges(3, edges), Graph.from_edges(3, edges, directed=True)]
     assert graphs[0] == graphs[2] and graphs[0] is not graphs[2]
     inst = first_instance(Task.EDGE_COUNT)
-    prompts._edge_list_section.last = (None, None, "")
+    for memo in prompts._EDGE_LISTS:
+        memo.last = (None, None)
     for _ in range(2):
         for label_base in (0, 1, 0):
             for g in graphs:
                 want = encode_edge_list(g, label_base)
-                assert prompts._edge_list_section(g, label_base) == want
+                assert prompts._EDGE_LISTS[label_base](g) == want
                 text = render_prompt(replace(inst, graph=g), Strategy.zero_shot(), label_base=label_base).text
                 assert f"\n\n{want}\n" in text, (g, label_base)
-    # One entry: only the last graph is held.
-    assert prompts._edge_list_section.last[:2] == (graphs[-1], 0)
-    assert prompts._edge_list_section.last[0] is graphs[-1]
+    # One entry per base: only the last graph is held.
+    assert [memo.last for memo in prompts._EDGE_LISTS] == [
+        (graphs[-1], encode_edge_list(graphs[-1], base)) for base in (0, 1)]
+    assert all(memo.last[0] is graphs[-1] for memo in prompts._EDGE_LISTS)
 
 
 @pytest.mark.parametrize("label_base", [2, -1, True, 1.0])
@@ -403,11 +408,11 @@ def test_question_text_at_both_label_bases(task, query, base, expected):
 
 
 def test_format_answer_shifts_labels():
-    assert format_answer(Answer.node_seq([0, 2, 1]), 1) == "[1, 3, 2]"
-    assert format_answer(Answer.node_set([2, 0]), 0) == "[0, 2]"
-    assert format_answer(Answer.edge_set([(0, 1)]), 1) == "[(1, 2)]"
-    assert format_answer(Answer.integer(7), 1) == "7"  # counts never shift
-    assert format_answer(Answer.boolean(True), 0) == "Yes"
+    assert format_answer(Answer.of(AnswerKind.NODE_SEQ, [0, 2, 1]), 1) == "[1, 3, 2]"
+    assert format_answer(Answer.of(AnswerKind.NODE_SET, [2, 0]), 0) == "[0, 2]"
+    assert format_answer(Answer.of(AnswerKind.EDGE_SET, [(0, 1)]), 1) == "[(1, 2)]"
+    assert format_answer(Answer.of(AnswerKind.INT, 7), 1) == "7"  # counts never shift
+    assert format_answer(Answer.of(AnswerKind.BOOL, True), 0) == "Yes"
 
 
 def test_prompt_ends_with_format_line():

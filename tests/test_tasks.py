@@ -3,9 +3,11 @@ import string
 
 import pytest
 
-from graphbench import (ALL_TASKS, KIND_SPECS, QUERIES_PER_GRAPH, TASK_SPECS, Answer, AnswerKind,
-                        KindSpec, Task, assemble_dataset, extract_answer, format_answer)
+from graphbench import TASK_SPECS, Answer, AnswerKind, Task, assemble_dataset
 from graphbench.dataset import answer_from_json, answer_to_json
+from graphbench.evaluate import extract_answer
+from graphbench.prompts import format_answer
+from graphbench.tasks import ALL_TASKS, KIND_SPECS, QUERIES_PER_GRAPH, KindSpec
 
 
 def test_ten_tasks():
@@ -63,7 +65,7 @@ def _answers_of_every_kind():
     graph is empty, so neither is any node ordering."""
     _, instances = assemble_dataset(0, graphs_per_cell=1)
     answers = [inst.gold for inst in instances]
-    answers += [Answer.node_set([]), Answer.edge_set([])]
+    answers += [Answer.of(AnswerKind.NODE_SET, []), Answer.of(AnswerKind.EDGE_SET, [])]
     assert {a.kind for a in answers} == set(AnswerKind)
     return answers
 
@@ -109,9 +111,10 @@ def test_listed_is_the_stored_order():
         if spec.labels:
             assert type(listed) is list
             assert listed == (list(answer.value) if spec.ordered else sorted(answer.value))
-    seq = Answer.node_seq([3, 0, 2])
-    assert seq.listed(1) == [4, 1, 3] and Answer.node_set([3, 0, 2]).listed(1) == [1, 3, 4]
-    assert Answer.edge_set([(2, 3), (0, 1)]).listed(1) == [(1, 2), (3, 4)]
+    seq = Answer.of(AnswerKind.NODE_SEQ, [3, 0, 2])
+    assert seq.listed(1) == [4, 1, 3]
+    assert Answer.of(AnswerKind.NODE_SET, [3, 0, 2]).listed(1) == [1, 3, 4]
+    assert Answer.of(AnswerKind.EDGE_SET, [(2, 3), (0, 1)]).listed(1) == [(1, 2), (3, 4)]
 
 
 def _same(a, b):
