@@ -215,6 +215,8 @@ def cmd_render(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     strategy = parse_strategy(args.strategy, args.shots, PseudocodeStyle(args.style))
     backend = make_backend(args.backend, cache_path=args.cache, parallel=args.parallel)
+    if args.backend == "http" and not args.endpoint:
+        raise ClientError("http backend requires an endpoint URL")
     instances = _load_for_eval(args)
     if not instances:
         raise SystemExit("error: no instances selected")

@@ -17,7 +17,6 @@ texts once, without a JSON parse (``_read_graph``).
 from __future__ import annotations
 
 import contextlib
-import gc
 import hashlib
 import itertools
 import json
@@ -518,18 +517,6 @@ def load_dataset(path: str | Path, verify: bool = True) -> list[TaskInstance]:
     spelled ``true`` is another text, so it is rejected even next to a line
     that stores the int. Each distinct edge pair is one tuple shared by
     every graph of this load.
-
-    The parse makes hundreds of thousands of objects and no reference cycles,
-    yet every later cyclic collection would walk them all. So when the
-    collector is enabled, load collects once (existing cyclic garbage is
-    still reclaimed), pauses the collector while it parses, and after a
-    successful parse moves every tracked object into the permanent generation
-    with ``gc.freeze()``; reference counting still frees the instances when
-    they are dropped. The caller inherits this: objects that were live at
-    load time are no longer cyclically collected until ``gc.unfreeze()``.
-    The collector's prior state is restored before gold verification runs,
-    also when a line is corrupt. With the collector off, load neither
-    collects nor freezes.
     """
     path = Path(path)
     instances: list[TaskInstance] = []
@@ -552,33 +539,21 @@ def load_dataset(path: str | Path, verify: bool = True) -> list[TaskInstance]:
                 f"schema version mismatch: file has {header.get('schema_version')!r}, "
                 f"expected {SCHEMA_VERSION}"
             )
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.collect()
-        gc.disable()
-        try:
-            for lineno, line in enumerate(f, start=2):
-                if not line.strip():
-                    continue
-                try:
-                    obj, graph_text = _split_line(line)
-                    if graph_text != text:
-                        text, graph = graph_text, _read_graph(graph_text, rows)
-                    inst = TaskInstance.from_json_obj(obj, graph)
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise DatasetFormatError(f"line {lineno}: corrupt instance: {exc}") from exc
-                first = lines_by_id.setdefault(inst.id, lineno)
-                if first != lineno:
-                    raise DatasetFormatError(
-                        f"line {lineno}: instance id {inst.id!r} repeats line {first}")
-                instances.append(inst)
-            if gc_was_enabled:
-                # Before re-enabling: the freeze also resets the allocation
-                # count that would otherwise start a collection at once.
-                gc.freeze()
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+        for lineno, line in enumerate(f, start=2):
+            if not line.strip():
+                continue
+            try:
+                obj, graph_text = _split_line(line)
+                if graph_text != text:
+                    text, graph = graph_text, _read_graph(graph_text, rows)
+                inst = TaskInstance.from_json_obj(obj, graph)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DatasetFormatError(f"line {lineno}: corrupt instance: {exc}") from exc
+            first = lines_by_id.setdefault(inst.id, lineno)
+            if first != lineno:
+                raise DatasetFormatError(
+                    f"line {lineno}: instance id {inst.id!r} repeats line {first}")
+            instances.append(inst)
     if verify:
         verify_gold_answers(instances)
     return instances

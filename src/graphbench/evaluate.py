@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import io
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from pathlib import Path
@@ -324,7 +325,6 @@ class Report:
     buckets: list[str]
     strategies: list[str]
     cells: dict[tuple[str, str, str], tuple[int, int]]
-    failures: dict[str, int] = field(default_factory=dict)
 
     def accuracy(self, task: Task, bucket: str, strategy: str) -> Optional[float]:
         correct, total = self.cells.get((task.value, bucket, strategy), (0, 0))
@@ -339,7 +339,6 @@ def aggregate_report(records: Iterable[EvalRecord]) -> Report:
     one set of instance ids per strategy."""
     seen: dict[str, set[str]] = {}  # instance ids per strategy
     cells: dict[tuple[str, str, str], list[int]] = {}
-    failures: dict[str, int] = {kind.value: 0 for kind in FailureKind}
     tasks: list[Task] = []
     buckets: list[str] = []
     strategies: list[str] = []
@@ -351,7 +350,6 @@ def aggregate_report(records: Iterable[EvalRecord]) -> Report:
         cell = cells.setdefault((rec.task.value, rec.bucket, rec.strategy), [0, 0])
         cell[0] += int(rec.correct)
         cell[1] += 1
-        failures[rec.failure.value] += 1
         if rec.task not in tasks:
             tasks.append(rec.task)
         if rec.bucket not in buckets:
@@ -366,7 +364,6 @@ def aggregate_report(records: Iterable[EvalRecord]) -> Report:
         buckets=buckets,
         strategies=strategies,
         cells={k: (v[0], v[1]) for k, v in cells.items()},
-        failures=failures,
     )
 
 
@@ -424,7 +421,11 @@ def render_markdown(report: Report, flag_best: bool = True) -> str:
 
 def render_csv(report: Report) -> str:
     """Long-form CSV: one row per populated cell, numbers only."""
-    lines = ["strategy,bucket,task,correct,total,accuracy_pct"]
+    import csv  # here, so that runs that write no CSV do not load it
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["strategy", "bucket", "task", "correct", "total", "accuracy_pct"])
     for strategy in report.strategies:
         for bucket in report.buckets:
             for task in report.tasks:
@@ -432,8 +433,8 @@ def render_csv(report: Report) -> str:
                 if total == 0:
                     continue
                 pct = format_percent(correct / total)
-                lines.append(f"{strategy},{bucket},{task.value},{correct},{total},{pct}")
-    return "\n".join(lines) + "\n"
+                writer.writerow([strategy, bucket, task.value, correct, total, pct])
+    return out.getvalue()
 
 
 def emit_report(report: Report, fmt: str = "markdown", flag_best: bool = True) -> str:

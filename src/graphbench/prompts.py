@@ -119,9 +119,11 @@ def parse_strategy(token: str, shots: int = 1, style: PseudocodeStyle = Pseudoco
     t = token.strip().lower().replace("_", "-")
     if t in ("0-shot", "zero-shot"):
         return Strategy.zero_shot()
-    if t in ("k-shot", "few-shot") or (t.endswith("-shot") and t[:-5].isdigit()):
-        k = int(t[:-5]) if t.endswith("-shot") and t[:-5].isdigit() else shots
-        return Strategy.k_shot(k)
+    if t in ("k-shot", "few-shot"):
+        return Strategy.k_shot(shots)
+    k = t.removesuffix("-shot")
+    if t == f"{k}-shot" and k.isascii() and k.isdigit():
+        return Strategy.k_shot(int(k))
     if t == "bag":
         return Strategy.bag()
     if t in ("0-cot", "zero-cot", "cot"):
@@ -131,7 +133,7 @@ def parse_strategy(token: str, shots: int = 1, style: PseudocodeStyle = Pseudoco
     if t in ("pseudo-k-shot", "pseudo-shot", "pseudo+k-shot"):
         return Strategy.pseudo_k_shot(style, shots)
     k = t.removeprefix("pseudo+").removesuffix("-shot")
-    if t == f"pseudo+{k}-shot" and k.isdigit():
+    if t == f"pseudo+{k}-shot" and k.isascii() and k.isdigit():
         return Strategy.pseudo_k_shot(style, int(k))
     raise ValueError(f"unknown strategy {token!r}")
 

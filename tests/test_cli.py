@@ -428,9 +428,9 @@ def test_run_pools_a_connection_per_worker_for_the_http_backend(dataset, tmp_pat
     build = graphbench.cli.make_backend
     monkeypatch.setattr("graphbench.cli.make_backend",
                         lambda *a, **k: made.append(build(*a, **k)) or made[-1])
-    # With no endpoint, each prompt fails before a request is sent.
+    # With no endpoint, run stops once the backend is built, before any request.
     assert run_cli("run", "--dataset", dataset, "--backend", "http", "--parallel", parallel,
-                   "--out", tmp_path / "r") == 2
+                   "--out", tmp_path / "r") == 1
     for url in ("http://localhost:8000/v1/chat/completions", "https://example.invalid/v1"):
         adapter = made[0].session.get_adapter(url)
         assert adapter.poolmanager.connection_pool_kw["maxsize"] == pooled
@@ -565,11 +565,15 @@ def test_score_rejects_a_row_repeated_under_another_name_of_its_strategy(dataset
 @pytest.mark.parametrize("token, run_k, score_k", [
     ("pseudo+k-shot", 3, 1), ("pseudo+2-shot", 2, 2), ("pseudo+05-shot", 5, 5),
     ("pseudo+foo-shot", None, None), ("pseudo+-shot", None, None), ("pseudo+ 3-shot", None, None),
+    ("\u00b2-shot", None, None), ("pseudo+\u00b2-shot", None, None),
+    ("\u0663-shot", None, None), ("pseudo+\u0663-shot", None, None),
 ])
 def test_pseudo_k_shot_takes_only_digits_or_k_between_plus_and_shot(dataset, tmp_path, capsys,
                                                                      token, run_k, score_k):
     # Any other middle once read as Pseudo+{--shots}-shot: run ran it, and
     # score rewrote a row's strategy to it. Score parses with one shot.
+    # Digits are ASCII only, for k-shot too: '²' once failed in int(), and
+    # Arabic-Indic '٣' ran as 3.
     run_dir = tmp_path / "run"
     code = run_cli("run", "--dataset", dataset, "--backend", "mock:oracle", "--tasks",
                    "edge_count", "--limit", 1, "--strategy", token, "--shots", 3, "--out", run_dir)
@@ -1025,6 +1029,24 @@ def test_a_strategy_or_backend_typo_fails_before_the_dataset_loads(dataset, tmp_
     assert run_cli(*argv, "--dataset", dataset, "--out", tmp_path / "r") == 1
     assert capsys.readouterr().err == error.format(tmp=tmp_path) + "\n"
     assert not (tmp_path / "r").exists()
+
+
+def test_http_run_without_an_endpoint_fails_before_the_dataset_loads(dataset, tmp_path, capsys,
+                                                                     monkeypatch):
+    # It once sent every prompt anyway, wrote one error row per instance over
+    # the older run and exited 2.
+    out = tmp_path / "r"
+    assert run_cli("run", "--dataset", dataset, "--backend", "mock:oracle", "--out", out) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+
+    def load(*args, **kwargs):
+        raise AssertionError("the dataset was loaded")
+
+    monkeypatch.setattr(ds, "load_dataset", load)
+    assert run_cli("run", "--dataset", dataset, "--backend", "http", "--out", out) == 1
+    assert capsys.readouterr().err == "error: http backend requires an endpoint URL\n"
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_missing_dataset_is_reported(tmp_path, capsys):
