@@ -7,7 +7,7 @@ import json
 import math
 import sys
 import time
-from functools import lru_cache, partial
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
@@ -39,6 +39,7 @@ from .prompts import (
     PseudocodeStyle,
     parse_strategy,
     render_prompt,
+    strategy_named,
 )
 from .tasks import ALL_TASKS, Task
 
@@ -103,21 +104,34 @@ def _load_for_eval(args: argparse.Namespace) -> list[ds.TaskInstance]:
     return kept
 
 
-#: A transcripts row names its strategy; parsed once per name.
-_parse_strategy = lru_cache(maxsize=None)(parse_strategy)
-
-
-def _score_transcripts(pairs: Iterable[tuple[ds.TaskInstance, Transcript]],
-                       out: str | Path) -> dict[str, int]:
-    """Score ``(instance, transcript)`` pairs, writing each record to ``out`` as it is
-    made and keeping none; print and return the count per failure kind (``none``
-    counts the correct ones). If ``pairs`` raises, ``out`` is left as it was. No
-    label base means the task's default."""
+def _score(instances: Sequence[ds.TaskInstance], transcripts: str | Path,
+           out: str | Path) -> dict[str, int]:
+    """Score each transcripts row against the instance its id names, writing each
+    record to ``out`` as it is made and keeping none; print and return the count per
+    failure kind (``none`` counts the correct ones). A row naming an unknown instance
+    or strategy, or repeating an (instance, strategy) pair, stops it with
+    ``FILE:LINE`` and leaves ``out`` as it was. No label base means the task's default."""
+    position = {inst.id: i for i, inst in enumerate(instances)}
+    scored: dict[str, bytearray] = {}  # one flag per instance, per strategy name
     failures = {kind.value: 0 for kind in FailureKind}
 
     def records() -> Iterator[EvalRecord]:
-        for inst, t in pairs:
-            rec = evaluate_response(inst, _parse_strategy(t.strategy), t.text,
+        for lineno, t in read_rows(transcripts, Transcript.from_row, "transcripts row"):
+            i = position.get(t.instance_id)
+            if i is None:
+                raise SystemExit(f"error: {transcripts}:{lineno}: "
+                                 f"unknown instance {t.instance_id!r}")
+            try:
+                strategy = strategy_named(t.strategy)
+            except ValueError as exc:
+                raise ValueError(f"{transcripts}:{lineno}: {exc}") from None
+            name = strategy.display_name
+            flags = scored.get(name) or scored.setdefault(name, bytearray(len(instances)))
+            if flags[i]:
+                raise ValueError(f"{transcripts}:{lineno}: duplicate record for "
+                                 f"{(t.instance_id, name)}")
+            flags[i] = 1
+            rec = evaluate_response(instances[i], strategy, t.text,
                                     label_base=t.label_base, backend_error=t.error or "")
             failures[rec.failure.value] += 1
             yield rec
@@ -250,9 +264,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             cache.close()
     del bundles, backend, cache  # a replay backend holds a whole cache
 
-    # Scored from the rows on disk, as ``score`` would, once the cache is gone.
-    rows = (t for _, t in read_rows(transcripts, Transcript.from_row, "transcripts row"))
-    failures = _score_transcripts(zip(instances, rows), outdir / "records.jsonl")
+    # Scored from the rows on disk by ``score``'s code, once the cache is gone.
+    failures = _score(instances, transcripts, outdir / "records.jsonl")
 
     total = sum(failures.values())
     summary = {
@@ -275,23 +288,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    by_id = ds.instances_by_id(ds.load_dataset(args.dataset, verify=not args.no_verify))
-
-    def pairs() -> Iterator[tuple[ds.TaskInstance, Transcript]]:
-        seen: dict[str, set[str]] = {}  # instance ids per strategy
-        for lineno, t in read_rows(args.transcripts, Transcript.from_row, "transcripts row"):
-            inst = by_id.get(t.instance_id)
-            if inst is None:
-                raise SystemExit(f"error: {args.transcripts}:{lineno}: "
-                                 f"unknown instance {t.instance_id!r}")
-            strategy = _parse_strategy(t.strategy).display_name
-            ids = seen.setdefault(strategy, set())
-            if t.instance_id in ids:
-                raise ValueError(f"duplicate record for {(t.instance_id, strategy)}")
-            ids.add(t.instance_id)
-            yield inst, t
-
-    _score_transcripts(pairs(), args.out)
+    _score(ds.load_dataset(args.dataset, verify=not args.no_verify), args.transcripts, args.out)
     print(f"records: {args.out}")
     return 0
 

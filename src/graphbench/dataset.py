@@ -579,7 +579,3 @@ def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
 
 def load_manifest(path: str | Path) -> DatasetManifest:
     return DatasetManifest(**json.loads(Path(path).read_text(encoding="utf-8")))
-
-
-def instances_by_id(instances: Iterable[TaskInstance]) -> dict[str, TaskInstance]:
-    return {inst.id: inst for inst in instances}

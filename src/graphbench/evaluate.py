@@ -5,7 +5,6 @@ from __future__ import annotations
 import io
 import json
 import re
-import sys
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
@@ -15,7 +14,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, TypeVar
 from .dataset import TaskInstance, _replacing
 from .graphs import ALL_BUCKETS
 from .oracles import Answer, is_right_answer
-from .prompts import Strategy
+from .prompts import Strategy, strategy_named
 from .tasks import ALL_TASKS, KIND_SPECS, TASK_SPECS, AnswerKind, Task
 
 
@@ -271,18 +270,22 @@ class EvalRecord:
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "EvalRecord":
         """Read a row; raise unless ``instance_id``, ``bucket`` and ``strategy``
-        are strings and ``correct`` is the bool that ``failure`` implies. Every
-        record read shares one ``strategy`` string per name."""
+        are strings, ``strategy`` is the display name of the strategy it parses
+        as, and ``correct`` is the bool that ``failure`` implies. Every record
+        read shares one ``strategy`` string per name."""
         failure = FailureKind(obj["failure"])
         if obj["correct"] is not (failure is FailureKind.NONE):
             raise ValueError(f"correct {obj['correct']!r} does not match failure {failure}")
         if not all(isinstance(obj[key], str) for key in ("instance_id", "bucket", "strategy")):
             raise TypeError("instance_id, bucket and strategy must be strings")
+        strategy = strategy_named(obj["strategy"]).display_name
+        if strategy != obj["strategy"]:
+            raise ValueError(f"strategy {obj['strategy']!r} displays as {strategy!r}")
         return cls(
             instance_id=obj["instance_id"],
             task=Task(obj["task"]),
             bucket=obj["bucket"],
-            strategy=sys.intern(obj["strategy"]),  # one string per name, not per row
+            strategy=strategy,  # one string per name, not per row
             failure=failure,
             extracted=obj.get("extracted"),
             detail=obj.get("detail", ""),
@@ -373,14 +376,6 @@ def format_percent(fraction: float) -> str:
     return str(value.quantize(Decimal("1"), rounding=ROUND_HALF_UP))
 
 
-_EMPTY_CELL = "—"
-
-
-def _cell_text(report: Report, task: Task, bucket: str, strategy: str) -> str:
-    acc = report.accuracy(task, bucket, strategy)
-    return _EMPTY_CELL if acc is None else format_percent(acc)
-
-
 def _best_rows(report: Report, task: Task) -> set[tuple[str, str]]:
     """Row keys achieving the best accuracy in this task's column."""
     best: Optional[float] = None
@@ -398,6 +393,14 @@ def _best_rows(report: Report, task: Task) -> set[tuple[str, str]]:
     return rows
 
 
+def _markdown_name(name: str) -> str:
+    """A strategy or bucket name as a table cell, ``|`` escaped; a name that
+    holds a control character, which could end the row, is refused."""
+    if any(c < " " or "\x7f" <= c <= "\x9f" for c in name):
+        raise ValueError(f"name {name!r} holds a control character")
+    return name.replace("|", "\\|")
+
+
 def render_markdown(report: Report, flag_best: bool = True) -> str:
     """Accuracy table with one row per (strategy, bucket) pair.
 
@@ -409,12 +412,11 @@ def render_markdown(report: Report, flag_best: bool = True) -> str:
     best = {t: _best_rows(report, t) if flag_best else set() for t in report.tasks}
     for strategy in report.strategies:
         for bucket in report.buckets:
-            row = [strategy, bucket]
+            row = [_markdown_name(strategy), _markdown_name(bucket)]
             for task in report.tasks:
-                text = _cell_text(report, task, bucket, strategy)
-                if text != _EMPTY_CELL and (strategy, bucket) in best[task]:
-                    text = f"**{text}**"
-                row.append(text)
+                acc = report.accuracy(task, bucket, strategy)
+                text = "—" if acc is None else format_percent(acc)
+                row.append(f"**{text}**" if (strategy, bucket) in best[task] else text)
             lines.append("| " + " | ".join(row) + " |")
     return "\n".join(lines) + "\n"
 
@@ -459,12 +461,14 @@ def row_line(row: Mapping) -> str:
 
 def read_rows(path, parse: Callable[[object], _T], what: str) -> Iterator[tuple[int, _T]]:
     """Yield ``(lineno, parse(obj))`` for each non-blank line; a line that is
-    not JSON, or that ``parse`` rejects, raises ``ValueError`` naming ``FILE:LINE``."""
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
+    not UTF-8 or JSON, or that ``parse`` rejects, raises ``ValueError`` naming
+    ``FILE:LINE``."""
+    with Path(path).open("rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
             try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 row = parse(json.loads(line))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: not a {what}") from exc

@@ -138,6 +138,10 @@ def parse_strategy(token: str, shots: int = 1, style: PseudocodeStyle = Pseudoco
     raise ValueError(f"unknown strategy {token!r}")
 
 
+#: ``parse_strategy`` of a name alone, parsed once per name: rows name their strategy.
+strategy_named = functools.lru_cache(maxsize=None)(parse_strategy)
+
+
 def standard_strategies(style: PseudocodeStyle = PseudocodeStyle.PLAIN) -> tuple[Strategy, ...]:
     """The six standard strategies, at k=1 and a given pseudo-code style."""
     return (
@@ -203,15 +207,6 @@ def pseudocode_for(task: Task, style: PseudocodeStyle) -> str:
     if not ref.is_file():
         raise FileNotFoundError(f"missing pseudo-code asset {name}")
     return ref.read_text(encoding="utf-8")
-
-
-def pseudocode_assets() -> dict[tuple[Task, PseudocodeStyle], str]:
-    """All 30 bundled assets, keyed by (task, style)."""
-    return {
-        (task, style): pseudocode_for(task, style)
-        for task in Task
-        for style in PseudocodeStyle
-    }
 
 
 # --- exemplars ------------------------------------------------------------------

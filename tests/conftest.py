@@ -12,6 +12,8 @@ sys.path.insert(0, str(Path(__file__).parent))  # for the bruteforce helpers
 import graphbench
 from graphbench import Graph
 from graphbench.cli import main
+from graphbench.prompts import PseudocodeStyle, pseudocode_for
+from graphbench.tasks import Task
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -38,6 +40,12 @@ def instance_line(row: dict) -> str:
     """A dataset's instance row in the layout ``save_dataset`` writes, the
     only one load reads: sorted keys and no spaces."""
     return json.dumps(row, sort_keys=True, separators=(",", ":"))
+
+
+def pseudocode_assets() -> dict[tuple[Task, PseudocodeStyle], str]:
+    """All 30 bundled pseudo-code assets, keyed by (task, style)."""
+    return {(task, style): pseudocode_for(task, style)
+            for task in Task for style in PseudocodeStyle}
 
 
 def make_graph(n, edges, directed=False):

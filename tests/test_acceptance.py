@@ -23,7 +23,7 @@ from bruteforce import (
     bf_partition,
     bf_valid_topo_orders,
 )
-from conftest import FIXTURES, GOLDEN
+from conftest import FIXTURES, GOLDEN, pseudocode_assets
 from graphbench import (
     ALL_BUCKETS,
     ExtractionFailed,
@@ -56,7 +56,7 @@ from graphbench.cli import main as cli_main
 from graphbench.evaluate import extract_answer, load_records
 from graphbench.graphs import LARGE
 from graphbench.oracles import UnreachableError
-from graphbench.prompts import BAG_SENTENCE, ZERO_COT_SENTENCE, pseudocode_assets
+from graphbench.prompts import BAG_SENTENCE, ZERO_COT_SENTENCE
 from graphbench.tasks import ALL_TASKS
 
 

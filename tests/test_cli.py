@@ -562,6 +562,42 @@ def test_score_rejects_a_row_repeated_under_another_name_of_its_strategy(dataset
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fault", ["strategy", "repeat"])
+def test_score_names_the_file_and_line_of_a_row_it_refuses(dataset, tmp_path, capsys, fault):
+    # Both messages once named neither, although an unknown instance did.
+    run_dir = tmp_path / "run"
+    run_cli("run", "--dataset", dataset, "--tasks", "edge_count", "--limit", 2, "--out", run_dir)
+    rows = (run_dir / "transcripts.jsonl").read_text().splitlines()
+    first = json.loads(rows[0])
+    bad, message = {
+        "strategy": ({**first, "strategy": "no such"}, "unknown strategy 'no such'"),
+        "repeat": (first, f"duplicate record for {(first['instance_id'], '0-shot')}"),
+    }[fault]
+    transcripts, out = tmp_path / "t.jsonl", tmp_path / "r.jsonl"
+    transcripts.write_text("".join(line + "\n" for line in [*rows, json.dumps(bad)]))
+    capsys.readouterr()
+    assert run_cli("score", "--dataset", dataset, "--transcripts", transcripts,
+                   "--out", out) == 1
+    assert capsys.readouterr().err == f"error: {transcripts}:3: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["score", "report"])
+def test_a_row_that_is_not_utf8_names_its_file_and_line(dataset, tmp_path, capsys, command):
+    # Read as text, a 0xff byte once stopped both with only the codec's message.
+    run_dir = tmp_path / "run"
+    run_cli("run", "--dataset", dataset, "--tasks", "edge_count", "--limit", 2, "--out", run_dir)
+    name = {"score": "transcripts", "report": "records"}[command]
+    path = tmp_path / f"{name}.jsonl"
+    first, second = (run_dir / f"{name}.jsonl").read_bytes().splitlines(keepends=True)
+    path.write_bytes(first + second.replace(b'"0-shot"', b'"0-shot\xff"'))
+    args = {"score": ["--dataset", dataset, "--transcripts", path, "--out", tmp_path / "r.jsonl"],
+            "report": ["--records", path]}[command]
+    capsys.readouterr()
+    assert run_cli(command, *args) == 1
+    assert capsys.readouterr().err == f"error: {path}:2: not a {name} row\n"
+
+
 @pytest.mark.parametrize("token, run_k, score_k", [
     ("pseudo+k-shot", 3, 1), ("pseudo+2-shot", 2, 2), ("pseudo+05-shot", 5, 5),
     ("pseudo+foo-shot", None, None), ("pseudo+-shot", None, None), ("pseudo+ 3-shot", None, None),
@@ -594,7 +630,7 @@ def test_pseudo_k_shot_takes_only_digits_or_k_between_plus_and_shot(dataset, tmp
     code = run_cli("score", "--dataset", dataset, "--transcripts", transcripts, "--out", out)
     if score_k is None:
         assert code == 1 and not out.exists()
-        assert capsys.readouterr().err == f"error: unknown strategy {token!r}\n"
+        assert capsys.readouterr().err == f"error: {transcripts}:1: unknown strategy {token!r}\n"
     else:
         assert code == 0
         assert json.loads(out.read_text())["strategy"] == f"Pseudo+{score_k}-shot"
@@ -692,7 +728,7 @@ def test_cache_keys_match_keys_recorded_before_split_hashing(labelled_dataset):
     one JSON dump of the whole prompt; hashing head and tail apart must
     reproduce every one. Its 0-shot rows ran at ``--label-base 1``, its BaG
     rows at each task's default."""
-    by_id = ds.instances_by_id(ds.load_dataset(labelled_dataset))
+    by_id = {inst.id: inst for inst in ds.load_dataset(labelled_dataset)}
     strategies = {"0-shot": (Strategy.zero_shot(), 1), "BaG": (Strategy.bag(), None)}
     rows = [json.loads(line) for line in
             (FIXTURES / "legacy_transcripts.jsonl").read_text().splitlines()]
@@ -792,7 +828,8 @@ _RECORD = ('{"correct": true, "detail": "", "extracted": "1", "failure": "none",
 
 @pytest.mark.parametrize("line", ['{"a": 1}', '{"instance_id": "edge_count-S-000-0",', "[1]",
                                   _RECORD + '"bucket": ["S"], "strategy": "0-shot"}',
-                                  _RECORD + '"bucket": "S", "strategy": 5}'])
+                                  _RECORD + '"bucket": "S", "strategy": 5}',
+                                  _RECORD + '"bucket": "S", "strategy": "no such strategy"}'])
 def test_report_names_the_line_that_is_not_a_record(dataset, tmp_path, capsys, line):
     run_dir = tmp_path / "run"
     run_cli("run", "--dataset", dataset, "--backend", "mock:oracle", "--out", run_dir)
@@ -804,6 +841,21 @@ def test_report_names_the_line_that_is_not_a_record(dataset, tmp_path, capsys, l
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {bad}:3: not a records row\n"
+
+
+@pytest.mark.parametrize("bucket, error", [("5|6", ""), ("L\nX", "holds a control character")])
+def test_report_keeps_the_table_shape_for_any_bucket_name(tmp_path, capsys, bucket, error):
+    # "5|6" once gave its row one cell too many, and "L\nX" split its row over two lines.
+    records = tmp_path / "records.jsonl"
+    records.write_text(_RECORD + f'"bucket": {json.dumps(bucket)}, "strategy": "0-shot"}}\n')
+    code = run_cli("report", "--records", records)
+    captured = capsys.readouterr()
+    if error:
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: name {bucket!r} {error}\n"
+    else:
+        assert code == 0
+        assert captured.out.splitlines()[2] == "| 0-shot | 5\\|6 | **100** |"
 
 
 # --- config files ------------------------------------------------------------------
@@ -1325,13 +1377,13 @@ def test_run_peaks_at_few_bytes_per_instance(tmp_path, capsys, strategy):
 
 def test_run_holds_nothing_per_response(tmp_path, monkeypatch):
     """Traced bytes do not grow per response from the first prompt sent to
-    the last, nor from the first record scored to the last: each row is
-    written and dropped as it arrives, and each record once it is written.
-    With no cache, on Python 3.10-3.12, they grew by about 40 B per instance
-    in dispatch (prompt text built on first use) and 40-65 B in scoring.
-    Holding each response until the last arrived, dispatch grew by about
-    430 B per instance; checking scored ids for repeats, scoring grew by
-    90-110 B."""
+    the last, nor from the first record scored to the last, in ``run`` or in
+    a ``score`` of its transcripts: each row is written and dropped as it
+    arrives, and each record once it is written. With no cache, on Python
+    3.10-3.12, they grew by about 40 B per instance in dispatch (prompt text
+    built on first use) and 40-65 B in scoring. Holding each response until
+    the last arrived, dispatch grew by about 430 B per instance; keeping a
+    set of scored ids for the repeat check, scoring grew by 90-160 B."""
     path = tmp_path / "data.jsonl"
     ds.write_dataset(path, 0, graphs_per_cell=10)
     count = len(ds.load_dataset(path))
@@ -1353,17 +1405,27 @@ def test_run_holds_nothing_per_response(tmp_path, monkeypatch):
 
     monkeypatch.setattr(graphbench.cli, "make_backend", lambda *a, **k: MarkingBackend())
     monkeypatch.setattr(graphbench.cli, "evaluate_response", evaluate_response)
-    for name in ("warm-up", "measured"):
+
+    def growth_per_scored_row(*argv) -> float:
         calls[:] = [0, 0]
         tracemalloc.start()
         try:
-            assert main(["run", "--dataset", str(path), "--strategy", "pseudo+5-shot",
-                         "--out", str(tmp_path / name)]) == 0
+            assert main([str(a) for a in argv]) == 0
         finally:
             tracemalloc.stop()
+        assert calls[1] == count
+        return (scored[-1] - scored[0]) / count
+
+    for name in ("warm-up", "measured"):
+        per_row = growth_per_scored_row("run", "--dataset", path, "--strategy", "pseudo+5-shot",
+                                        "--out", tmp_path / name)
     assert calls == [count, count]
     assert (sent[-1] - sent[0]) / count < 80, (sent[-1] - sent[0]) / count
-    assert (scored[-1] - scored[0]) / count < 80, (scored[-1] - scored[0]) / count
+    assert per_row < 80, per_row
+    per_row = growth_per_scored_row("score", "--dataset", path, "--transcripts",
+                                    tmp_path / "measured" / "transcripts.jsonl",
+                                    "--out", tmp_path / "rescored.jsonl")
+    assert per_row < 80, per_row
 
 
 def test_every_transcript_of_a_run_shares_one_strategy_name():

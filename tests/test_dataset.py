@@ -35,7 +35,6 @@ from graphbench.dataset import (
     TaskInstance,
     _graph_for_instance,
     answer_to_json,
-    instances_by_id,
     load_manifest,
     save_manifest,
     verify_gold_answers,
@@ -439,15 +438,6 @@ def test_save_manifest_interrupted_keeps_the_older_manifest(tmp_path, monkeypatc
         save_manifest(newer, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
-
-
-def test_instances_by_id():
-    _, instances = assemble_dataset(0, tasks=[Task.NODE_COUNT], buckets=[SMALL],
-                                    graphs_per_cell=3)
-    index = instances_by_id(instances)
-    assert len(index) == 3
-    for inst in instances:
-        assert index[inst.id] is inst
 
 
 def test_instance_json_round_trip():

@@ -19,6 +19,7 @@ from graphbench import (
     evaluate_response,
     render_csv,
     render_markdown,
+    standard_strategies,
     validate_spanning_tree,
 )
 from graphbench.dataset import TaskInstance, verify_gold_answers
@@ -193,6 +194,16 @@ def test_read_rows_skips_blank_lines_but_counts_them(tmp_path, bad):
         next(rows)
 
 
+def test_read_rows_names_the_line_of_bytes_that_are_not_utf8(tmp_path):
+    # Read as text, a 0xff byte once raised UnicodeDecodeError naming no file or line.
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b'{"a": 1}\n{"a": "\xff"}\n')
+    rows = read_rows(path, lambda obj: obj["a"], "thing")
+    assert next(rows) == (1, 1)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: not a thing$"):
+        next(rows)
+
+
 @pytest.mark.parametrize("correct", ["false", "true", 0, 1, None])
 def test_load_records_rejects_a_correct_that_is_not_a_bool(tmp_path, correct):
     inst = instance_for(Task.CYCLE_CHECK)
@@ -217,6 +228,29 @@ def test_load_records_rejects_a_name_that_is_not_a_string(tmp_path, key, value):
     path.write_text("\n" + json.dumps(row) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: not a records row$"):
         load_records(path)
+
+
+@pytest.mark.parametrize("name", ["no such strategy", "zero-shot", "0-SHOT", " BaG",
+                                  "k-shot", "pseudo+05-shot", "Pseudo+k-shot"])
+def test_load_records_rejects_a_strategy_that_no_strategy_displays_as(tmp_path, name):
+    # Such a row was once read as it stood, and report printed it as a table row.
+    inst = instance_for(Task.CYCLE_CHECK)
+    path = tmp_path / "records.jsonl"
+    save_records([evaluate_response(inst, Strategy.zero_shot(), "Answer: Yes")], path)
+    row = json.loads(path.read_text(encoding="utf-8"))
+    row["strategy"] = name
+    path.write_text("\n" + json.dumps(row) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: not a records row$"):
+        load_records(path)
+
+
+@pytest.mark.parametrize("strategy", [*standard_strategies(), Strategy.k_shot(12),
+                                      Strategy.pseudo_k_shot(k=5)], ids=str)
+def test_load_records_takes_every_strategy_by_its_display_name(tmp_path, strategy):
+    inst = instance_for(Task.CYCLE_CHECK)
+    path = tmp_path / "records.jsonl"
+    save_records([evaluate_response(inst, strategy, "Answer: Yes")], path)
+    assert [r.strategy for r in load_records(path)] == [strategy.display_name]
 
 
 def test_load_records_rejects_an_incorrect_row_with_no_failure_kind(tmp_path):
@@ -337,6 +371,26 @@ def test_markdown_without_flagging():
     records = [rec("a", Task.MST, "S", "0-shot", True)]
     table = render_markdown(aggregate_report(records), flag_best=False)
     assert "**" not in table
+
+
+@pytest.mark.parametrize("strategy, bucket, cells", [
+    ("0-shot", "5|6", ["0-shot", "5\\|6"]),
+    ("a|b", "S", ["a\\|b", "S"]),
+])
+def test_markdown_escapes_a_pipe_in_a_name(strategy, bucket, cells):
+    # Any bucket name loads; a bare "|" once gave the row one cell too many.
+    table = render_markdown(aggregate_report([rec("a", Task.MST, bucket, strategy, True)]))
+    header, _, row = table.splitlines()
+    assert row == "| " + " | ".join([*cells, "**100**"]) + " |"
+    assert len(re.split(r"(?<!\\)\|", row)) == len(header.split("|"))
+
+
+@pytest.mark.parametrize("bucket", ["L\nX", "L\rX", "\x85", "\x00"])
+def test_markdown_refuses_a_name_with_a_control_character(bucket):
+    # A newline once split the row over two lines.
+    report = aggregate_report([rec("a", Task.MST, bucket, "0-shot", True)])
+    with pytest.raises(ValueError, match="control character"):
+        render_markdown(report)
 
 
 def test_csv_is_numeric_only():

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import GOLDEN
+from conftest import GOLDEN, pseudocode_assets
 from graphbench import (
     ALL_BUCKETS,
     AnswerKind,
@@ -28,7 +28,6 @@ from graphbench.prompts import (
     encode_edge_list,
     format_answer,
     parse_strategy,
-    pseudocode_assets,
 )
 from graphbench.tasks import ALL_TASKS, TASK_SPECS
 
