@@ -36,6 +36,7 @@ from .evaluate import (
 from .graphs import ALL_BUCKETS, BUCKETS, SizeBucket
 from .prompts import (
     DEFAULT_EXEMPLAR_SEED,
+    STRATEGY_SPECS,
     PseudocodeStyle,
     parse_strategy,
     render_prompt,
@@ -322,8 +323,8 @@ def _add_eval_flags(p: argparse.ArgumentParser) -> None:
     _add_selection_flags(p)
     p.add_argument("--limit", type=_count, default=None,
                    help="cap instances per (task, bucket) cell")
-    p.add_argument("--strategy", default="0-shot",
-                   help="0-shot, k-shot, bag, 0-cot, pseudo, pseudo+k-shot")
+    p.add_argument("--strategy", default="0-shot", help=", ".join(
+        s.display.lower().replace("{k}", "k") for s in STRATEGY_SPECS.values()))
     p.add_argument("--shots", type=int, default=1, help="k for the k-shot strategies")
     p.add_argument("--style", default="plain",
                    choices=[s.value for s in PseudocodeStyle],

@@ -504,9 +504,9 @@ def load_dataset(path: str | Path, verify: bool = True) -> list[TaskInstance]:
 
     Raises DatasetFormatError for a header of another schema version and,
     naming the line, for a header that is not a JSON object or not of
-    ``kind`` ``graphbench-dataset``, for a corrupt line (one not laid out as
-    ``_instance_line`` writes it, or whose values are not all of their JSON
-    types, is corrupt too), and for an instance id that repeats an earlier
+    ``kind`` ``graphbench-dataset``, for a line that is not UTF-8 or is
+    corrupt (not laid out as ``_instance_line`` writes it, or with a value
+    not of its JSON type), and for an instance id that repeats an earlier
     line's, naming both lines.
     verify: re-check every gold answer by the scoring rule, ``is_right_answer``.
 
@@ -523,37 +523,42 @@ def load_dataset(path: str | Path, verify: bool = True) -> list[TaskInstance]:
     lines_by_id: dict[str, int] = {}
     rows = _PairRows()
     text, graph = None, None
-    with path.open("r", encoding="utf-8") as f:
-        header_line = f.readline()
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
-            raise DatasetFormatError(f"line 1: unreadable header: {exc}") from exc
-        if not isinstance(header, dict):
-            raise DatasetFormatError("line 1: header is not a JSON object")
-        if header.get("kind") != DATASET_KIND:
-            raise DatasetFormatError(
-                f"line 1: header kind {header.get('kind')!r} is not {DATASET_KIND!r}")
-        if header.get("schema_version") != SCHEMA_VERSION:
-            raise DatasetFormatError(
-                f"schema version mismatch: file has {header.get('schema_version')!r}, "
-                f"expected {SCHEMA_VERSION}"
-            )
-        for lineno, line in enumerate(f, start=2):
-            if not line.strip():
-                continue
+    try:
+        with path.open("r", encoding="utf-8") as f:
+            header_line = f.readline()
             try:
-                obj, graph_text = _split_line(line)
-                if graph_text != text:
-                    text, graph = graph_text, _read_graph(graph_text, rows)
-                inst = TaskInstance.from_json_obj(obj, graph)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DatasetFormatError(f"line {lineno}: corrupt instance: {exc}") from exc
-            first = lines_by_id.setdefault(inst.id, lineno)
-            if first != lineno:
+                header = json.loads(header_line)
+            except json.JSONDecodeError as exc:
+                raise DatasetFormatError(f"line 1: unreadable header: {exc}") from exc
+            if not isinstance(header, dict):
+                raise DatasetFormatError("line 1: header is not a JSON object")
+            if header.get("kind") != DATASET_KIND:
                 raise DatasetFormatError(
-                    f"line {lineno}: instance id {inst.id!r} repeats line {first}")
-            instances.append(inst)
+                    f"line 1: header kind {header.get('kind')!r} is not {DATASET_KIND!r}")
+            if header.get("schema_version") != SCHEMA_VERSION:
+                raise DatasetFormatError(
+                    f"schema version mismatch: file has {header.get('schema_version')!r}, "
+                    f"expected {SCHEMA_VERSION}")
+            for lineno, line in enumerate(f, start=2):
+                if not line.strip():
+                    continue
+                try:
+                    obj, graph_text = _split_line(line)
+                    if graph_text != text:
+                        text, graph = graph_text, _read_graph(graph_text, rows)
+                    inst = TaskInstance.from_json_obj(obj, graph)
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise DatasetFormatError(f"line {lineno}: corrupt instance: {exc}") from exc
+                first = lines_by_id.setdefault(inst.id, lineno)
+                if first != lineno:
+                    raise DatasetFormatError(
+                        f"line {lineno}: instance id {inst.id!r} repeats line {first}")
+                instances.append(inst)
+    except UnicodeDecodeError as exc:
+        # Only a line of UTF-8 comes back byte for byte from a replacing decode.
+        lines = enumerate(path.read_bytes().splitlines(), start=1)
+        lineno = next(n for n, raw in lines if raw.decode("utf-8", "replace").encode() != raw)
+        raise DatasetFormatError(f"line {lineno}: not UTF-8: {exc.reason}") from exc
     if verify:
         verify_gold_answers(instances)
     return instances

@@ -269,15 +269,17 @@ class EvalRecord:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "EvalRecord":
-        """Read a row; raise unless ``instance_id``, ``bucket`` and ``strategy``
-        are strings, ``strategy`` is the display name of the strategy it parses
-        as, and ``correct`` is the bool that ``failure`` implies. Every record
-        read shares one ``strategy`` string per name."""
+        """Read a row; raise unless ``instance_id``, ``bucket``, ``strategy`` and
+        ``detail`` are strings, ``extracted`` is a string or null, ``strategy`` is the
+        display name of the strategy it parses as, and ``correct`` is the bool that
+        ``failure`` implies. Every record read shares one ``strategy`` string per name."""
         failure = FailureKind(obj["failure"])
         if obj["correct"] is not (failure is FailureKind.NONE):
             raise ValueError(f"correct {obj['correct']!r} does not match failure {failure}")
-        if not all(isinstance(obj[key], str) for key in ("instance_id", "bucket", "strategy")):
-            raise TypeError("instance_id, bucket and strategy must be strings")
+        extracted, detail = obj.get("extracted"), obj.get("detail", "")
+        strings = (obj["instance_id"], obj["bucket"], obj["strategy"], detail)
+        if not all(isinstance(v, str) for v in strings) or not isinstance(extracted, (str, type(None))):
+            raise TypeError("instance_id, bucket, strategy, detail or extracted has the wrong type")
         strategy = strategy_named(obj["strategy"]).display_name
         if strategy != obj["strategy"]:
             raise ValueError(f"strategy {obj['strategy']!r} displays as {strategy!r}")
@@ -287,8 +289,8 @@ class EvalRecord:
             bucket=obj["bucket"],
             strategy=strategy,  # one string per name, not per row
             failure=failure,
-            extracted=obj.get("extracted"),
-            detail=obj.get("detail", ""),
+            extracted=extracted,
+            detail=detail,
         )
 
 

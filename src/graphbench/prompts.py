@@ -23,9 +23,8 @@ from .graphs import Graph, SizeBucket, _last_graph_memo
 from .oracles import Answer
 from .tasks import KIND_SPECS, TASK_SPECS, AnswerKind, Task
 
-#: Appended verbatim by the graph-reconstruction strategy.
+#: Appended verbatim by BaG (graph reconstruction) and 0-CoT (zero-shot chain of thought).
 BAG_SENTENCE = "Let's construct a graph with the nodes and edges first"
-#: Appended verbatim by the zero-shot chain-of-thought strategy.
 ZERO_COT_SENTENCE = "Let's think step by step"
 
 #: Exemplar graphs are derived from this seed in their own stream, so they are
@@ -52,6 +51,30 @@ class StrategyKind(str, Enum):
 
 
 @dataclass(frozen=True)
+class StrategySpec:
+    """One strategy kind's facts: display name (``{k}`` is the shot count), other names (k from
+    ``--shots``), the sentence its head appends, whether it takes k >= 1 exemplars and a style."""
+
+    display: str
+    aliases: tuple[str, ...] = ()
+    sentence: str = ""
+    exemplars: bool = False
+    pseudocode: bool = False
+
+
+STRATEGY_SPECS: dict[StrategyKind, StrategySpec] = {
+    StrategyKind.ZERO_SHOT: StrategySpec("0-shot", ("zero-shot",)),
+    StrategyKind.K_SHOT: StrategySpec("{k}-shot", ("k-shot", "few-shot"), exemplars=True),
+    StrategyKind.BAG: StrategySpec("BaG", sentence=BAG_SENTENCE),
+    StrategyKind.ZERO_COT: StrategySpec("0-CoT", ("zero-cot", "cot"), sentence=ZERO_COT_SENTENCE),
+    StrategyKind.PSEUDO: StrategySpec("Pseudo", pseudocode=True),
+    StrategyKind.PSEUDO_K_SHOT: StrategySpec(
+        "Pseudo+{k}-shot", ("pseudo+k-shot", "pseudo-k-shot", "pseudo-shot"),
+        exemplars=True, pseudocode=True),
+}
+
+
+@dataclass(frozen=True)
 class Strategy:
     """One of the six prompting strategies, with its k / style parameters."""
 
@@ -60,9 +83,9 @@ class Strategy:
     style: PseudocodeStyle | None = None
 
     def __post_init__(self) -> None:
-        if self.kind in (StrategyKind.K_SHOT, StrategyKind.PSEUDO_K_SHOT) and self.k < 1:
+        if self.uses_exemplars and self.k < 1:
             raise ValueError(f"{self.kind.value} needs k >= 1")
-        if self.kind in (StrategyKind.PSEUDO, StrategyKind.PSEUDO_K_SHOT) and self.style is None:
+        if self.uses_pseudocode and self.style is None:
             raise ValueError(f"{self.kind.value} needs a pseudo-code style")
 
     @classmethod
@@ -91,50 +114,30 @@ class Strategy:
 
     @property
     def uses_exemplars(self) -> bool:
-        return self.kind in (StrategyKind.K_SHOT, StrategyKind.PSEUDO_K_SHOT)
+        return STRATEGY_SPECS[self.kind].exemplars
 
     @property
     def uses_pseudocode(self) -> bool:
-        return self.kind in (StrategyKind.PSEUDO, StrategyKind.PSEUDO_K_SHOT)
+        return STRATEGY_SPECS[self.kind].pseudocode
 
     @functools.cached_property
     def display_name(self) -> str:
-        """The name rows and reports carry, built once per strategy, so every
-        transcript and record of a run shares one string."""
-        if self.kind is StrategyKind.ZERO_SHOT:
-            return "0-shot"
-        if self.kind is StrategyKind.K_SHOT:
-            return f"{self.k}-shot"
-        if self.kind is StrategyKind.BAG:
-            return "BaG"
-        if self.kind is StrategyKind.ZERO_COT:
-            return "0-CoT"
-        if self.kind is StrategyKind.PSEUDO:
-            return "Pseudo"
-        return f"Pseudo+{self.k}-shot"
+        """The name rows and reports carry, built once, so a run's rows share one string."""
+        return STRATEGY_SPECS[self.kind].display.format(k=self.k)
 
 
 def parse_strategy(token: str, shots: int = 1, style: PseudocodeStyle = PseudocodeStyle.PLAIN) -> Strategy:
-    """Map a CLI token like "0-shot" or "pseudo+1-shot" to a Strategy."""
+    """Map a CLI token like "0-shot" or "pseudo+1-shot" to a Strategy. The first kind in
+    ``STRATEGY_SPECS`` to take the token wins, so "0-shot" is 0-shot, not 0 shots."""
     t = token.strip().lower().replace("_", "-")
-    if t in ("0-shot", "zero-shot"):
-        return Strategy.zero_shot()
-    if t in ("k-shot", "few-shot"):
-        return Strategy.k_shot(shots)
-    k = t.removesuffix("-shot")
-    if t == f"{k}-shot" and k.isascii() and k.isdigit():
-        return Strategy.k_shot(int(k))
-    if t == "bag":
-        return Strategy.bag()
-    if t in ("0-cot", "zero-cot", "cot"):
-        return Strategy.zero_cot()
-    if t == "pseudo":
-        return Strategy.pseudo(style)
-    if t in ("pseudo-k-shot", "pseudo-shot", "pseudo+k-shot"):
-        return Strategy.pseudo_k_shot(style, shots)
-    k = t.removeprefix("pseudo+").removesuffix("-shot")
-    if t == f"pseudo+{k}-shot" and k.isascii() and k.isdigit():
-        return Strategy.pseudo_k_shot(style, int(k))
+    for kind, spec in STRATEGY_SPECS.items():
+        head, slot, tail = spec.display.lower().partition("{k}")
+        digits = t.removeprefix(head).removesuffix(tail)
+        k = shots if t in spec.aliases or (not slot and t == head) else None
+        if slot and t == f"{head}{digits}{tail}" and digits.isascii() and digits.isdigit():
+            k = int(digits)
+        if k is not None:
+            return Strategy(kind, k if spec.exemplars else 0, style if spec.pseudocode else None)
     raise ValueError(f"unknown strategy {token!r}")
 
 
@@ -143,15 +146,8 @@ strategy_named = functools.lru_cache(maxsize=None)(parse_strategy)
 
 
 def standard_strategies(style: PseudocodeStyle = PseudocodeStyle.PLAIN) -> tuple[Strategy, ...]:
-    """The six standard strategies, at k=1 and a given pseudo-code style."""
-    return (
-        Strategy.zero_shot(),
-        Strategy.k_shot(1),
-        Strategy.bag(),
-        Strategy.zero_cot(),
-        Strategy.pseudo(style),
-        Strategy.pseudo_k_shot(style, 1),
-    )
+    """The six standard strategies, each kind's display name at k=1, in a given style."""
+    return tuple(parse_strategy(s.display.format(k=1), style=style) for s in STRATEGY_SPECS.values())
 
 
 # --- surface text --------------------------------------------------------------
@@ -255,14 +251,9 @@ def _pseudocode_section(task: Task, style: PseudocodeStyle) -> str:
 def _head(
     task: Task, bucket: SizeBucket, strategy: Strategy, exemplar_seed: int, label_base: int
 ) -> str:
-    description = TASK_SPECS[task].description
-    if strategy.kind is StrategyKind.BAG:
-        description += f" {BAG_SENTENCE}."
-    elif strategy.kind is StrategyKind.ZERO_COT:
-        description += f" {ZERO_COT_SENTENCE}."
-    sections = [description]
-    if strategy.uses_pseudocode:
-        assert strategy.style is not None
+    sentence = STRATEGY_SPECS[strategy.kind].sentence
+    sections = [TASK_SPECS[task].description + (f" {sentence}." if sentence else "")]
+    if strategy.uses_pseudocode:  # then it has a style: Strategy checks the same table
         sections.append(_pseudocode_section(task, strategy.style))
     if strategy.uses_exemplars:
         sections.extend(

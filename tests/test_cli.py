@@ -598,6 +598,18 @@ def test_a_row_that_is_not_utf8_names_its_file_and_line(dataset, tmp_path, capsy
     assert capsys.readouterr().err == f"error: {path}:2: not a {name} row\n"
 
 
+def test_a_dataset_line_that_is_not_utf8_is_named(dataset, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    run_cli("run", "--dataset", dataset, "--tasks", "edge_count", "--limit", 2, "--out", run_dir)
+    lines = dataset.read_bytes().splitlines(keepends=True)
+    lines[7] = lines[7].replace(b'"id"', b'"\xffid"')
+    dataset.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    assert run_cli("score", "--dataset", dataset, "--transcripts", run_dir / "transcripts.jsonl",
+                   "--out", tmp_path / "r.jsonl") == 1
+    assert capsys.readouterr().err == "error: line 8: not UTF-8: invalid start byte\n"
+
+
 @pytest.mark.parametrize("token, run_k, score_k", [
     ("pseudo+k-shot", 3, 1), ("pseudo+2-shot", 2, 2), ("pseudo+05-shot", 5, 5),
     ("pseudo+foo-shot", None, None), ("pseudo+-shot", None, None), ("pseudo+ 3-shot", None, None),

@@ -272,6 +272,20 @@ def small_saved(tmp_path):
     return instances, path
 
 
+@pytest.mark.parametrize("lineno", [1, 2, 150, 199])
+def test_load_names_the_line_of_a_byte_that_is_not_utf8(small_saved, lineno):
+    # Read as text, such a byte once stopped the load with only the codec's
+    # message and its position in the decoder's chunk.
+    _, path = small_saved
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert len(lines) == 199 and sum(map(len, lines[:149])) > 8192
+    lines[lineno - 1] = lines[lineno - 1][:5] + b"\xff" + lines[lineno - 1][6:]
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(DatasetFormatError) as info:
+        load_dataset(path)
+    assert str(info.value) == f"line {lineno}: not UTF-8: invalid start byte"
+
+
 def test_load_shares_one_graph_per_stored_graph(small_saved):
     instances, path = small_saved
     loaded = load_dataset(path)

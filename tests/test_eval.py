@@ -244,6 +244,33 @@ def test_load_records_rejects_a_strategy_that_no_strategy_displays_as(tmp_path, 
         load_records(path)
 
 
+@pytest.mark.parametrize("key, value", [("extracted", 5), ("extracted", 0), ("extracted", False),
+                                        ("extracted", []), ("extracted", {}), ("detail", 7),
+                                        ("detail", None), ("detail", ["x"])])
+def test_load_records_rejects_extracted_or_detail_of_the_wrong_type(tmp_path, key, value):
+    # Such a row was once read as it stood.
+    inst = instance_for(Task.CYCLE_CHECK)
+    path = tmp_path / "records.jsonl"
+    save_records([evaluate_response(inst, Strategy.zero_shot(), "Answer: Yes")], path)
+    row = json.loads(path.read_text(encoding="utf-8"))
+    row[key] = value
+    path.write_text("\n" + json.dumps(row) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: not a records row$"):
+        load_records(path)
+
+
+def test_load_records_takes_extracted_text_or_null_and_no_detail(tmp_path):
+    inst = instance_for(Task.CYCLE_CHECK)
+    path = tmp_path / "records.jsonl"
+    save_records([evaluate_response(inst, Strategy.zero_shot(), "Answer: Yes"),
+                  evaluate_response(inst, Strategy.bag(), None, backend_error="timeout")], path)
+    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    assert [row["extracted"] for row in rows] == ["true", None]
+    del rows[1]["detail"]
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    assert [(r.extracted, r.detail) for r in load_records(path)][1] == (None, "")
+
+
 @pytest.mark.parametrize("strategy", [*standard_strategies(), Strategy.k_shot(12),
                                       Strategy.pseudo_k_shot(k=5)], ids=str)
 def test_load_records_takes_every_strategy_by_its_display_name(tmp_path, strategy):

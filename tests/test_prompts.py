@@ -441,6 +441,60 @@ def test_parse_strategy_rejects_unknown():
         parse_strategy("few")
 
 
+_K, _PY = StrategyKind, PseudocodeStyle.PYTHON
+
+
+@pytest.mark.parametrize("token, expected", [
+    ("", "unknown strategy ''"),
+    ("  ", "unknown strategy '  '"),
+    ("0-shot", (_K.ZERO_SHOT, 0, None)),
+    ("zero_shot", (_K.ZERO_SHOT, 0, None)),
+    ("zero-shot", (_K.ZERO_SHOT, 0, None)),
+    (" 0-Shot ", (_K.ZERO_SHOT, 0, None)),
+    ("K-SHOT", (_K.K_SHOT, 3, None)),
+    ("k-shot", (_K.K_SHOT, 3, None)),
+    ("k_shot", (_K.K_SHOT, 3, None)),
+    ("few-shot", (_K.K_SHOT, 3, None)),
+    ("1-shot", (_K.K_SHOT, 1, None)),
+    ("5-shot", (_K.K_SHOT, 5, None)),
+    ("00-shot", "k_shot needs k >= 1"),
+    ("²-shot", "unknown strategy '²-shot'"),
+    ("-shot", "unknown strategy '-shot'"),
+    ("{k}-shot", "unknown strategy '{k}-shot'"),
+    ("pseudo+{k}-shot", "unknown strategy 'pseudo+{k}-shot'"),
+    ("pseudo5", "unknown strategy 'pseudo5'"),
+    ("bag-shot", "unknown strategy 'bag-shot'"),
+    ("bag", (_K.BAG, 0, None)),
+    ("BaG", (_K.BAG, 0, None)),
+    ("cot", (_K.ZERO_COT, 0, None)),
+    ("0-CoT", (_K.ZERO_COT, 0, None)),
+    ("zero_cot", (_K.ZERO_COT, 0, None)),
+    ("pseudo", (_K.PSEUDO, 0, _PY)),
+    ("Pseudo", (_K.PSEUDO, 0, _PY)),
+    ("pseudo+k-shot", (_K.PSEUDO_K_SHOT, 3, _PY)),
+    ("pseudo_k_shot", (_K.PSEUDO_K_SHOT, 3, _PY)),
+    ("pseudo-shot", (_K.PSEUDO_K_SHOT, 3, _PY)),
+    ("pseudo+2-shot", (_K.PSEUDO_K_SHOT, 2, _PY)),
+    ("Pseudo+1-shot", (_K.PSEUDO_K_SHOT, 1, _PY)),
+    ("pseudo+05-shot", (_K.PSEUDO_K_SHOT, 5, _PY)),
+    ("pseudo+0-shot", "pseudo_k_shot needs k >= 1"),
+    ("pseudo+foo-shot", "unknown strategy 'pseudo+foo-shot'"),
+    ("pseudo+²-shot", "unknown strategy 'pseudo+²-shot'"),
+    ("pseudo+", "unknown strategy 'pseudo+'"),
+    ("few", "unknown strategy 'few'"),
+])
+def test_parse_strategy_token_table(token, expected):
+    """Every token `--strategy` may be given, at shots=3 and a non-default
+    style: the (kind, k, style) it parses to, or its exact error."""
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as info:
+            parse_strategy(token, shots=3, style=_PY)
+        assert str(info.value) == expected
+    else:
+        s = parse_strategy(token, shots=3, style=_PY)
+        assert (s.kind, s.k, s.style) == expected
+
+
 def test_strategy_display_names():
     names = [s.display_name for s in standard_strategies()]
     assert names == ["0-shot", "1-shot", "BaG", "0-CoT", "Pseudo", "Pseudo+1-shot"]
