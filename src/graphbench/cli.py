@@ -85,10 +85,18 @@ def _bucket(name: str) -> SizeBucket:
     return bucket
 
 
+def _load_dataset(args: argparse.Namespace) -> list[ds.TaskInstance]:
+    """``load_dataset``, naming the file before a fault's ``line N:`` or ``instance ID:``."""
+    try:
+        return ds.load_dataset(args.dataset, verify=not args.no_verify)
+    except ds.DatasetFormatError as exc:
+        raise ds.DatasetFormatError(f"{args.dataset}: {exc}") from exc
+
+
 def _load_for_eval(args: argparse.Namespace) -> list[ds.TaskInstance]:
     """Load the dataset's selected cells; --limit caps instances per (task, bucket) cell.
     Selecting every standard bucket keeps the buckets that only the file names too."""
-    instances = ds.load_dataset(args.dataset, verify=not args.no_verify)
+    instances = _load_dataset(args)
     tasks = set(_parse_selection(args.tasks, _task, ALL_TASKS))
     buckets = set(_parse_selection(args.buckets, _bucket, ALL_BUCKETS))
     every_bucket = buckets == set(ALL_BUCKETS)
@@ -198,7 +206,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     tasks = _parse_selection(args.tasks, _task, ALL_TASKS)
     buckets = _parse_selection(args.buckets, _bucket, ALL_BUCKETS)
     out = Path(args.out)
-    manifest_path = Path(args.manifest) if args.manifest else out.with_suffix(".manifest.json")
+    manifest_path = out.with_suffix(".manifest.json")
     # An older manifest goes before the new dataset replaces the older one, so
     # an interrupt leaves either no manifest or one that names the dataset.
     manifest_path.unlink(missing_ok=True)
@@ -289,7 +297,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    _score(ds.load_dataset(args.dataset, verify=not args.no_verify), args.transcripts, args.out)
+    _score(_load_dataset(args), args.transcripts, args.out)
     print(f"records: {args.out}")
     return 0
 
@@ -350,8 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = add_parser("generate", help="generate a benchmark dataset")
     p_gen.add_argument("--seed", type=int, default=0, help="master seed")
     p_gen.add_argument("--out", required=True, help="output dataset JSONL path")
-    p_gen.add_argument("--manifest", default=None,
-                       help="manifest path (default: <out>.manifest.json)")
     p_gen.add_argument("--graphs-per-cell", type=_count, default=ds.GRAPHS_PER_CELL)
     _add_selection_flags(p_gen)
     p_gen.set_defaults(func=cmd_generate)

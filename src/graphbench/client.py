@@ -475,13 +475,13 @@ def run_prompts(
 
     With ``parallel == 1`` the calling thread sends each prompt, so an
     interrupt stops the request in flight. With ``parallel > 1``,
-    ``min(parallel, len(bundles))`` worker threads each take the next bundle
-    from one shared index, so at most ``parallel`` requests are in flight,
-    and the calling thread only waits. The worker that finishes the next
-    pair in order hands it out, and any done after it, one worker at a
-    time. Any other exception in a worker or in ``sink``, or an interrupt in
-    the calling thread, stops every worker from starting another prompt; all
-    workers are joined, and the first such exception is raised.
+    ``min(parallel, len(bundles))`` worker threads each take the next
+    position from one queue and only send, so at most ``parallel`` requests
+    are in flight. The calling thread lets positions in and hands each pair
+    out, so ``sink`` always runs on the calling thread. Any other exception
+    in a worker or in ``sink``, or an interrupt in the calling thread, stops
+    every worker from starting another prompt; the calling thread waits
+    until every worker has returned, and the first such exception is raised.
     """
     if parallel < 1:
         raise ValueError("parallel must be at least 1")
@@ -503,77 +503,53 @@ def run_prompts(
         for b in bundles:
             sink(one(b))
         return results if keep else None
-    workers = min(parallel, len(bundles))
-    # A returned list holds every pair anyway, so its workers never wait.
-    ahead = len(bundles) if keep else _AHEAD_PER_WORKER * workers
-    ready: dict[int, Outcome] = {}  # done but not handed out, by position
-    lock = threading.Lock()
-    done = threading.Condition(lock)  # notified as each worker returns
-    room = threading.Condition(lock)  # notified as pairs go out
-    taken = handed = 0  # bundles handed to workers, and pairs handed out
-    handing = False  # a worker is handing pairs out
-    started = finished = 0  # workers started, and workers returned
-    raised: list[BaseException] = []  # non-empty stops every worker
+    import queue  # here, so that serial runs do not load it
 
-    def hand_out(i: int, outcome: Outcome) -> None:
-        nonlocal handed, handing
-        with lock:
-            ready[i] = outcome
-            if handing:  # that worker takes this one too, in turn
-                return
-            handing = True
-        while True:
-            with lock:
-                outcome = ready.pop(handed, None)
-                if outcome is None:
-                    handing = False
-                    return
-                if taken - handed >= ahead:  # a worker may wait for room
-                    room.notify_all()
-                handed += 1
-            sink(outcome)
+    workers = min(parallel, len(bundles))
+    # A returned list holds every pair anyway, so every position is let in at once.
+    ahead = len(bundles) if keep else _AHEAD_PER_WORKER * workers
+    todo = queue.SimpleQueue()  # positions let in; None stops a worker
+    done = queue.SimpleQueue()  # (position, pair), or (None, a worker's exception)
+    stop = threading.Event()
 
     def work() -> None:
-        nonlocal taken, finished
         try:
-            while True:
-                with lock:
-                    while not raised and taken < len(bundles) and taken - handed >= ahead:
-                        room.wait()
-                    if raised or taken == len(bundles):
-                        return
-                    i = taken
-                    taken += 1
-                hand_out(i, one(bundles[i]))
+            for i in iter(todo.get, None):
+                if stop.is_set():
+                    return
+                done.put((i, one(bundles[i])))
         except BaseException as exc:  # raised again in the calling thread
-            with lock:
-                raised.append(exc)
-                room.notify_all()
-        finally:
-            with done:
-                finished += 1
-                done.notify()
+            stop.set()
+            done.put((None, exc))
 
     threads = [threading.Thread(target=work, name=f"run_prompts-{k}") for k in range(workers)]
-    # The calling thread waits on ``done``, never in a join of a live worker:
-    # on Python 3.11 an interrupt inside ``Thread.join`` can mark the thread
-    # stopped while it still runs. The wait is timed, so a signal delivered to
-    # a worker thread (signal.raise_signal there) is handled within a period.
+    for i in range(min(ahead, len(bundles))):
+        todo.put(i)
+    ready: dict[int, Outcome] = {}  # done but not handed out, by position
+    # The calling thread reads ``done`` in timed slices, so a signal delivered
+    # to a worker thread (signal.raise_signal there) is handled within a period.
     try:
-        with done:  # no prompt starts until every worker has
-            for thread in threads:
-                thread.start()
-                started += 1
-            while finished < started:
-                done.wait(_WAIT_PERIOD_S)
-    except BaseException as exc:
-        with done:
-            raised.append(exc)
-            room.notify_all()
-            while finished < started:
-                done.wait()
-    for thread in threads[:started]:
-        thread.join()
-    if raised:
-        raise raised[0]
+        for thread in threads:
+            thread.start()
+        for handed in range(len(bundles)):
+            while handed not in ready:
+                try:
+                    i, outcome = done.get(timeout=_WAIT_PERIOD_S)
+                except queue.Empty:
+                    continue
+                if i is None:
+                    raise outcome
+                ready[i] = outcome
+            sink(ready.pop(handed))
+            if handed + ahead < len(bundles):
+                todo.put(handed + ahead)
+    finally:
+        stop.set()
+        for _ in threads:
+            todo.put(None)
+        # Polled, never a join of a live worker: on Python 3.11 an interrupt
+        # inside ``Thread.join`` can mark the thread stopped while it still runs.
+        for thread in threads:
+            while thread.is_alive():
+                time.sleep(0.001)
     return results if keep else None

@@ -85,8 +85,12 @@ class Strategy:
     def __post_init__(self) -> None:
         if self.uses_exemplars and self.k < 1:
             raise ValueError(f"{self.kind.value} needs k >= 1")
+        if not self.uses_exemplars and self.k != 0:
+            raise ValueError(f"{self.kind.value} takes no k")
         if self.uses_pseudocode and self.style is None:
             raise ValueError(f"{self.kind.value} needs a pseudo-code style")
+        if not self.uses_pseudocode and self.style is not None:
+            raise ValueError(f"{self.kind.value} takes no pseudo-code style")
 
     @classmethod
     def zero_shot(cls) -> "Strategy":

@@ -4,6 +4,7 @@ import json
 import pickle
 import random
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -17,6 +18,7 @@ import pytest
 
 import graphbench.cli
 import graphbench.dataset as ds
+import graphbench.evaluate
 from graphbench import (MEDIUM, SMALL, Answer, AnswerKind, Graph, ModelConfig, PromptBundle,
                         Strategy, Task, assemble_dataset, evaluate_response, make_backend,
                         render_prompt, run_prompts)
@@ -59,6 +61,18 @@ def test_generate_prints_counts_and_total(tmp_path, capsys):
     assert "content digest: " in printed
     assert out.exists()
     assert out.with_suffix(".manifest.json").exists()
+
+
+def test_generate_writes_the_manifest_only_beside_the_dataset(tmp_path, capsys):
+    out = tmp_path / "d.jsonl"
+    with pytest.raises(SystemExit):  # argparse: unrecognized arguments
+        run_cli("generate", "--out", out, "--manifest", tmp_path / "m.json")
+    assert "unrecognized arguments: --manifest" in capsys.readouterr().err
+    config = tmp_path / "bench.cfg"
+    config.write_text(f"manifest = {tmp_path / 'm.json'}\n")
+    with pytest.raises(SystemExit, match="^error: unknown config keys: manifest$"):
+        run_cli("generate", "--config", config, "--out", out)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bench.cfg"]
 
 
 def test_generate_same_seed_byte_identical(tmp_path):
@@ -410,6 +424,58 @@ class JitteredBackend(MockOracleBackend):
         return super().complete_text(bundle, cfg)
 
 
+class InterruptingBackend(JitteredBackend):
+    """The jittered oracle; the request for the instance at position ``k``
+    waits until ``k`` rows are on disk, then raises SIGINT in its own worker
+    thread, as Ctrl-C during a request would, and outlasts the calling
+    thread's wake period."""
+
+    def __init__(self, out, instance_id, k):
+        super().__init__(seed=k)
+        self.rows, self.instance_id, self.k = out / "transcripts.jsonl", instance_id, k
+
+    def complete_text(self, bundle, cfg):
+        if bundle.instance_id == self.instance_id:
+            deadline = time.monotonic() + 10
+            while len(self.rows.read_bytes().splitlines()) < self.k:
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            signal.raise_signal(signal.SIGINT)
+            time.sleep(0.25)
+        return super().complete_text(bundle, cfg)
+
+
+@pytest.mark.parametrize("k", [0, 5])
+def test_an_interrupted_parallel_run_leaves_its_first_rows(dataset, tmp_path, monkeypatch, k):
+    """Ctrl-C in a ``--parallel 4`` run leaves the rows handed out so far, in
+    dataset order, every one written by the calling thread, and ``score``
+    accepts them."""
+    whole, out = tmp_path / "whole", tmp_path / "r"
+    assert run_cli("run", "--dataset", dataset, "--out", whole) == 0
+    ids = [inst.id for inst in ds.load_dataset(dataset)]
+    writers = []
+
+    def row_line(row):
+        writers.append(threading.get_ident())
+        return graphbench.evaluate.row_line(row)
+
+    monkeypatch.setattr("graphbench.cli.row_line", row_line)
+    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            _run_with(monkeypatch, InterruptingBackend(out, ids[k], k), "--dataset", dataset,
+                      "--parallel", 4, "--out", out)
+    finally:
+        signal.signal(signal.SIGINT, handler)
+    assert writers == [threading.get_ident()] * k
+    rows = (whole / "transcripts.jsonl").read_text().splitlines(keepends=True)
+    assert (out / "transcripts.jsonl").read_text() == "".join(rows[:k])
+    assert run_cli("score", "--dataset", dataset, "--transcripts", out / "transcripts.jsonl",
+                   "--out", out / "records.jsonl") == 0
+    records = (whole / "records.jsonl").read_text().splitlines(keepends=True)
+    assert (out / "records.jsonl").read_text() == "".join(records[:k])
+
+
 def test_run_parallel_same_results(dataset, tmp_path, monkeypatch):
     for parallel in (1, 4):
         assert _run_with(monkeypatch, JitteredBackend(parallel), "--dataset", dataset,
@@ -454,9 +520,10 @@ def _doubled(dataset, tmp_path):
 
 
 def test_run_rejects_repeated_instances(dataset, tmp_path, capsys):
-    assert run_cli("run", "--dataset", _doubled(dataset, tmp_path), "--out", tmp_path / "r") == 1
+    doubled = _doubled(dataset, tmp_path)
+    assert run_cli("run", "--dataset", doubled, "--out", tmp_path / "r") == 1
     assert capsys.readouterr().err == \
-        "error: line 14: instance id 'edge_count-S-000-0' repeats line 2\n"
+        f"error: {doubled}: line 14: instance id 'edge_count-S-000-0' repeats line 2\n"
     assert not (tmp_path / "r").exists()
 
 
@@ -607,7 +674,7 @@ def test_a_dataset_line_that_is_not_utf8_is_named(dataset, tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("score", "--dataset", dataset, "--transcripts", run_dir / "transcripts.jsonl",
                    "--out", tmp_path / "r.jsonl") == 1
-    assert capsys.readouterr().err == "error: line 8: not UTF-8: invalid start byte\n"
+    assert capsys.readouterr().err == f"error: {dataset}: line 8: not UTF-8: invalid start byte\n"
 
 
 @pytest.mark.parametrize("token, run_k, score_k", [
@@ -1134,7 +1201,7 @@ def test_run_rejects_a_gold_of_the_wrong_kind(tmp_path, capsys):
     out = tmp_path / "run"
     assert run_cli("run", "--dataset", path, "--backend", "mock:oracle", "--out", out) == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: instance {rows[0]['id']}: stored gold fails verification"]
+    assert err == [f"error: {path}: instance {rows[0]['id']}: stored gold fails verification"]
     assert not (out / "summary.json").exists()
 
 
@@ -1151,7 +1218,8 @@ def test_run_rejects_a_query_of_the_wrong_arity(tmp_path, capsys, no_verify):
     assert run_cli("run", "--dataset", path, "--backend", "mock:oracle", "--out", out,
                    *no_verify) == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == ["error: line 2: corrupt instance: node_degree query [] has arity 0, expected 1"]
+    assert err == [f"error: {path}: line 2: corrupt instance: "
+                   "node_degree query [] has arity 0, expected 1"]
     assert not (out / "summary.json").exists()
 
 
@@ -1179,7 +1247,8 @@ def test_run_rejects_a_bad_bucket_naming_the_line(tmp_path, capsys, bucket, faul
     assert run_cli("run", "--dataset", path, "--backend", "mock:oracle", "--out", out) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert re.fullmatch(f"error: line 2: corrupt instance: {fault}", err[0])
+    assert re.fullmatch(f"error: {re.escape(str(path))}: line 2: corrupt instance: {fault}",
+                        err[0])
     assert not (out / "summary.json").exists()
 
 
@@ -1202,7 +1271,7 @@ def test_run_rejects_a_header_that_is_not_an_object(tmp_path, capsys):
     path.write_text("[1, 2]\n")
     assert run_cli("run", "--dataset", path, "--out", tmp_path / "run") == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: line 1: ")
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: line 1: ")
 
 
 def test_unknown_backend_is_reported(dataset, tmp_path, capsys):

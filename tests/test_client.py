@@ -767,6 +767,17 @@ def test_run_prompts_hands_each_pair_to_the_sink_in_order(bundles, parallel):
     assert sorted(backend.heads, key=int) == handed  # each sent once
 
 
+@pytest.mark.parametrize("parallel", [1, 2, 4, 8])
+def test_run_prompts_hands_out_on_the_calling_thread(bundles, parallel):
+    batch = numbered(bundles, 100)
+    rng = random.Random(parallel)
+    backend = ScriptedBackend(lambda call: rng.random() * 0.002)
+    threads = []
+    run_prompts(batch, backend, ModelConfig(), parallel=parallel,
+                sink=lambda pair: threads.append(threading.get_ident()))
+    assert threads == [threading.get_ident()] * len(batch)
+
+
 @pytest.mark.parametrize("sink", [False, True])
 def test_run_prompts_bounds_the_pairs_that_wait_for_a_slow_one(bundles, sink):
     """While the first prompt is in flight, the other workers run ahead by at

@@ -505,6 +505,20 @@ def test_strategy_validation():
         Strategy(StrategyKind.K_SHOT, k=0)
     with pytest.raises(ValueError):
         Strategy(StrategyKind.PSEUDO)
+    # A k or a style that a kind would ignore is refused, so that no two equal
+    # prompts come from unequal strategies (and are cached twice).
+    multi = PseudocodeStyle.MULTI
+    for kind in (StrategyKind.ZERO_SHOT, StrategyKind.BAG, StrategyKind.ZERO_COT):
+        with pytest.raises(ValueError, match=f"^{kind.value} takes no k$"):
+            Strategy(kind, k=3)
+        with pytest.raises(ValueError, match=f"^{kind.value} takes no pseudo-code style$"):
+            Strategy(kind, style=multi)
+    with pytest.raises(ValueError, match="^bag takes no k$"):
+        Strategy(StrategyKind.BAG, k=3, style=multi)
+    with pytest.raises(ValueError, match="^pseudo takes no k$"):
+        Strategy(StrategyKind.PSEUDO, k=-1, style=multi)
+    with pytest.raises(ValueError, match="^k_shot takes no pseudo-code style$"):
+        Strategy(StrategyKind.K_SHOT, k=2, style=multi)
 
 
 def test_display_name_round_trips_through_parse():
